@@ -15,8 +15,6 @@ the package's cross-checks.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -115,21 +113,6 @@ class CharacterTable:
         return self.cols.index(identity_type)
 
 
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("SUPERFROB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    cap = min(_thread_cap(), len(items)) if items else 1
-    if cap <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 def solve_block(m: int, n: int) -> BlockVariables:
     """The solve-profile block: k_i = n, l_i = 0 for every color."""
     return BlockVariables(HookProfile((n,) * m, (0,) * m))
@@ -170,11 +153,8 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
                     )
         return values
 
-    columns = _map_ordered(column, list(labels))
-    entries = [
-        [columns[c][r] for c in range(len(labels))] for r in range(len(labels))
-    ]
-    table = CharacterTable(
+    entries = [list(row) for row in zip(*(column(bmu) for bmu in labels))]
+    return CharacterTable(
         m=m,
         n=n,
         rows=labels,
@@ -182,10 +162,11 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
         entries=entries,
         solve_profile=block.profile,
         specialized=False,
-        trivial_row_index=None,
+        # specialized one entry at a time, leaving each row at its first value != 1
+        trivial_row_index=_find_trivial_row(
+            ((_specialize_entry(value, m) for value in row) for row in entries), m
+        ),
     )
-    table.trivial_row_index = _find_trivial_row(table)
-    return table
 
 
 def _specialize_entry(entry: Poly, m: int) -> CyclotomicNumber:
@@ -198,36 +179,36 @@ def _specialize_entry(entry: Poly, m: int) -> CyclotomicNumber:
     return value
 
 
+def _find_trivial_row(rows, m: int) -> int | None:
+    """Index of the first row whose values are all 1; rows may be lazy iterables."""
+    one = CyclotomicNumber.from_rational(m, 1)
+    for index, row in enumerate(rows):
+        if all(value == one for value in row):
+            return index
+    return None
+
+
 def specialize_table(table: CharacterTable) -> CharacterTable:
-    """Entrywise q -> 1, Q_i -> zeta^i: the character table of W_{m,n}."""
+    """Entrywise q -> 1, Q_i -> zeta^i: the character table of W_{m,n}.
+
+    The trivial row was already located when the generic table was built, so
+    its index carries over.
+    """
     if table.specialized:
         return table
-    entries = [
-        [_specialize_entry(value, table.m) for value in row] for row in table.entries
-    ]
-    out = CharacterTable(
+    return CharacterTable(
         m=table.m,
         n=table.n,
         rows=table.rows,
         cols=table.cols,
-        entries=entries,
+        entries=[
+            [_specialize_entry(value, table.m) for value in row]
+            for row in table.entries
+        ],
         solve_profile=table.solve_profile,
         specialized=True,
-        trivial_row_index=None,
+        trivial_row_index=table.trivial_row_index,
     )
-    out.trivial_row_index = _find_trivial_row(out)
-    return out
-
-
-def _find_trivial_row(table: CharacterTable) -> int | None:
-    specialized = table if table.specialized else None
-    if specialized is None:
-        specialized = specialize_table(table)
-    one = CyclotomicNumber.from_rational(table.m, 1)
-    for index, row in enumerate(specialized.entries):
-        if all(value == one for value in row):
-            return index
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -263,8 +244,8 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
         rhs = [_as_cyclotomic(c.constant_value(), m) * common for c in coords]
         return solve_linear_exact(matrix, rhs)
 
-    entries = _map_ordered(row_for, list(labels))
-    table = CharacterTable(
+    entries = [row_for(bshape) for bshape in labels]
+    return CharacterTable(
         m=m,
         n=n,
         rows=labels,
@@ -272,10 +253,8 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
         entries=entries,
         solve_profile=block.profile,
         specialized=True,
-        trivial_row_index=None,
+        trivial_row_index=_find_trivial_row(entries, m),
     )
-    table.trivial_row_index = _find_trivial_row(table)
-    return table
 
 
 def _as_cyclotomic(value, m: int) -> CyclotomicNumber:
@@ -302,46 +281,57 @@ class OrthogonalityReport:
     violations: list
 
 
-def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """First (row) orthogonality with weights 1/Z_bmu and conjugated second factor."""
+def _audit_pairs(m: int, labels, vectors, weights, diagonal) -> OrthogonalityReport:
+    """Check sum_k weights[k] * u[k] * conj(v[k]) == delta(u, v) * diagonal[u] for all pairs.
+
+    Each entry is conjugated (and weighted) once up front rather than once per
+    pair; the exact sums compared are the same.
+    """
+    bars = [
+        [weight * value.conjugate() for value, weight in zip(vector, weights)]
+        for vector in vectors
+    ]
+    zero = CyclotomicNumber.from_rational(m, 0)
+    violations = []
+    for i, vector in enumerate(vectors):
+        for j, bar in enumerate(bars):
+            total = zero
+            for value, conjugate in zip(vector, bar):
+                total = total + value * conjugate
+            expected = CyclotomicNumber.from_rational(m, diagonal[i] if i == j else 0)
+            if total != expected:
+                violations.append((labels[i], labels[j], total))
+    return OrthogonalityReport(not violations, len(vectors) ** 2, violations)
+
+
+def _centralizer_orders(table: CharacterTable) -> list[int]:
     if not table.specialized:
         raise ValueError("orthogonality is audited on the specialized table")
-    weights = [
-        Fraction(1, centralizer_order_wreath(bmu, table.m)) for bmu in table.cols
-    ]
-    violations = []
-    pairs = 0
-    for r1, row1 in enumerate(table.entries):
-        for r2, row2 in enumerate(table.entries):
-            pairs += 1
-            total = CyclotomicNumber.from_rational(table.m, 0)
-            for value1, value2, weight in zip(row1, row2, weights):
-                total = total + weight * (value1 * value2.conjugate())
-            expected = CyclotomicNumber.from_rational(table.m, 1 if r1 == r2 else 0)
-            if total != expected:
-                violations.append((table.rows[r1], table.rows[r2], total))
-    return OrthogonalityReport(not violations, pairs, violations)
+    return [centralizer_order_wreath(bmu, table.m) for bmu in table.cols]
+
+
+def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
+    """First (row) orthogonality with weights 1/Z_bmu and conjugated second factor."""
+    orders = _centralizer_orders(table)
+    return _audit_pairs(
+        table.m,
+        table.rows,
+        table.entries,
+        [Fraction(1, order) for order in orders],
+        [1] * len(table.rows),
+    )
 
 
 def verify_column_orthogonality(table: CharacterTable) -> OrthogonalityReport:
     """Second orthogonality: column sums equal delta times the centralizer order."""
-    if not table.specialized:
-        raise ValueError("orthogonality is audited on the specialized table")
-    violations = []
-    pairs = 0
-    for c1 in range(len(table.cols)):
-        for c2 in range(len(table.cols)):
-            pairs += 1
-            total = CyclotomicNumber.from_rational(table.m, 0)
-            for row in table.entries:
-                total = total + row[c1] * row[c2].conjugate()
-            expected = CyclotomicNumber.from_rational(
-                table.m,
-                centralizer_order_wreath(table.cols[c1], table.m) if c1 == c2 else 0,
-            )
-            if total != expected:
-                violations.append((table.cols[c1], table.cols[c2], total))
-    return OrthogonalityReport(not violations, pairs, violations)
+    orders = _centralizer_orders(table)
+    return _audit_pairs(
+        table.m,
+        table.cols,
+        list(zip(*table.entries)),
+        [1] * len(table.rows),
+        orders,
+    )
 
 
 def character_degrees(table: CharacterTable) -> list:

@@ -431,29 +431,9 @@ class Poly:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = self.registry.names()
-        parts = []
-        for exps, coeff in self.sorted_terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e != 0
-            ]
-            body = "*".join(factors)
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        from superfrob.serialize import poly_to_string  # serialize imports this module
+
+        return poly_to_string(self)
 
 
 # -- dense univariate helpers (internal) ------------------------------------
@@ -730,7 +710,11 @@ class CyclotomicNumber:
         return acc
 
     def __eq__(self, other) -> bool:
-        pair = self._align(other)
+        try:
+            pair = self._align(other)
+        except StructuralError:
+            # non-rational values of different orders lie in different fields
+            return False
         if pair is None:
             return NotImplemented
         x, y = pair
@@ -742,19 +726,9 @@ class CyclotomicNumber:
         return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("zeta" if i == 1 else f"zeta^{i}")
-            else:
-                parts.append(f"{c}*zeta" if i == 1 else f"{c}*zeta^{i}")
-        return " + ".join(parts) if parts else "0"
+        from superfrob.serialize import entry_to_string  # serialize imports this module
+
+        return entry_to_string(self)
 
 
 def transport(f: Poly, registry: VariableRegistry) -> Poly:

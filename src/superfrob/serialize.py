@@ -18,38 +18,38 @@ from superfrob.combinat import Multipartition
 from superfrob.exact import CyclotomicNumber, Poly, StructuralError, VariableRegistry
 
 
-def _term_records(f: Poly):
-    """(name->exp map, Fraction, zeta power or None) per flattened term, canonical order."""
+# Cyclotomic table entries print as constants over a registry with no variables.
+_SCALARS = VariableRegistry(())
+
+
+def _as_poly(entry) -> Poly:
+    if isinstance(entry, CyclotomicNumber):
+        return Poly.const(_SCALARS, entry)
+    return entry
+
+
+def _flat_terms(f: Poly):
+    """(Fraction, name->exp map) per flattened term, in canonical order.
+
+    A cyclotomic coefficient splits into one term per nonzero zeta power, with
+    the power recorded under the pseudo-variable ``zeta``.
+    """
     names = f.registry.names()
-    records = []
+    out = []
     for exps, coeff in f.sorted_terms():
         powers = {name: e for name, e in zip(names, exps) if e}
         if isinstance(coeff, CyclotomicNumber):
             for power, c in enumerate(coeff.coeffs):
                 if c:
-                    records.append((powers, c, power))
+                    out.append((c, {**powers, "zeta": power} if power else powers))
         else:
-            records.append((powers, coeff, None))
-    return records
+            out.append((coeff, powers))
+    return out
 
 
 def poly_to_terms(f: Poly) -> list:
     """JSON-ready term list [[coeff-string, {name: exp}], ...]."""
-    out = []
-    for powers, coeff, zeta_power in _term_records(f):
-        full = dict(powers)
-        if zeta_power:
-            full["zeta"] = zeta_power
-        out.append([str(coeff), full])
-    return out
-
-
-def cyclotomic_to_terms(value: CyclotomicNumber) -> list:
-    out = []
-    for power, c in enumerate(value.coeffs):
-        if c:
-            out.append([str(c), {"zeta": power} if power else {}])
-    return out
+    return [[str(coeff), powers] for coeff, powers in _flat_terms(f)]
 
 
 def terms_to_poly(registry: VariableRegistry, terms: list, zeta_order: int | None = None) -> Poly:
@@ -74,44 +74,23 @@ def terms_to_poly(registry: VariableRegistry, terms: list, zeta_order: int | Non
     return total
 
 
-def _coeff_string(coeff: Fraction, body: str) -> str:
-    if not body:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
-
-
 def poly_to_string(f: Poly) -> str:
-    """Canonical human-readable form, stable across runs."""
-    records = _term_records(f)
-    if not records:
-        return "0"
-    parts = []
-    for powers, coeff, zeta_power in records:
-        factors = []
-        for name in f.registry.names():
-            e = powers.get(name)
-            if e:
-                factors.append(name if e == 1 else f"{name}^{e}")
-        if zeta_power:
-            factors.append("zeta" if zeta_power == 1 else f"zeta^{zeta_power}")
-        parts.append(_coeff_string(coeff, "*".join(factors)))
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
+    """Canonical human-readable form, stable across runs.
 
-
-def cyclotomic_to_string(value: CyclotomicNumber) -> str:
+    This is the package's one term printer; ``repr`` of polynomials and
+    cyclotomic numbers and the CSV cells all come from it.
+    """
     parts = []
-    for power, c in enumerate(value.coeffs):
-        if not c:
-            continue
-        body = "" if power == 0 else ("zeta" if power == 1 else f"zeta^{power}")
-        parts.append(_coeff_string(c, body))
+    for coeff, powers in _flat_terms(f):
+        body = "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers.items())
+        if not body:
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{coeff}*{body}")
     if not parts:
         return "0"
     out = parts[0]
@@ -121,15 +100,11 @@ def cyclotomic_to_string(value: CyclotomicNumber) -> str:
 
 
 def entry_to_terms(entry) -> list:
-    if isinstance(entry, CyclotomicNumber):
-        return cyclotomic_to_terms(entry)
-    return poly_to_terms(entry)
+    return poly_to_terms(_as_poly(entry))
 
 
 def entry_to_string(entry) -> str:
-    if isinstance(entry, CyclotomicNumber):
-        return cyclotomic_to_string(entry)
-    return poly_to_string(entry)
+    return poly_to_string(_as_poly(entry))
 
 
 def multipartition_label(bshape: Multipartition) -> list:

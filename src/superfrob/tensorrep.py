@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from superfrob.combinat import Multipartition, WreathElement
 from superfrob.exact import CyclotomicNumber, Poly
@@ -186,14 +186,18 @@ def apply_T1(ctx: TensorContext, vec: TensorVector) -> TensorVector:
     return out
 
 
+def _d_weighted(ctx: TensorContext, tup: tuple[int, ...], coeff: Poly) -> Poly:
+    """coeff times the D eigenvalue of basis tuple tup: the product of x / -y weights."""
+    for i in tup:
+        coeff = coeff * ctx.diag[i]
+    return coeff
+
+
 def apply_D(ctx: TensorContext, vec: TensorVector) -> TensorVector:
     """Diagonal operator: tuple bi is scaled by the product of x / -y weights."""
     out: TensorVector = {}
     for tup, coeff in vec.items():
-        weight = coeff
-        for i in tup:
-            weight = weight * ctx.diag[i]
-        _accumulate(out, tup, weight)
+        _accumulate(out, tup, _d_weighted(ctx, tup, coeff))
     return out
 
 
@@ -254,19 +258,23 @@ def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
     return tuple(word)
 
 
-def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
-    """Trace of D composed with the word, summed column by column."""
+def _trace_D(ctx: TensorContext, action: Callable[[TensorVector], TensorVector]) -> Poly:
+    """Trace of D composed with an operator, summed column by column.
+
+    Only the column loop is shared: each caller brings its own action, so the
+    T-operator oracle and the classical signed-permutation oracle stay independent.
+    """
     total = Poly.zero(ctx.registry)
     for tup in ctx.basis():
-        image = apply_word(ctx, word, ctx.basis_vector(tup))
-        coeff = image.get(tup)
-        if coeff is None:
-            continue
-        weight = coeff
-        for i in tup:
-            weight = weight * ctx.diag[i]
-        total = total + weight
+        coeff = action(ctx.basis_vector(tup)).get(tup)
+        if coeff is not None:
+            total = total + _d_weighted(ctx, tup, coeff)
     return total
+
+
+def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
+    """Trace of D composed with the word, summed column by column."""
+    return _trace_D(ctx, lambda vec: apply_word(ctx, word, vec))
 
 
 # -- classical (q = 1) oracle ---------------------------------------------------
@@ -305,14 +313,4 @@ def classical_apply(
 
 
 def classical_trace_D(ctx: TensorContext, element: WreathElement, m: int) -> Poly:
-    total = Poly.zero(ctx.registry)
-    for tup in ctx.basis():
-        image = classical_apply(ctx, element, ctx.basis_vector(tup), m)
-        coeff = image.get(tup)
-        if coeff is None:
-            continue
-        weight = coeff
-        for i in tup:
-            weight = weight * ctx.diag[i]
-        total = total + weight
-    return total
+    return _trace_D(ctx, lambda vec: classical_apply(ctx, element, vec, m))

@@ -109,6 +109,25 @@ def test_specialized_m2_n1():
     assert table.trivial_row_index == 1
 
 
+def test_hecke_table_finds_trivial_row_without_specializing_the_table(monkeypatch):
+    from superfrob import characters
+
+    def refuse(table):
+        raise AssertionError("whole-table specialization during the solve")
+
+    tables = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "specialize_table", refuse)
+        for m, n in [(2, 2), (3, 2)]:
+            tables[m, n] = hecke_character_table(m, n)
+    for (m, n), table in tables.items():
+        specialized = specialize_table(table)
+        assert table.trivial_row_index is not None
+        one = CyclotomicNumber.from_rational(m, 1)
+        assert all(v == one for v in specialized.entries[table.trivial_row_index])
+        assert specialized.trivial_row_index == table.trivial_row_index
+
+
 def test_entry_integrality():
     for m, n in [(1, 3), (2, 2), (3, 1)]:
         table = hecke_character_table(m, n)

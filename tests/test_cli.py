@@ -1,5 +1,6 @@
 """CLI surface tests: flags, formats, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,13 +78,60 @@ def test_chartable_deterministic_bytes(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_chartable_threads_env_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial.json"
-    threaded = tmp_path / "threaded.json"
-    assert cli.main(["chartable", "--m", "2", "--n", "2", "--out", str(serial)]) == 0
-    monkeypatch.setenv("SUPERFROB_THREADS", "3")
-    assert cli.main(["chartable", "--m", "2", "--n", "2", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
+# Printer characterization: these bytes were produced before the term printers
+# were merged into one, and the merged printer must reproduce them exactly.
+W32_CSV = """\
+lambda\\mu,"[[2], [], []]","[[1, 1], [], []]","[[1], [1], []]","[[1], [], [1]]","[[], [2], []]","[[], [1, 1], []]","[[], [1], [1]]","[[], [], [2]]","[[], [], [1, 1]]"
+"[[2], [], []]",zeta,-1 - zeta,1,zeta,-1 - zeta,zeta,-1 - zeta,1,1
+"[[1, 1], [], []]",-zeta,-1 - zeta,1,zeta,1 + zeta,zeta,-1 - zeta,-1,1
+"[[1], [1], []]",0,2,-1,-1,0,2,-1,0,2
+"[[1], [], [1]]",0,2*zeta,-1,1 + zeta,0,-2 - 2*zeta,-zeta,0,2
+"[[], [2], []]",-1 - zeta,zeta,1,-1 - zeta,zeta,-1 - zeta,zeta,1,1
+"[[], [1, 1], []]",1 + zeta,zeta,1,-1 - zeta,-zeta,-1 - zeta,zeta,-1,1
+"[[], [1], [1]]",0,-2 - 2*zeta,-1,-zeta,0,2*zeta,1 + zeta,0,2
+"[[], [], [2]]",1,1,1,1,1,1,1,1,1
+"[[], [], [1, 1]]",-1,1,1,1,-1,1,1,-1,1
+"""
+
+H22_CSV = """\
+lambda\\mu,"[[2], []]","[[1, 1], []]","[[1], [1]]","[[], [2]]","[[], [1, 1]]"
+"[[2], []]",q*Q1,Q1^2,Q1^3,q*Q1^2,Q1^4
+"[[1, 1], []]",-q^-1*Q1,Q1^2,Q1^3,-q^-1*Q1^2,Q1^4
+"[[1], [1]]",q*Q2 - q^-1*Q2,2*Q1*Q2,Q1^2*Q2 + Q1*Q2^2,q*Q2^2 - q^-1*Q2^2,2*Q1^2*Q2^2
+"[[], [2]]",q*Q2,Q2^2,Q2^3,q*Q2^2,Q2^4
+"[[], [1, 1]]",-q^-1*Q2,Q2^2,Q2^3,-q^-1*Q2^2,Q2^4
+"""
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_printer_characterization_chartable_csv(capsys):
+    code, out, _ = run_cli(
+        capsys, ["chartable", "--m", "3", "--n", "2", "--specialize", "--format", "csv"]
+    )
+    assert code == 0 and out == W32_CSV
+    code, out, _ = run_cli(capsys, ["chartable", "--m", "2", "--n", "2", "--format", "csv"])
+    assert code == 0 and out == H22_CSV
+
+
+def test_printer_characterization_expand_ptilde(capsys):
+    argv = ["expand", "ptilde", "--shape", "[[1],[1],[1]]", "--k", "1,1,1", "--l", "1,1,1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert _sha256(payload["string"]) == (
+        "7a02ecaf12e5aaf7475785ef97d84a0135177a0c6175d6179ed1f33db27d3c3d"
+    )
+    assert _sha256(json.dumps(payload["terms"])) == (
+        "8e4d5454186634ecf82a150dfe26aadddb78703dede258bad18bb30465ef4aaa"
+    )
+    # zeta-carrying coefficients inside a polynomial, whole payload pinned
+    argv = ["expand", "ptilde", "--shape", "[[2],[],[1]]", "--k", "1,1,1", "--l", "1,0,1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert _sha256(out) == "be7fcf2e2283ec76f1f0cb8b34358091c2ffb7280f4d24640efd8dc0a1a73c5d"
 
 
 def test_verify_relations_example(capsys):

@@ -194,6 +194,22 @@ def test_cyclotomic_geometric_sum():
         assert acc.is_zero()
 
 
+def test_cyclotomic_cross_order_equality_is_false_but_arithmetic_raises():
+    z3, z4 = CyclotomicNumber.zeta(3), CyclotomicNumber.zeta(4)
+    assert not (z3 == z4)
+    assert z3 != z4
+    assert z3 not in [z4]
+    with pytest.raises(StructuralError):
+        z3 + z4
+    with pytest.raises(StructuralError):
+        z3 * z4
+    with pytest.raises(StructuralError):
+        z3 / z4
+    # rational values still compare across orders
+    assert CyclotomicNumber.from_rational(3, 2) == CyclotomicNumber.from_rational(4, 2)
+    assert z4 * z4 == CyclotomicNumber.from_rational(3, -1)
+
+
 def test_euler_phi_values():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
