@@ -4,8 +4,11 @@ The Hecke table is obtained by expanding the trace identity in supersymmetric
 functions on the solve profile k_i = n, l_i = 0: there every multipartition is
 a hook, the super Schur functions degenerate to products of ordinary Schur
 polynomials with integer monomial coordinates, and the character values drop
-out of one exact linear solve per column.  Specializing q -> 1, Q_i -> zeta^i
-turns the result into the character table of the wreath product W_{m,n}.
+out of one exact linear solve.  Both sides are symmetric within each color, so
+the solve keeps one row per multipartition (its dominant monomial) after
+certifying that symmetry; the matrix is then square, a product of Kostka
+matrices.  Specializing q -> 1, Q_i -> zeta^i turns the result into the
+character table of the wreath product W_{m,n}.
 
 The same wreath table is recomputed independently from the colored power sum
 expansion of the super Schur functions; agreement of the two routes is one of
@@ -27,12 +30,19 @@ from superfrob.combinat import (
     multipartitions,
     standard_multitableaux_count,
 )
-from superfrob.exact import CyclotomicNumber, Poly, solve_linear_exact
+from superfrob.exact import (
+    CyclotomicNumber,
+    DomainError,
+    Poly,
+    euler_phi,
+    solve_linear_exact,
+)
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
     colored_power_sum_product,
     coordinates_on_degree,
+    degree_monomials,
     q_bmu,
     super_schur,
 )
@@ -118,65 +128,143 @@ def solve_block(m: int, n: int) -> BlockVariables:
     return BlockVariables(HookProfile((n,) * m, (0,) * m))
 
 
-def _schur_coordinate_matrix(block: BlockVariables, rows, n: int):
-    x_names = block.x_names()
-    columns = []
-    for bshape in rows:
-        coords = coordinates_on_degree(super_schur(bshape, block), x_names, n)
-        columns.append([c.constant_value() for c in coords])
-    height = len(columns[0])
-    return [[columns[j][r] for j in range(len(rows))] for r in range(height)]
+@lru_cache(maxsize=None)
+def _symmetry_index(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row indices into ``degree_monomials(m * n, n)`` for the solve block.
 
-
-def hecke_character_table(m: int, n: int) -> CharacterTable:
-    """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
-
-    For each column the expansion of q_bmu over the super Schur basis is
-    solved exactly; held-out monomial rows are residual-checked inside the
-    solver, and entries are verified to be integer Laurent polynomials.
+    ``canonical[r]`` is the row of monomial r with each color's exponent block
+    sorted decreasingly; ``dominant[j]`` is the row of the dominant monomial of
+    the j-th multipartition (each color's partition padded to n), in
+    ``multipartitions`` order.  The canonical rows are exactly the dominant ones.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    monomials = degree_monomials(m * n, n)
+    row_of = {mono: r for r, mono in enumerate(monomials)}
+
+    def color_sorted(mono: tuple[int, ...]) -> tuple[int, ...]:
+        return sum(
+            (tuple(sorted(mono[i * n : (i + 1) * n], reverse=True)) for i in range(m)), ()
+        )
+
+    canonical = tuple(row_of[color_sorted(mono)] for mono in monomials)
+    dominant = tuple(
+        row_of[sum((part + (0,) * (n - len(part)) for part in bl), ())]
+        for bl in multipartitions(m, n)
+    )
+    return canonical, dominant
+
+
+def _dominant_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
+    """Coordinates of f at the dominant monomials, certified symmetric in each color.
+
+    f must be homogeneous of x-degree n in the solve block.  Every monomial
+    coordinate is checked to equal the coordinate of its per-color-sorted
+    monomial, so the dominant rows determine every row: two certified
+    expansions that agree on them agree on all monomials.
+    """
+    coords = coordinates_on_degree(f, block.x_names(), n)
+    canonical, dominant = _symmetry_index(block.m, n)
+    for r, c in enumerate(canonical):
+        if r != c and coords[r] != coords[c]:
+            raise ConsistencyError(
+                f"expansion is not symmetric within each color at monomial row {r}"
+            )
+    return [coords[r] for r in dominant]
+
+
+def _all_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
+    return coordinates_on_degree(f, block.x_names(), n)
+
+
+def _solve_hecke(m: int, n: int, coordinates) -> list[list[Poly]]:
+    """Entries chi^bl(g(bmu)), rows bl and columns bmu, on the rows `coordinates` keeps.
+
+    Solves q_bmu = sum_bl chi^bl(g(bmu)) S_bl for all bmu in one elimination
+    and verifies that every entry is an integer Laurent polynomial.
+    """
     block = solve_block(m, n)
     labels = multipartitions(m, n)
-    matrix = _schur_coordinate_matrix(block, labels, n)
-    x_names = block.x_names()
-
-    def column(bmu: Multipartition) -> list[Poly]:
-        rhs = coordinates_on_degree(q_bmu(bmu, block), x_names, n)
-        values = solve_linear_exact(matrix, rhs)
+    schur_columns = [
+        [c.constant_value() for c in coordinates(super_schur(bshape, block), block, n)]
+        for bshape in labels
+    ]
+    matrix = [list(row) for row in zip(*schur_columns)]
+    solutions = solve_linear_exact(
+        matrix, [coordinates(q_bmu(bmu, block), block, n) for bmu in labels]
+    )
+    for bmu, values in zip(labels, solutions):
         for bshape, value in zip(labels, values):
             for coeff in value.terms.values():
                 if isinstance(coeff, Fraction) and coeff.denominator != 1:
                     raise ConsistencyError(
                         f"non-integer character value for {bshape} at {bmu}: {value!r}"
                     )
-        return values
+    return [list(row) for row in zip(*solutions)]
 
-    entries = [list(row) for row in zip(*(column(bmu) for bmu in labels))]
+
+@lru_cache(maxsize=None)
+def hecke_character_table(m: int, n: int) -> CharacterTable:
+    """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
+
+    The expansions of all q_bmu over the super Schur basis are solved in one
+    square elimination on the |P_{m,n}| dominant monomial rows.  Every
+    expansion entering the solve is certified symmetric within each color,
+    which makes the dominant rows equivalent to all monomial rows, and entries
+    are verified to be integer Laurent polynomials.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    labels = multipartitions(m, n)
+    entries = _solve_hecke(m, n, _dominant_coordinates)
+    specialize = _specializer(m)
     return CharacterTable(
         m=m,
         n=n,
         rows=labels,
         cols=labels,
         entries=entries,
-        solve_profile=block.profile,
+        solve_profile=solve_block(m, n).profile,
         specialized=False,
         # specialized one entry at a time, leaving each row at its first value != 1
         trivial_row_index=_find_trivial_row(
-            ((_specialize_entry(value, m) for value in row) for row in entries), m
+            ((specialize(value) for value in row) for row in entries), m
         ),
     )
 
 
-def _specialize_entry(entry: Poly, m: int) -> CyclotomicNumber:
-    assignment = {"q": Fraction(1)}
-    for i in range(1, m + 1):
-        assignment[f"Q{i}"] = CyclotomicNumber.zeta(m, i)
-    value = entry.substitute(assignment).constant_value()
-    if isinstance(value, Fraction):
-        value = CyclotomicNumber.from_rational(m, value)
-    return value
+def hecke_entries_on_all_rows(m: int, n: int) -> list[list[Poly]]:
+    """Audit of :func:`hecke_character_table`: the same solve on every monomial row.
+
+    No symmetry is assumed; the rows beyond the pivots are residual-checked
+    by the solver instead.
+    """
+    return _solve_hecke(m, n, _all_coordinates)
+
+
+def _specializer(m: int):
+    """Entrywise q -> 1, Q_i -> zeta^i for polynomials in q and Q_1..Q_m.
+
+    Relies on the solve-block layout q, Q_1..Q_m first: each coefficient lands
+    in the slot (sum_i i * e_{Q_i}) mod m, and the slots are combined with the
+    powers of zeta once per entry.
+    """
+    zeta_coeffs = [CyclotomicNumber.zeta(m, k).coeffs for k in range(m)]
+    width = euler_phi(m)
+
+    def specialize(entry: Poly) -> CyclotomicNumber:
+        slots = [0] * m
+        for exps, coeff in entry.terms.items():
+            if any(exps[m + 1 :]):
+                raise DomainError(f"character entry {entry!r} is not in q and Q only")
+            slots[sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m] += coeff
+        out = [Fraction(0)] * width
+        for slot, coeffs in zip(slots, zeta_coeffs):
+            if slot:
+                for pos, c in enumerate(coeffs):
+                    if c:
+                        out[pos] += slot * c
+        return CyclotomicNumber(m, out)
+
+    return specialize
 
 
 def _find_trivial_row(rows, m: int) -> int | None:
@@ -196,18 +284,47 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
     """
     if table.specialized:
         return table
+    specialize = _specializer(table.m)
     return CharacterTable(
         m=table.m,
         n=table.n,
         rows=table.rows,
         cols=table.cols,
-        entries=[
-            [_specialize_entry(value, table.m) for value in row]
-            for row in table.entries
-        ],
+        entries=[[specialize(value) for value in row] for row in table.entries],
         solve_profile=table.solve_profile,
         specialized=True,
         trivial_row_index=table.trivial_row_index,
+    )
+
+
+def _solve_wreath(m: int, n: int, coordinates) -> list[list[CyclotomicNumber]]:
+    """Entries chi^bl(bmu), rows bl and columns bmu, on the rows `coordinates` keeps.
+
+    Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu for all bl in one
+    elimination, with the centralizer orders cleared by a common multiple
+    before the solve so the system matrix stays integral (over Z[zeta]).
+    """
+    block = solve_block(m, n)
+    labels = multipartitions(m, n)
+    orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
+    common = math.lcm(*orders)
+    power_sum_columns = [
+        [
+            _as_cyclotomic(c.constant_value(), m) * Fraction(common, order)
+            for c in coordinates(colored_power_sum_product(bmu, block), block, n)
+        ]
+        for bmu, order in zip(labels, orders)
+    ]
+    matrix = [list(row) for row in zip(*power_sum_columns)]
+    return solve_linear_exact(
+        matrix,
+        [
+            [
+                _as_cyclotomic(c.constant_value(), m) * common
+                for c in coordinates(super_schur(bshape, block), block, n)
+            ]
+            for bshape in labels
+        ],
     )
 
 
@@ -215,46 +332,28 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
 def wreath_character_table(m: int, n: int) -> CharacterTable:
     """W_{m,n} character table from the colored power sum expansion.
 
-    Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu in monomial coordinates,
-    with the centralizer orders cleared by a common multiple before the solve
-    so the system matrix stays integral (over Z[zeta]).
+    Solved square on the dominant monomial rows, with every power-sum and
+    super Schur expansion certified symmetric within each color.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    block = solve_block(m, n)
     labels = multipartitions(m, n)
-    x_names = block.x_names()
-    orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
-    common = math.lcm(*orders)
-
-    matrix_columns = []
-    for bmu, order in zip(labels, orders):
-        coords = coordinates_on_degree(colored_power_sum_product(bmu, block), x_names, n)
-        scale = Fraction(common, order)
-        matrix_columns.append(
-            [_as_cyclotomic(c.constant_value(), m) * scale for c in coords]
-        )
-    height = len(matrix_columns[0])
-    matrix = [
-        [matrix_columns[j][r] for j in range(len(labels))] for r in range(height)
-    ]
-
-    def row_for(bshape: Multipartition) -> list[CyclotomicNumber]:
-        coords = coordinates_on_degree(super_schur(bshape, block), x_names, n)
-        rhs = [_as_cyclotomic(c.constant_value(), m) * common for c in coords]
-        return solve_linear_exact(matrix, rhs)
-
-    entries = [row_for(bshape) for bshape in labels]
+    entries = _solve_wreath(m, n, _dominant_coordinates)
     return CharacterTable(
         m=m,
         n=n,
         rows=labels,
         cols=labels,
         entries=entries,
-        solve_profile=block.profile,
+        solve_profile=solve_block(m, n).profile,
         specialized=True,
         trivial_row_index=_find_trivial_row(entries, m),
     )
+
+
+def wreath_entries_on_all_rows(m: int, n: int) -> list[list[CyclotomicNumber]]:
+    """Audit of :func:`wreath_character_table`: the same solve on every monomial row."""
+    return _solve_wreath(m, n, _all_coordinates)
 
 
 def _as_cyclotomic(value, m: int) -> CyclotomicNumber:

@@ -747,24 +747,30 @@ def transport(f: Poly, registry: VariableRegistry) -> Poly:
     return Poly(registry, terms)
 
 
-def solve_linear_exact(A: Sequence[Sequence[object]], b: Sequence[object]) -> list:
-    """Solve A x = b exactly by Gauss-Jordan elimination with exact pivoting.
+def solve_linear_exact(
+    A: Sequence[Sequence[object]], rhs_columns: Sequence[Sequence[object]]
+) -> list[list]:
+    """Solve A x = b exactly for every right-hand side b in ``rhs_columns``.
 
-    ``A`` holds field scalars (Fraction or CyclotomicNumber); ``b`` entries may
-    be scalars or polynomials.  For overdetermined systems the rows left
-    without pivots form a residual-check set: each must reduce to 0 = 0, and a
+    Gauss-Jordan elimination with exact pivoting runs once on ``A``; each row
+    operation is applied to all right-hand sides together, and one solution
+    is returned per column.  ``A`` holds field scalars (Fraction or
+    CyclotomicNumber); right-hand side entries may be scalars or polynomials.
+    For overdetermined systems the rows left without pivots form a
+    residual-check set: each must reduce to 0 = 0 in every column, and a
     nonzero residual raises :class:`InconsistentSystemError` with the
     offending row index.
     """
     rows = len(A)
-    if rows != len(b):
+    if any(len(b) != rows for b in rhs_columns):
         raise StructuralError("matrix and right-hand side differ in length")
     cols = len(A[0]) if rows else 0
     mat = [list(row) for row in A]
     for row in mat:
         if len(row) != cols:
             raise StructuralError("ragged coefficient matrix")
-    rhs = list(b)
+    # rhs[r] holds row r of every right-hand side
+    rhs = [[b[r] for b in rhs_columns] for r in range(rows)]
 
     pivot_of_col: dict[int, int] = {}
     used: set[int] = set()
@@ -777,8 +783,9 @@ def solve_linear_exact(A: Sequence[Sequence[object]], b: Sequence[object]) -> li
         used.add(pivot)
         pivot_of_col[col] = pivot
         inv = _field_inverse(mat[pivot][col])
-        mat[pivot] = [x * inv for x in mat[pivot]]
-        rhs[pivot] = inv * rhs[pivot]
+        if inv != 1:
+            mat[pivot] = [x * inv for x in mat[pivot]]
+            rhs[pivot] = [inv * value for value in rhs[pivot]]
         for r in range(rows):
             if r == pivot:
                 continue
@@ -786,16 +793,18 @@ def solve_linear_exact(A: Sequence[Sequence[object]], b: Sequence[object]) -> li
             if not factor:
                 continue
             mat[r] = [x - factor * y for x, y in zip(mat[r], mat[pivot])]
-            rhs[r] = rhs[r] - factor * rhs[pivot]
+            rhs[r] = [value - factor * p for value, p in zip(rhs[r], rhs[pivot])]
 
     for r in range(rows):
         if r in used:
             continue
         if any(mat[r][c] for c in range(cols)):
             raise SingularMatrixError("elimination left a nonzero held-out row")
-        residual = rhs[r]
-        bad = not residual.is_zero() if isinstance(residual, Poly) else bool(residual)
-        if bad:
-            raise InconsistentSystemError(r)
+        for residual in rhs[r]:
+            bad = not residual.is_zero() if isinstance(residual, Poly) else bool(residual)
+            if bad:
+                raise InconsistentSystemError(r)
 
-    return [rhs[pivot_of_col[c]] for c in range(cols)]
+    return [
+        [rhs[pivot_of_col[c]][j] for c in range(cols)] for j in range(len(rhs_columns))
+    ]

@@ -21,10 +21,11 @@ from superfrob.combinat import (
     multipartitions,
     partitions,
 )
-from superfrob.exact import Poly, transport
+from superfrob.exact import InconsistentSystemError, Poly, transport
 from superfrob.characters import (
     degrees_match_counts,
     hecke_character_table,
+    hecke_entries_on_all_rows,
     mn_character,
     specialize_table,
     verify_column_orthogonality,
@@ -35,6 +36,7 @@ from superfrob.symfunc import (
     BlockVariables,
     colored_power_sum_product,
     complete_homogeneous,
+    degree_monomials,
     hall_littlewood_q,
     q_bmu,
     q_tilde,
@@ -391,6 +393,20 @@ def suite_identities(config: SuiteConfig) -> list[CheckResult]:
         return True, f"{cases} substitutions checked"
 
     checks.append(_timed("cancellation", cancellation))
+
+    def full_row_solve():
+        # the table's square solve on dominant rows against the solve on every
+        # monomial row, whose held-out rows the solver residual-checks
+        rows = len(degree_monomials(config.m * config.n, config.n))
+        try:
+            full = hecke_entries_on_all_rows(config.m, config.n)
+        except InconsistentSystemError as err:
+            return False, f"held-out monomial row {err.row} has a nonzero residual"
+        if full != hecke_character_table(config.m, config.n).entries:
+            return False, "square solve differs from the full-row solve"
+        return True, f"square solve equals the solve on all {rows} monomial rows"
+
+    checks.append(_timed("full-row-solve", full_row_solve))
     return checks
 
 

@@ -12,11 +12,13 @@ from superfrob.combinat import (
     partitions,
     standard_multitableaux_count,
 )
-from superfrob.exact import CyclotomicNumber, Poly, transport
+from superfrob.exact import CyclotomicNumber, DomainError, Poly, transport
 from superfrob.characters import (
+    CharacterTable,
     character_degrees,
     degrees_match_counts,
     hecke_character_table,
+    hecke_entries_on_all_rows,
     mn_character,
     mn_table,
     specialize_table,
@@ -24,9 +26,11 @@ from superfrob.characters import (
     verify_orthogonality,
     wreath_character,
     wreath_character_table,
+    wreath_entries_on_all_rows,
 )
 from superfrob.symfunc import (
     BlockVariables,
+    ConsistencyError,
     super_power_sum_product,
     super_schur,
 )
@@ -116,6 +120,7 @@ def test_hecke_table_finds_trivial_row_without_specializing_the_table(monkeypatc
         raise AssertionError("whole-table specialization during the solve")
 
     tables = {}
+    hecke_character_table.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(characters, "specialize_table", refuse)
         for m, n in [(2, 2), (3, 2)]:
@@ -126,6 +131,72 @@ def test_hecke_table_finds_trivial_row_without_specializing_the_table(monkeypatc
         one = CyclotomicNumber.from_rational(m, 1)
         assert all(v == one for v in specialized.entries[table.trivial_row_index])
         assert specialized.trivial_row_index == table.trivial_row_index
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_square_solve_equals_full_row_solve(m, n):
+    # dominant rows with the symmetry certificate against every monomial row
+    # with held-out rows residual-checked, on both routes
+    assert hecke_entries_on_all_rows(m, n) == hecke_character_table(m, n).entries
+    assert wreath_entries_on_all_rows(m, n) == wreath_character_table(m, n).entries
+
+
+def _break_color_symmetry(monkeypatch, name):
+    """Add x1_1^n, without its permutations, to every expansion `name` returns."""
+    from superfrob import characters
+
+    original = getattr(characters, name)
+
+    def asymmetric(label, block):
+        n = sum(sum(part) for part in label)
+        return original(label, block) + Poly.var(block.registry, "x1_1", n)
+
+    monkeypatch.setattr(characters, name, asymmetric)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_hecke_certificate_rejects_asymmetric_q_bmu(monkeypatch, m, n):
+    hecke_character_table.cache_clear()
+    _break_color_symmetry(monkeypatch, "q_bmu")
+    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
+        hecke_character_table(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
+    wreath_character_table.cache_clear()
+    _break_color_symmetry(monkeypatch, "super_schur")
+    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
+        wreath_character_table(m, n)
+
+
+def test_specialization_matches_substitution():
+    for m, n in [(1, 3), (2, 3), (3, 2), (4, 1)]:
+        table = hecke_character_table(m, n)
+        assignment = {"q": 1}
+        assignment.update({f"Q{i}": CyclotomicNumber.zeta(m, i) for i in range(1, m + 1)})
+        for row, specialized_row in zip(table.entries, specialize_table(table).entries):
+            for entry, value in zip(row, specialized_row):
+                expected = entry.substitute(assignment).constant_value()
+                assert value == CyclotomicNumber.from_rational(m, 0) + expected
+                assert value.order == m
+
+
+def test_specialization_rejects_block_variables():
+    table = hecke_character_table(2, 1)
+    reg = table.entries[0][0].registry
+    stray = CharacterTable(
+        m=2,
+        n=1,
+        rows=table.rows,
+        cols=table.cols,
+        entries=[[Poly.var(reg, "x1_1"), table.entries[0][1]], table.entries[1]],
+        solve_profile=table.solve_profile,
+        specialized=False,
+        trivial_row_index=None,
+    )
+    with pytest.raises(DomainError):
+        specialize_table(stray)
 
 
 def test_entry_integrality():

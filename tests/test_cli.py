@@ -73,6 +73,8 @@ def test_chartable_csv(capsys):
 def test_chartable_deterministic_bytes(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
+        # the table is cached per (m, n); each run must solve it afresh
+        cli.hecke_character_table.cache_clear()
         code = cli.main(["chartable", "--m", "2", "--n", "2", "--out", str(path)])
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()

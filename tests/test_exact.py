@@ -128,26 +128,30 @@ def test_phi_divisor_product_identity():
 def test_solve_identity():
     rhs = [q, Q1, x1]
     eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert solve_linear_exact(eye, rhs) == rhs
+    assert solve_linear_exact(eye, [rhs]) == [rhs]
 
 
 def test_solve_diagonal():
     A = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]]
-    sol = solve_linear_exact(A, [q, Q1])
-    assert sol == [Fraction(1, 2) * q, Fraction(1, 4) * Q1]
+    sol = solve_linear_exact(A, [[q, Q1]])
+    assert sol == [[Fraction(1, 2) * q, Fraction(1, 4) * Q1]]
 
 
 def test_solve_singular():
     A = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     with pytest.raises(SingularMatrixError):
-        solve_linear_exact(A, [q, Q1])
+        solve_linear_exact(A, [[q, Q1]])
 
 
 def test_solve_overdetermined_consistent_and_not():
     A = [[Fraction(1)], [Fraction(2)]]
-    assert solve_linear_exact(A, [x1, 2 * x1]) == [x1]
+    assert solve_linear_exact(A, [[x1, 2 * x1]]) == [[x1]]
     with pytest.raises(InconsistentSystemError) as err:
-        solve_linear_exact(A, [x1, x1])
+        solve_linear_exact(A, [[x1, x1]])
+    assert err.value.row == 1
+    # one inconsistent column fails the joint solve of consistent ones
+    with pytest.raises(InconsistentSystemError) as err:
+        solve_linear_exact(A, [[x1, 2 * x1], [q, q], [Q1, 2 * Q1]])
     assert err.value.row == 1
 
 
@@ -155,7 +159,7 @@ def test_solve_cyclotomic_field():
     z3 = CyclotomicNumber.zeta(3)
     A = [[z3, CyclotomicNumber.from_rational(3, 1)], [CyclotomicNumber.from_rational(3, 1), z3]]
     b = [CyclotomicNumber.from_rational(3, 1), CyclotomicNumber.from_rational(3, 0)]
-    x = solve_linear_exact(A, b)
+    [x] = solve_linear_exact(A, [b])
     assert A[0][0] * x[0] + A[0][1] * x[1] == b[0]
     assert A[1][0] * x[0] + A[1][1] * x[1] == b[1]
 
@@ -273,7 +277,7 @@ def test_solver_residuals_vanish(rows):
     A = [[Fraction(v) for v in row] for row in rows]
     b = [q * Fraction(i + 1) + x1 for i in range(len(A))]
     try:
-        x = solve_linear_exact(A, b)
+        [x] = solve_linear_exact(A, [b])
     except (SingularMatrixError, InconsistentSystemError):
         return
     for row, rhs in zip(A, b):
@@ -281,3 +285,54 @@ def test_solver_residuals_vanish(rows):
         for coeff, value in zip(row, x):
             total = total + coeff * value
         assert total == rhs
+
+
+def _solve_or_error(A, columns):
+    try:
+        return solve_linear_exact(A, columns)
+    except (SingularMatrixError, InconsistentSystemError) as err:
+        return err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+        min_size=3,
+        max_size=5,
+    ),
+    st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+    st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, 4))),
+)
+def test_joint_solve_matches_columnwise(rows, solutions, perturb):
+    A = [[Fraction(v) for v in row] for row in rows]
+    # each column is A times a known solution, optionally broken in one row
+    columns = []
+    for values in solutions:
+        x = [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]
+        column = [Poly.zero(REG)] * len(A)
+        for r, row in enumerate(A):
+            for coeff, value in zip(row, x):
+                column[r] = column[r] + coeff * value
+        columns.append(column)
+    if perturb is not None:
+        col, row = perturb[0] % len(columns), perturb[1] % len(A)
+        columns[col][row] = columns[col][row] + Q1
+
+    alone = [_solve_or_error(A, [column]) for column in columns]
+    joint = _solve_or_error(A, columns)
+    if isinstance(joint, SingularMatrixError):
+        assert all(isinstance(result, SingularMatrixError) for result in alone)
+    elif isinstance(joint, InconsistentSystemError):
+        # the joint solve reports the first held-out row any column breaks
+        failing = [r.row for r in alone if isinstance(r, InconsistentSystemError)]
+        assert failing and joint.row == min(failing)
+    else:
+        assert joint == [result[0] for result in alone]
+        if perturb is None:
+            for values, x in zip(solutions, joint):
+                assert x == [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from superfrob.characters import hecke_character_table
 from superfrob.suites import SuiteConfig, run_suite, suite_relations
 
 
@@ -15,6 +16,7 @@ def test_run_all_small():
     assert "frobenius/main-theorem" in names
     assert "orthogonality/dual-path" in names
     assert "identities/eq-qq" in names
+    assert "identities/full-row-solve" in names
     assert all(r.seconds >= 0 for r in results)
 
 
@@ -29,3 +31,13 @@ def test_relations_mixed_profile():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus", SuiteConfig(m=1, n=1, bk=(1,), bl=(1,)))
+
+
+def test_suite_all_solves_the_hecke_table_once():
+    # main-theorem, orthogonality and the full-row audit share one solve
+    hecke_character_table.cache_clear()
+    results = run_suite("all", SuiteConfig(1, 2, (1,), (1,)))
+    assert all(r.passed for r in results)
+    info = hecke_character_table.cache_info()
+    assert info.misses == 1
+    assert info.hits >= 2
