@@ -34,7 +34,6 @@ from superfrob.exact import (
     CyclotomicNumber,
     DomainError,
     Poly,
-    euler_phi,
     solve_linear_exact,
 )
 from superfrob.symfunc import (
@@ -244,11 +243,8 @@ def _specializer(m: int):
     """Entrywise q -> 1, Q_i -> zeta^i for polynomials in q and Q_1..Q_m.
 
     Relies on the solve-block layout q, Q_1..Q_m first: each coefficient lands
-    in the slot (sum_i i * e_{Q_i}) mod m, and the slots are combined with the
-    powers of zeta once per entry.
+    in the slot (sum_i i * e_{Q_i}) mod m of the power of zeta it multiplies.
     """
-    zeta_coeffs = [CyclotomicNumber.zeta(m, k).coeffs for k in range(m)]
-    width = euler_phi(m)
 
     def specialize(entry: Poly) -> CyclotomicNumber:
         slots = [0] * m
@@ -256,13 +252,7 @@ def _specializer(m: int):
             if any(exps[m + 1 :]):
                 raise DomainError(f"character entry {entry!r} is not in q and Q only")
             slots[sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m] += coeff
-        out = [Fraction(0)] * width
-        for slot, coeffs in zip(slots, zeta_coeffs):
-            if slot:
-                for pos, c in enumerate(coeffs):
-                    if c:
-                        out[pos] += slot * c
-        return CyclotomicNumber(m, out)
+        return CyclotomicNumber.from_slots(m, slots)
 
     return specialize
 
@@ -310,7 +300,7 @@ def _solve_wreath(m: int, n: int, coordinates) -> list[list[CyclotomicNumber]]:
     common = math.lcm(*orders)
     power_sum_columns = [
         [
-            _as_cyclotomic(c.constant_value(), m) * Fraction(common, order)
+            _as_cyclotomic(c.constant_value(), m) * (common // order)
             for c in coordinates(colored_power_sum_product(bmu, block), block, n)
         ]
         for bmu, order in zip(labels, orders)

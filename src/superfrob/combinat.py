@@ -20,15 +20,6 @@ Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
 
 
-def check_partition(parts: Sequence[int]) -> Partition:
-    parts = tuple(parts)
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must weakly decrease: {parts}")
-    return parts
-
-
 @lru_cache(maxsize=None)
 def partitions(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order."""
@@ -193,10 +184,6 @@ def is_hook_multi(bshape: Multipartition, profile: HookProfile) -> bool:
     return all(
         is_hook(shape, profile.bk[i], profile.bl[i]) for i, shape in enumerate(bshape)
     )
-
-
-def hook_multipartitions(m: int, n: int, profile: HookProfile) -> tuple[Multipartition, ...]:
-    return tuple(b for b in multipartitions(m, n) if is_hook_multi(b, profile))
 
 
 # -- counting ----------------------------------------------------------------

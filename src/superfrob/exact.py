@@ -1,12 +1,12 @@
 """Exact arithmetic core: sparse Laurent polynomials, cyclotomic numbers, linear solving.
 
-Every quantity in this package is exact.  Coefficients are big rationals
-(``fractions.Fraction``) or elements of a cyclotomic field Q(zeta_m)
-represented modulo the m-th cyclotomic polynomial.  Polynomials are sparse
-maps from dense exponent vectors to coefficients; the exponent vector layout
-is fixed by a :class:`VariableRegistry`.  Negative exponents are permitted
-only at registry positions flagged invertible (in practice: the Hecke
-parameter q).
+Every quantity in this package is exact.  Coefficients are integers, or
+rationals (``fractions.Fraction``) where a division needs one, or elements
+of a cyclotomic field Q(zeta_m) represented modulo the m-th cyclotomic
+polynomial.  Polynomials are sparse maps from dense exponent vectors to
+coefficients; the exponent vector layout is fixed by a
+:class:`VariableRegistry`.  Negative exponents are permitted only at
+registry positions flagged invertible (in practice: the Hecke parameter q).
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -14,6 +14,7 @@ functions, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -100,18 +101,27 @@ class VariableRegistry:
         return f"VariableRegistry({', '.join(self.names())})"
 
 
-def _coerce_coeff(value):
+def _rational(value):
+    """value unchanged if it is an exact rational (int or Fraction)."""
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, CyclotomicNumber):
         return value
     raise StructuralError(f"unsupported coefficient {value!r}")
+
+
+def _coerce_coeff(value):
+    return value if isinstance(value, CyclotomicNumber) else _rational(value)
+
+
+def _quotient(a, b):
+    """a / b for rationals: an int when the quotient is integral, else a Fraction."""
+    quotient = Fraction(a, b)
+    return quotient.numerator if quotient.denominator == 1 else quotient
 
 
 def _field_inverse(value):
     if isinstance(value, CyclotomicNumber):
         return value.inverse()
-    return Fraction(1) / Fraction(value)
+    return _quotient(1, value)
 
 
 class Poly:
@@ -176,7 +186,7 @@ class Poly:
             raise DomainError(f"variable {name!r} is not invertible")
         exps = [0] * len(registry)
         exps[pos] = power
-        return cls._raw(registry, {tuple(exps): Fraction(1)})
+        return cls._raw(registry, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, registry: VariableRegistry, powers: Mapping[str, int], coeff=1) -> "Poly":
@@ -199,7 +209,7 @@ class Poly:
     def constant_value(self):
         """The coefficient of the empty monomial; error if any variable survives."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -338,16 +348,10 @@ class Poly:
                     break
             if factor.is_zero():
                 continue
-            result = result + factor * Poly._raw(self.registry, {tuple(reduced): Fraction(1)})
+            result = result + factor * Poly._raw(self.registry, {tuple(reduced): 1})
         return result
 
     # -- structure helpers -------------------------------------------------
-
-    def degree_in(self, name: str) -> int:
-        pos = self.registry.index(name)
-        if not self.terms:
-            return 0
-        return max(e[pos] for e in self.terms)
 
     def coefficients_by(self, names: Sequence[str]) -> dict[tuple[int, ...], "Poly"]:
         """Group terms by their exponents on ``names``; values keep the remaining variables."""
@@ -417,7 +421,7 @@ class Poly:
                 result_terms[tuple(exps)] = lead
                 for d, c in den.items():
                     tgt = d + shift
-                    acc = work.get(tgt, Fraction(0)) - lead * c
+                    acc = work.get(tgt, 0) - lead * c
                     if acc:
                         work[tgt] = acc
                     elif tgt in work:
@@ -439,16 +443,16 @@ class Poly:
 # -- dense univariate helpers (internal) ------------------------------------
 
 
-def _dense_trim(p: list[Fraction]) -> list[Fraction]:
+def _dense_trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
 
 
-def _dense_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _dense_mul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -457,22 +461,15 @@ def _dense_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     return _dense_trim(out)
 
 
-def _dense_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _dense_trim(out)
-
-
-def _dense_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
+def _dense_divmod(num: Sequence, den: Sequence):
     num = list(num)
     den = _dense_trim(list(den))
     if not den:
         raise DomainError("dense division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    quot = [0] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for shift in range(len(num) - len(den), -1, -1):
-        c = num[shift + len(den) - 1] / lead
+        c = _quotient(num[shift + len(den) - 1], lead)
         if c:
             quot[shift] = c
             for i, d in enumerate(den):
@@ -481,15 +478,15 @@ def _dense_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
 
 
 @lru_cache(maxsize=None)
-def _phi_dense(m: int) -> tuple[Fraction, ...]:
+def _phi_dense(m: int) -> tuple[int, ...]:
     """Coefficients (low to high) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise DomainError("cyclotomic order must be positive")
     if m == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
+        return (-1, 1)
+    num = [0] * (m + 1)
+    num[0], num[m] = -1, 1
+    den = [1]
     for d in range(1, m):
         if m % d == 0:
             den = _dense_mul(den, list(_phi_dense(d)))
@@ -513,23 +510,16 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """z^j reduced modulo Phi_m, as coefficient vectors, for 0 <= j <= 2*(deg-1)."""
+def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_m^k reduced modulo Phi_m, as integer coefficient vectors, for 0 <= k < m."""
     phi = _phi_dense(m)
     deg = len(phi) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    current = [Fraction(0)] * deg
-    current[0] = Fraction(1)
-    rows.append(tuple(current))
-    for _ in range(max(0, 2 * deg - 2)):
-        shifted = [Fraction(0)] + current
-        overflow = shifted.pop() if len(shifted) > deg else Fraction(0)
-        if overflow:
-            # Phi_m is monic, so z^deg = -(phi_0 + ... + phi_{deg-1} z^{deg-1})
-            for i in range(deg):
-                shifted[i] -= overflow * phi[i]
-        current = shifted
-        rows.append(tuple(current))
+    rows = [(1,) + (0,) * (deg - 1)]
+    for _ in range(m - 1):
+        # times z; Phi_m is monic, so z^deg = -(phi_0 + ... + phi_{deg-1} z^{deg-1})
+        shifted = (0,) + rows[-1]
+        overflow = shifted[deg]
+        rows.append(tuple(shifted[i] - overflow * phi[i] for i in range(deg)))
     return tuple(rows)
 
 
@@ -538,14 +528,15 @@ class CyclotomicNumber:
 
     Reduction modulo Phi_m (rather than z^m - 1) makes this a field, so
     equality tests are unambiguous and conjugation zeta -> zeta^(m-1) is a
-    ring automorphism.
+    ring automorphism.  Every operation that meets a power of zeta reads it
+    from the one table :func:`_zeta_powers`.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction]):
+    def __init__(self, order: int, coeffs: Sequence):
         deg = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(_rational(c) for c in coeffs)
         if len(coeffs) != deg:
             raise StructuralError(
                 f"cyclotomic coefficient vector must have length {deg} for order {order}"
@@ -554,27 +545,36 @@ class CyclotomicNumber:
         self.coeffs = coeffs
 
     @classmethod
+    def _raw(cls, order: int, coeffs: tuple) -> "CyclotomicNumber":
+        # internal fast path: coeffs already a rational tuple of length euler_phi(order)
+        c = object.__new__(cls)
+        c.order = order
+        c.coeffs = coeffs
+        return c
+
+    @classmethod
     def from_rational(cls, order: int, value) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * euler_phi(order)
-        coeffs[0] = Fraction(value)
-        return cls(order, coeffs)
+        return cls._raw(order, (_rational(value),) + (0,) * (euler_phi(order) - 1))
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_m^power for the fixed primitive m-th root of unity zeta_m."""
-        power %= order
-        deg = euler_phi(order)
-        if deg == 1:
-            # Phi_m linear: zeta is the rational root (1 for m=1, -1 for m=2)
-            root = -_phi_dense(order)[0]
-            return cls(order, [root**power])
-        if power < deg:
-            coeffs = [Fraction(0)] * deg
-            coeffs[power] = Fraction(1)
-            return cls(order, coeffs)
-        gen = [Fraction(0)] * deg
-        gen[1] = Fraction(1)
-        return cls(order, gen) ** power
+        return cls._raw(order, _zeta_powers(order)[power % order])
+
+    @classmethod
+    def from_slots(cls, order: int, slots: Sequence) -> "CyclotomicNumber":
+        """sum_k slots[k] zeta^k over the rational slots 0 <= k < order."""
+        table = _zeta_powers(order)
+        if len(slots) != order:
+            raise StructuralError(f"need {order} slots for order {order}, got {len(slots)}")
+        out = [0] * len(table[0])
+        for slot, power in zip(slots, table):
+            if slot:
+                slot = _rational(slot)
+                for pos, c in enumerate(power):
+                    if c:
+                        out[pos] += slot * c
+        return cls._raw(order, tuple(out))
 
     # -- helpers -----------------------------------------------------------
 
@@ -592,6 +592,14 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(other.order, self.rational_value()), other
         raise StructuralError("cyclotomic orders differ")
 
+    def _galois(self, k: int) -> "CyclotomicNumber":
+        """The field automorphism zeta -> zeta^k, for k prime to the order."""
+        m = self.order
+        slots = [0] * m
+        for i, c in enumerate(self.coeffs):
+            slots[i * k % m] += c
+        return CyclotomicNumber.from_slots(m, slots)
+
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
@@ -601,7 +609,7 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return all(not c for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
         if not self.is_rational():
             raise DomainError("cyclotomic number is not rational")
         return self.coeffs[0]
@@ -613,12 +621,12 @@ class CyclotomicNumber:
         if pair is None:
             return NotImplemented
         x, y = pair
-        return CyclotomicNumber(x.order, [a + b for a, b in zip(x.coeffs, y.coeffs)])
+        return CyclotomicNumber._raw(x.order, tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, [-c for c in self.coeffs])
+        return CyclotomicNumber._raw(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         pair = self._align(other)
@@ -635,41 +643,28 @@ class CyclotomicNumber:
         if pair is None:
             return NotImplemented
         x, y = pair
-        deg = len(x.coeffs)
-        table = _reduction_table(x.order)
-        out = [Fraction(0)] * deg
+        m = x.order
+        slots = [0] * m
         for i, a in enumerate(x.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(y.coeffs):
-                if not b:
-                    continue
-                ab = a * b
-                row = table[i + j]
-                for pos in range(deg):
-                    if row[pos]:
-                        out[pos] += ab * row[pos]
-        return CyclotomicNumber(x.order, out)
+            if a:
+                for j, b in enumerate(y.coeffs):
+                    if b:
+                        slots[(i + j) % m] += a * b
+        return CyclotomicNumber.from_slots(m, slots)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
+        """The product of the other Galois conjugates over the rational norm."""
         if self.is_zero():
             raise DomainError("cyclotomic zero has no inverse")
-        # extended Euclid in Q[z] against Phi_m; the invariant is r = s*a (mod Phi_m)
-        phi = list(_phi_dense(self.order))
-        r0, s0 = phi, [Fraction(0)]
-        r1, s1 = _dense_trim(list(self.coeffs)), [Fraction(1)]
-        while len(r1) > 1:
-            quot, rem = _dense_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _dense_sub(s0, _dense_mul(quot, s1))
-        if not r1:
-            raise DomainError("cyclotomic number shares a factor with Phi_m")
-        unit_inv = Fraction(1) / r1[0]
-        reduced = _dense_divmod([c * unit_inv for c in s1], phi)[1]
-        deg = len(self.coeffs)
-        return CyclotomicNumber(self.order, list(reduced) + [Fraction(0)] * (deg - len(reduced)))
+        m = self.order
+        others = CyclotomicNumber.from_rational(m, 1)
+        for k in range(2, m):
+            if math.gcd(k, m) == 1:
+                others = others * self._galois(k)
+        norm = (self * others).rational_value()
+        return CyclotomicNumber._raw(m, tuple(_quotient(c, norm) for c in others.coeffs))
 
     def __truediv__(self, other):
         pair = self._align(other)
@@ -700,14 +695,7 @@ class CyclotomicNumber:
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, zeta -> zeta^(m-1)."""
-        zbar = CyclotomicNumber.zeta(self.order, self.order - 1)
-        acc = CyclotomicNumber.from_rational(self.order, 0)
-        power = CyclotomicNumber.from_rational(self.order, 1)
-        for c in self.coeffs:
-            if c:
-                acc = acc + c * power
-            power = power * zbar
-        return acc
+        return self._galois(self.order - 1)
 
     def __eq__(self, other) -> bool:
         try:
@@ -754,7 +742,7 @@ def solve_linear_exact(
 
     Gauss-Jordan elimination with exact pivoting runs once on ``A``; each row
     operation is applied to all right-hand sides together, and one solution
-    is returned per column.  ``A`` holds field scalars (Fraction or
+    is returned per column.  ``A`` holds field scalars (int, Fraction or
     CyclotomicNumber); right-hand side entries may be scalars or polynomials.
     For overdetermined systems the rows left without pivots form a
     residual-check set: each must reduce to 0 = 0 in every column, and a

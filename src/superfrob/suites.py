@@ -98,7 +98,7 @@ def _words_agree(ctx: TensorContext, word_a, word_b) -> tuple[bool, str]:
 
 
 def suite_relations(config: SuiteConfig) -> list[CheckResult]:
-    ctx = TensorContext(BlockVariables(config.profile), config.n, verify_diagonal=True)
+    ctx = TensorContext(BlockVariables(config.profile), config.n)
     n = config.n
     checks: list[CheckResult] = []
 

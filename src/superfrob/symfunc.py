@@ -15,7 +15,6 @@ polynomial, so callers can keep it symbolic or set it to q^-2.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from superfrob.combinat import (
@@ -108,11 +107,6 @@ class BlockVariables:
             for b in range(1, self.profile.bl[i - 1] + 1)
         ]
 
-    def variable_of_index(self, index: int) -> Poly:
-        """The block variable carried by a global basis index (no sign)."""
-        kind, color, pos = self.profile.symbol_of(index)
-        return Poly.var(self.registry, f"{kind}{color}_{pos}")
-
     def diagonal_weight(self, index: int) -> Poly:
         """x for even indices, -y for odd ones (the z -> x / -y replacement)."""
         kind, color, pos = self.profile.symbol_of(index)
@@ -141,14 +135,14 @@ def schur(shape: Partition, variables: list[Poly]) -> Poly:
         (exps,) = v.terms.keys()
         positions.append(max(range(len(exps)), key=lambda p: exps[p]))
     width = len(registry)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], int] = {}
     for tab in semistandard_tableaux(shape, len(variables)):
         exps = [0] * width
         for row in tab:
             for value in row:
                 exps[positions[value - 1]] += 1
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + 1
+        terms[key] = terms.get(key, 0) + 1
     return Poly(registry, terms)
 
 
@@ -399,7 +393,7 @@ def super_schur_component(
         k = len(x_vars)
         ell = len(y_vars)
         width = len(registry)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int] = {}
         x_pos = [registry.index(f"x{color}_{a}") for a in range(1, k + 1)]
         y_pos = [registry.index(f"y{color}_{b}") for b in range(1, ell + 1)]
         for tab in super_tableaux(shape, k, ell):
@@ -413,8 +407,8 @@ def super_schur_component(
                     exps[y_pos[value - 1]] += 1
                     boxes_y += 1
             key = tuple(exps)
-            sign = Fraction(-1 if boxes_y % 2 else 1)
-            terms[key] = terms.get(key, Fraction(0)) + sign
+            sign = -1 if boxes_y % 2 else 1
+            terms[key] = terms.get(key, 0) + sign
         return Poly(block.registry, {e: c for e, c in terms.items() if c})
     raise ValueError(f"unknown algorithm {algorithm!r}")
 

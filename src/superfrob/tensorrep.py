@@ -30,7 +30,7 @@ OperatorWord = tuple[OperatorAtom, ...]
 class TensorContext:
     """Precomputed per-profile data for operator application."""
 
-    def __init__(self, block: BlockVariables, n: int, verify_diagonal: bool = False):
+    def __init__(self, block: BlockVariables, n: int):
         self.block = block
         self.profile = block.profile
         self.n = n
@@ -44,11 +44,17 @@ class TensorContext:
         self.q = block.q
         self.q_inv = block.q_inv
         self.q_minus_q_inv = block.q_minus_q_inv
-        self.half = Fraction(1, 2)
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
-        # verify_diagonal re-derives the equal-index diagonal action from the
-        # unsimplified three-case formula on every application
-        self.verify_diagonal = verify_diagonal
+        # equal-index action of T_a per parity (q even, -q^-1 odd), checked once
+        # against the unsimplified three-case formula: q and q^-1 are fixed here
+        self.t_diagonal = (self.q, -self.q_inv)
+        half = Fraction(1, 2)
+        for parity, sign in ((0, 1), (1, -1)):
+            unsimplified = half * self.q_minus_q_inv + (sign * half) * (self.q + self.q_inv)
+            if unsimplified != self.t_diagonal[parity]:
+                raise ArithmeticError(
+                    "diagonal T action disagrees with the three-case formula"
+                )
 
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
@@ -116,17 +122,7 @@ def apply_T(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
     for tup, coeff in vec.items():
         left, right = tup[a - 2], tup[a - 1]
         if left == right:
-            diagonal = -ctx.q_inv if ctx.parity[left] else ctx.q
-            if ctx.verify_diagonal:
-                sign = -1 if ctx.parity[left] else 1
-                unsimplified = ctx.half * ctx.q_minus_q_inv + (
-                    sign * ctx.half
-                ) * (ctx.q + ctx.q_inv)
-                if unsimplified != diagonal:
-                    raise ArithmeticError(
-                        "diagonal T action disagrees with the three-case formula"
-                    )
-            _accumulate(out, tup, coeff * diagonal)
+            _accumulate(out, tup, coeff * ctx.t_diagonal[ctx.parity[left]])
         elif left < right:
             new, sign = _phi_s_on_tuple(ctx, a, tup)
             _accumulate(out, tup, coeff * ctx.q_minus_q_inv)

@@ -218,6 +218,26 @@ def test_euler_phi_values():
     assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+def test_cyclotomic_rejects_floats():
+    with pytest.raises(StructuralError):
+        CyclotomicNumber(3, [0.1, 0])
+    with pytest.raises(StructuralError):
+        CyclotomicNumber.from_rational(3, 0.1)
+    with pytest.raises(StructuralError):
+        CyclotomicNumber.from_slots(3, [0, 0.1, 0])
+
+
+def test_cyclotomic_zeta_powers_and_exact_inverse():
+    for m in range(1, 13):
+        z = CyclotomicNumber.zeta(m, 1)
+        for k in range(-m, 2 * m):
+            assert CyclotomicNumber.zeta(m, k) == z**k
+        # units of Z[zeta] keep integer coefficients under inversion
+        assert all(type(c) is int for c in z.inverse().coeffs)
+    half = CyclotomicNumber.from_rational(3, 2).inverse()
+    assert half.coeffs == (Fraction(1, 2), 0)
+
+
 # -- randomized algebraic properties ----------------------------------------
 
 
@@ -239,6 +259,40 @@ def small_polys(draw):
         if coeff:
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
     return Poly(REG, {e: c for e, c in terms.items() if c})
+
+
+@st.composite
+def cyclotomic_triples(draw):
+    m = draw(st.integers(min_value=1, max_value=12))
+    rationals = st.builds(
+        Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=5)
+    )
+    width = euler_phi(m)
+    return tuple(
+        CyclotomicNumber(m, draw(st.lists(rationals, min_size=width, max_size=width)))
+        for _ in range(3)
+    )
+
+
+def _embed(v: CyclotomicNumber) -> complex:
+    root = cmath.exp(2j * cmath.pi / v.order)
+    return sum(complex(c) * root**i for i, c in enumerate(v.coeffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cyclotomic_triples())
+def test_cyclotomic_field_laws(triple):
+    u, v, w = triple
+    if v:
+        assert v * v.inverse() == 1
+        assert (u / v) * v == u
+    assert v.conjugate().conjugate() == v
+    assert (u * w).conjugate() == u.conjugate() * w.conjugate()
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    # the complex embedding is a ring homomorphism that commutes with conjugation
+    assert abs(_embed(u * v) - _embed(u) * _embed(v)) < 1e-6
+    assert abs(_embed(v.conjugate()) - _embed(v).conjugate()) < 1e-6
 
 
 @settings(max_examples=60, deadline=None)

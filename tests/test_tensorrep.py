@@ -36,9 +36,8 @@ from superfrob.tensorrep import (
 )
 
 
-def make_ctx(bk, bl, n, **kwargs):
-    block = BlockVariables(HookProfile(bk, bl))
-    return TensorContext(block, n, **kwargs)
+def make_ctx(bk, bl, n):
+    return TensorContext(BlockVariables(HookProfile(bk, bl)), n)
 
 
 def vec_equal(a, b):
@@ -80,10 +79,21 @@ def test_T_action_cases():
 
 
 def test_T_diagonal_verification_flag():
-    ctx = make_ctx((1,), (1,), 2, verify_diagonal=True)
+    # every context checks its equal-index diagonal against the three-case formula
+    for bk, bl in [((1,), (1,)), ((2,), (0,)), ((0, 1), (1, 0))]:
+        ctx = make_ctx(bk, bl, 2)
+        assert ctx.t_diagonal == (ctx.q, -ctx.q_inv)
+    ctx = make_ctx((1,), (1,), 2)
     one = ctx.one
     assert apply_T(ctx, 2, {(1, 1): one}) == {(1, 1): ctx.q}
     assert apply_T(ctx, 2, {(2, 2): one}) == {(2, 2): -ctx.q_inv}
+
+
+def test_T_diagonal_check_rejects_corrupted_q_inv():
+    block = BlockVariables(HookProfile((1,), (1,)))
+    block.q_inv = Poly.var(block.registry, "q", -2)
+    with pytest.raises(ArithmeticError):
+        TensorContext(block, 2)
 
 
 def test_T_inv_is_inverse():
