@@ -15,6 +15,7 @@ functions, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -266,7 +267,7 @@ class Poly:
                 prod = c1 * c2
                 if not prod:
                     continue
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 acc = terms.get(key)
                 acc = prod if acc is None else acc + prod
                 if acc:

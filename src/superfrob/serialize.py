@@ -56,7 +56,8 @@ def terms_to_poly(registry: VariableRegistry, terms: list, zeta_order: int | Non
     """Inverse of :func:`poly_to_terms` (with the zeta order of the coefficient field)."""
     total = Poly.zero(registry)
     for coeff_str, powers in terms:
-        coeff = Fraction(coeff_str)
+        value = Fraction(coeff_str)
+        coeff = value.numerator if value.denominator == 1 else value
         zeta_power = 0
         cleaned = {}
         for name, e in powers.items():

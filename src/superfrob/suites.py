@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 from superfrob.combinat import (
@@ -189,9 +190,14 @@ def suite_frobenius(config: SuiteConfig) -> list[CheckResult]:
     labels = multipartitions(config.m, config.n)
     checks: list[CheckResult] = []
 
+    @cache
+    def trace_of(bmu):
+        """Trace(D T(bmu)), computed once and compared by both checks."""
+        return trace_D_word(ctx, standard_word(bmu, config.n))
+
     def trace_oracle():
         for bmu in labels:
-            lhs = trace_D_word(ctx, standard_word(bmu, config.n))
+            lhs = trace_of(bmu)
             rhs = q_bmu(bmu, block)
             if lhs != rhs:
                 return False, f"Trace(D T(bmu)) != q_bmu at {bmu}"
@@ -205,7 +211,7 @@ def suite_frobenius(config: SuiteConfig) -> list[CheckResult]:
             bshape: super_schur(bshape, block) for bshape in labels
         }
         for bmu in labels:
-            lhs = trace_D_word(ctx, standard_word(bmu, config.n))
+            lhs = trace_of(bmu)
             total = Poly.zero(block.registry)
             for bshape in labels:
                 entry = transport(table.entry(bshape, bmu), block.registry)

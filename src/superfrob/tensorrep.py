@@ -45,6 +45,7 @@ class TensorContext:
         self.q_inv = block.q_inv
         self.q_minus_q_inv = block.q_minus_q_inv
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
+        self._Q_powers: dict[tuple[int, int], Poly] = {}
         # equal-index action of T_a per parity (q even, -q^-1 odd), checked once
         # against the unsimplified three-case formula: q and q^-1 are fixed here
         self.t_diagonal = (self.q, -self.q_inv)
@@ -55,6 +56,14 @@ class TensorContext:
                 raise ArithmeticError(
                     "diagonal T action disagrees with the three-case formula"
                 )
+
+    def Q_power(self, color: int, power: int) -> Poly:
+        """Q_color^power, computed on first use and then read from a table."""
+        key = (color, power)
+        value = self._Q_powers.get(key)
+        if value is None:
+            value = self._Q_powers[key] = self.Q[color] ** power
+        return value
 
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
@@ -167,7 +176,7 @@ def apply_Omega(ctx: TensorContext, j: int, power: int, vec: TensorVector) -> Te
         return dict(vec)
     out: TensorVector = {}
     for tup, coeff in vec.items():
-        scale = ctx.Q[ctx.color[tup[j - 1]]] ** power
+        scale = ctx.Q_power(ctx.color[tup[j - 1]], power)
         _accumulate(out, tup, coeff * scale)
     return out
 
@@ -257,14 +266,21 @@ def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
 def _trace_D(ctx: TensorContext, action: Callable[[TensorVector], TensorVector]) -> Poly:
     """Trace of D composed with an operator, summed column by column.
 
-    Only the column loop is shared: each caller brings its own action, so the
-    T-operator oracle and the classical signed-permutation oracle stay independent.
+    The D eigenvalue of a basis tuple depends only on its weight, so diagonal
+    coefficients are summed per weight space, keyed by the sorted tuple (the
+    weight's canonical representative), and the D weight is multiplied in once
+    per weight space.  Only the column loop is shared: each caller brings its
+    own action, so the T-operator oracle and the classical signed-permutation
+    oracle stay independent.
     """
-    total = Poly.zero(ctx.registry)
+    by_weight: TensorVector = {}
     for tup in ctx.basis():
         coeff = action(ctx.basis_vector(tup)).get(tup)
         if coeff is not None:
-            total = total + _d_weighted(ctx, tup, coeff)
+            _accumulate(by_weight, tuple(sorted(tup)), coeff)
+    total = Poly.zero(ctx.registry)
+    for key, coeff in by_weight.items():
+        total = total + _d_weighted(ctx, key, coeff)
     return total
 
 

@@ -252,6 +252,10 @@ def test_poly_json_round_trip():
     # serialize through real JSON bytes and back
     recovered = terms_to_poly(block.registry, json.loads(json.dumps(data)))
     assert recovered == f
+    # integral coefficients come back as int, as the computation keeps them
+    assert {e: type(c) for e, c in recovered.terms.items()} == {
+        e: type(c) for e, c in f.terms.items()
+    }
 
 
 def test_internal_failure_exit_code(capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 import pytest
 
+import superfrob.suites
 from superfrob.characters import hecke_character_table
-from superfrob.suites import SuiteConfig, run_suite, suite_relations
+from superfrob.combinat import multipartitions
+from superfrob.suites import SuiteConfig, run_suite, suite_frobenius, suite_relations
 
 
 def test_run_all_small():
@@ -41,3 +43,27 @@ def test_suite_all_solves_the_hecke_table_once():
     info = hecke_character_table.cache_info()
     assert info.misses == 1
     assert info.hits >= 2
+
+
+def test_frobenius_suite_computes_each_trace_once(monkeypatch):
+    # trace-oracle and main-theorem compare the same trace, computed once per label
+    config = SuiteConfig(m=2, n=2, bk=(1, 1), bl=(1, 1))
+    true_trace = superfrob.suites.trace_D_word
+    calls = []
+
+    def counted(ctx, word):
+        calls.append(word)
+        return true_trace(ctx, word)
+
+    monkeypatch.setattr(superfrob.suites, "trace_D_word", counted)
+    results = suite_frobenius(config)
+    assert [r.name for r in results] == ["trace-oracle", "main-theorem"]
+    assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
+    assert len(calls) == len(multipartitions(2, 2))
+
+    # the shared trace still reaches both checks: a wrong trace fails each of them
+    monkeypatch.setattr(
+        superfrob.suites, "trace_D_word", lambda ctx, word: true_trace(ctx, word) + 1
+    )
+    results = suite_frobenius(config)
+    assert [r.passed for r in results] == [False, False]

@@ -9,6 +9,9 @@ from superfrob.combinat import (
     compositions,
     multipartitions,
     standard_representative,
+    wreath_mul,
+    wreath_s,
+    wreath_t,
 )
 from superfrob.exact import Poly
 from superfrob.symfunc import (
@@ -29,6 +32,7 @@ from superfrob.tensorrep import (
     apply_T_inv,
     apply_phi_s,
     apply_word,
+    classical_apply,
     classical_trace_D,
     omega_t_word,
     standard_word,
@@ -126,6 +130,8 @@ def test_Omega_examples():
     assert apply_Omega(ctx, 1, 1, {(2, 1): one}) == {(2, 1): ctx.Q[2]}
     assert apply_Omega(ctx, 1, 0, {(2, 1): one}) == {(2, 1): one}
     assert apply_Omega(ctx, 2, 3, {(2, 1): one}) == {(2, 1): ctx.Q[1] ** 3}
+    # same power, other color: a second entry of the context's power table
+    assert apply_Omega(ctx, 1, 3, {(2, 1): one}) == {(2, 1): ctx.Q[2] ** 3}
 
 
 def test_T1_collapses_for_single_color():
@@ -299,3 +305,47 @@ def test_type_a_relations_at_n4():
             far_lhs = apply_word(ctx, (("T", 2), ("T", 4)), v)
             far_rhs = apply_word(ctx, (("T", 4), ("T", 2)), v)
             assert vec_equal(far_lhs, far_rhs), (bk, bl, tup)
+
+
+def column_by_column_trace(ctx, action):
+    # the definition: sum over basis tuples of the tuple's coefficient in D(action(e_tup))
+    total = Poly.zero(ctx.registry)
+    for tup in ctx.basis():
+        coeff = apply_D(ctx, action(ctx.basis_vector(tup))).get(tup)
+        if coeff is not None:
+            total = total + coeff
+    return total
+
+
+@pytest.mark.parametrize(
+    "bk,bl,n",
+    [((1, 0, 1), (0, 1, 1), 2), ((1, 1, 0), (0, 1, 1), 3), ((1, 1), (1, 1), 3)],
+)
+def test_weight_space_trace_equals_column_by_column_sum(bk, bl, n):
+    # odd variables throughout; m = 3 in the first two profiles
+    ctx = make_ctx(bk, bl, n)
+    m = ctx.profile.m
+    words = [
+        (("Tinv", 2), ("omega", 1, 2), ("T1",)),
+        (("T1",), ("omega", n, m), ("T", n), ("Tinv", 2)),
+        (("S", n), ("phis", 2), ("omega", 2, m + 1), ("T1",), ("T1",)),
+    ]
+    for word in words:
+        expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+        assert trace_D_word(ctx, word) == expected, word
+
+
+@pytest.mark.parametrize("bk,bl,n", [((1, 0, 1), (0, 1, 1), 2), ((1, 1, 0), (0, 1, 1), 3)])
+def test_weight_space_classical_trace_equals_column_by_column_sum(bk, bl, n):
+    ctx = make_ctx(bk, bl, n)
+    m = ctx.profile.m
+    elements = [
+        wreath_t(n, 1, 2, m),
+        wreath_s(n, 2),
+        wreath_mul(m, wreath_t(n, n, 1, m), wreath_s(n, n)),
+    ] + [standard_representative(bmu, m, n) for bmu in multipartitions(m, n)]
+    for element in elements:
+        expected = column_by_column_trace(
+            ctx, lambda vec: classical_apply(ctx, element, vec, m)
+        )
+        assert classical_trace_D(ctx, element, m) == expected, element
