@@ -8,7 +8,6 @@ brute-force trace oracle acting on a tensor superspace.
 from superfrob.exact import (
     CyclotomicNumber,
     DomainError,
-    InconsistentSystemError,
     Poly,
     SingularMatrixError,
     StructuralError,
@@ -32,7 +31,6 @@ from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
     colored_power_sum,
-    hall_littlewood_q,
     q_bmu,
     q_n_i,
     q_tilde,
@@ -58,7 +56,6 @@ __all__ = [
     "CyclotomicNumber",
     "DomainError",
     "HookProfile",
-    "InconsistentSystemError",
     "Poly",
     "SingularMatrixError",
     "StructuralError",
@@ -70,7 +67,6 @@ __all__ = [
     "colored_power_sum",
     "compositions",
     "cyclotomic_phi",
-    "hall_littlewood_q",
     "hecke_character_table",
     "is_hook",
     "mn_character",

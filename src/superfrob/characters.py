@@ -35,6 +35,7 @@ from superfrob.exact import (
     DomainError,
     Poly,
     solve_linear_exact,
+    transport,
 )
 from superfrob.symfunc import (
     BlockVariables,
@@ -170,36 +171,6 @@ def _dominant_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
     return [coords[r] for r in dominant]
 
 
-def _all_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
-    return coordinates_on_degree(f, block.x_names(), n)
-
-
-def _solve_hecke(m: int, n: int, coordinates) -> list[list[Poly]]:
-    """Entries chi^bl(g(bmu)), rows bl and columns bmu, on the rows `coordinates` keeps.
-
-    Solves q_bmu = sum_bl chi^bl(g(bmu)) S_bl for all bmu in one elimination
-    and verifies that every entry is an integer Laurent polynomial.
-    """
-    block = solve_block(m, n)
-    labels = multipartitions(m, n)
-    schur_columns = [
-        [c.constant_value() for c in coordinates(super_schur(bshape, block), block, n)]
-        for bshape in labels
-    ]
-    matrix = [list(row) for row in zip(*schur_columns)]
-    solutions = solve_linear_exact(
-        matrix, [coordinates(q_bmu(bmu, block), block, n) for bmu in labels]
-    )
-    for bmu, values in zip(labels, solutions):
-        for bshape, value in zip(labels, values):
-            for coeff in value.terms.values():
-                if isinstance(coeff, Fraction) and coeff.denominator != 1:
-                    raise ConsistencyError(
-                        f"non-integer character value for {bshape} at {bmu}: {value!r}"
-                    )
-    return [list(row) for row in zip(*solutions)]
-
-
 @lru_cache(maxsize=None)
 def hecke_character_table(m: int, n: int) -> CharacterTable:
     """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
@@ -212,8 +183,24 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
+    block = solve_block(m, n)
     labels = multipartitions(m, n)
-    entries = _solve_hecke(m, n, _dominant_coordinates)
+    schur_columns = [
+        [c.constant_value() for c in _dominant_coordinates(super_schur(bshape, block), block, n)]
+        for bshape in labels
+    ]
+    solutions = solve_linear_exact(
+        [list(row) for row in zip(*schur_columns)],
+        [_dominant_coordinates(q_bmu(bmu, block), block, n) for bmu in labels],
+    )
+    for bmu, values in zip(labels, solutions):
+        for bshape, value in zip(labels, values):
+            for coeff in value.terms.values():
+                if isinstance(coeff, Fraction) and coeff.denominator != 1:
+                    raise ConsistencyError(
+                        f"non-integer character value for {bshape} at {bmu}: {value!r}"
+                    )
+    entries = [list(row) for row in zip(*solutions)]
     specialize = _specializer(m)
     return CharacterTable(
         m=m,
@@ -221,7 +208,7 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
         rows=labels,
         cols=labels,
         entries=entries,
-        solve_profile=solve_block(m, n).profile,
+        solve_profile=block.profile,
         specialized=False,
         # specialized one entry at a time, leaving each row at its first value != 1
         trivial_row_index=_find_trivial_row(
@@ -230,13 +217,35 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     )
 
 
-def hecke_entries_on_all_rows(m: int, n: int) -> list[list[Poly]]:
-    """Audit of :func:`hecke_character_table`: the same solve on every monomial row.
+def frobenius_sums(table: CharacterTable, block: BlockVariables) -> list[Poly]:
+    """sum_bl chi^bl(g(bmu)) S_bl in the variables of `block`, one per column bmu.
 
-    No symmetry is assumed; the rows beyond the pivots are residual-checked
-    by the solver instead.
+    The right side of the Frobenius formula; generic entries are moved into
+    the block's registry by variable name.
     """
-    return _solve_hecke(m, n, _all_coordinates)
+    schur_values = [super_schur(bshape, block) for bshape in table.rows]
+    sums = []
+    for column in range(len(table.cols)):
+        total = Poly.zero(block.registry)
+        for row, schur in zip(table.entries, schur_values):
+            total = total + transport(row[column], block.registry) * schur
+        sums.append(total)
+    return sums
+
+
+def hecke_identity_violations(table: CharacterTable) -> list[Multipartition]:
+    """Columns bmu where q_bmu != sum_bl chi^bl(g(bmu)) S_bl on the solve block.
+
+    Audit of :func:`hecke_character_table` against the identity it was solved
+    from.  A polynomial equality holds exactly when every monomial row holds,
+    so no symmetry within colors is assumed.
+    """
+    block = solve_block(table.m, table.n)
+    return [
+        bmu
+        for bmu, total in zip(table.cols, frobenius_sums(table, block))
+        if q_bmu(bmu, block) != total
+    ]
 
 
 def _specializer(m: int):
@@ -287,13 +296,18 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
     )
 
 
-def _solve_wreath(m: int, n: int, coordinates) -> list[list[CyclotomicNumber]]:
-    """Entries chi^bl(bmu), rows bl and columns bmu, on the rows `coordinates` keeps.
+@lru_cache(maxsize=None)
+def wreath_character_table(m: int, n: int) -> CharacterTable:
+    """W_{m,n} character table from the colored power sum expansion.
 
-    Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu for all bl in one
-    elimination, with the centralizer orders cleared by a common multiple
-    before the solve so the system matrix stays integral (over Z[zeta]).
+    Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu for all bl in one square
+    elimination on the dominant monomial rows, with every power-sum and super
+    Schur expansion certified symmetric within each color.  The centralizer
+    orders are cleared by a common multiple before the solve, so the system
+    matrix stays integral (over Z[zeta]).
     """
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
     block = solve_block(m, n)
     labels = multipartitions(m, n)
     orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
@@ -301,49 +315,53 @@ def _solve_wreath(m: int, n: int, coordinates) -> list[list[CyclotomicNumber]]:
     power_sum_columns = [
         [
             _as_cyclotomic(c.constant_value(), m) * (common // order)
-            for c in coordinates(colored_power_sum_product(bmu, block), block, n)
+            for c in _dominant_coordinates(colored_power_sum_product(bmu, block), block, n)
         ]
         for bmu, order in zip(labels, orders)
     ]
-    matrix = [list(row) for row in zip(*power_sum_columns)]
-    return solve_linear_exact(
-        matrix,
+    entries = solve_linear_exact(
+        [list(row) for row in zip(*power_sum_columns)],
         [
             [
                 _as_cyclotomic(c.constant_value(), m) * common
-                for c in coordinates(super_schur(bshape, block), block, n)
+                for c in _dominant_coordinates(super_schur(bshape, block), block, n)
             ]
             for bshape in labels
         ],
     )
-
-
-@lru_cache(maxsize=None)
-def wreath_character_table(m: int, n: int) -> CharacterTable:
-    """W_{m,n} character table from the colored power sum expansion.
-
-    Solved square on the dominant monomial rows, with every power-sum and
-    super Schur expansion certified symmetric within each color.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    labels = multipartitions(m, n)
-    entries = _solve_wreath(m, n, _dominant_coordinates)
     return CharacterTable(
         m=m,
         n=n,
         rows=labels,
         cols=labels,
         entries=entries,
-        solve_profile=solve_block(m, n).profile,
+        solve_profile=block.profile,
         specialized=True,
         trivial_row_index=_find_trivial_row(entries, m),
     )
 
 
-def wreath_entries_on_all_rows(m: int, n: int) -> list[list[CyclotomicNumber]]:
-    """Audit of :func:`wreath_character_table`: the same solve on every monomial row."""
-    return _solve_wreath(m, n, _all_coordinates)
+def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
+    """Rows bl where S_bl != sum_bmu chi^bl(bmu) Z_bmu^-1 P_bmu on the solve block.
+
+    Audit of :func:`wreath_character_table` against the identity it was
+    solved from, as an exact polynomial equality: every monomial row is
+    checked and no symmetry within colors is assumed.
+    """
+    m = table.m
+    block = solve_block(m, table.n)
+    weighted = [
+        Fraction(1, centralizer_order_wreath(bmu, m)) * colored_power_sum_product(bmu, block)
+        for bmu in table.cols
+    ]
+    violations = []
+    for bshape, row in zip(table.rows, table.entries):
+        total = Poly.zero(block.registry)
+        for value, power_sum in zip(row, weighted):
+            total = total + value * power_sum
+        if super_schur(bshape, block) != total:
+            violations.append(bshape)
+    return violations
 
 
 def _as_cyclotomic(value, m: int) -> CyclotomicNumber:

@@ -27,7 +27,6 @@ from superfrob.serialize import (
 from superfrob.suites import SUITE_NAMES, SuiteConfig, run_suite
 from superfrob.symfunc import (
     BlockVariables,
-    hall_littlewood_q,
     q_bmu,
     q_tilde,
     colored_power_sum_product,
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     chartable.add_argument(
         "--specialize", action="store_true", help="substitute q -> 1, Q_i -> zeta^i"
     )
-    _common_output_flags(chartable)
+    _common_output_flags(chartable, formats=True, verbose=True)
     chartable.set_defaults(handler=cmd_chartable)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=2)
     verify.add_argument("--k", type=_comma_ints, default=None, help="comma list, one per color")
     verify.add_argument("--l", type=_comma_ints, default=None, help="comma list, one per color")
-    _common_output_flags(verify)
+    _common_output_flags(verify, verbose=True)
     verify.set_defaults(handler=cmd_verify)
 
     expand = sub.add_parser("expand", help="expand a single symmetric function")
@@ -92,17 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
     expand.add_argument("--beta", type=_comma_ints, default=None)
     expand.add_argument("--k", type=_comma_ints, default=None)
     expand.add_argument("--l", type=_comma_ints, default=None)
-    _common_output_flags(expand)
+    _common_output_flags(expand, formats=True)
     expand.set_defaults(handler=cmd_expand)
 
     return parser
 
 
-def _common_output_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _common_output_flags(
+    sub: argparse.ArgumentParser, formats: bool = False, verbose: bool = False
+):
+    """--out and --force everywhere; --format and --verbose where the handler reads them."""
+    if formats:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", type=str, default=None, help="write output to a file")
     sub.add_argument("--force", action="store_true", help="override the desk-scale guard")
-    sub.add_argument("--verbose", action="store_true")
+    if verbose:
+        sub.add_argument("--verbose", action="store_true")
 
 
 def _emit(text: str, out: str | None):
@@ -112,14 +116,15 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _guard(parser, args, m: int, n: int, dimension: int):
+def _guard(parser, args, m: int, n: int, charged: str, dimension: int):
+    """Refuse m*n or the charged quantity (named `charged`) above the desk-scale caps."""
     if m * n > DESK_SCALE_MN and not args.force:
         parser.error(
             f"m*n = {m * n} exceeds the desk-scale cap {DESK_SCALE_MN}; pass --force to override"
         )
     if dimension > DESK_SCALE_DIMENSION and not args.force:
         parser.error(
-            f"(k+l)^n = {dimension} exceeds the cap {DESK_SCALE_DIMENSION}; pass --force to override"
+            f"{charged} = {dimension} exceeds the cap {DESK_SCALE_DIMENSION}; pass --force to override"
         )
 
 
@@ -140,7 +145,7 @@ def _resolve_profile(parser, args, m: int) -> tuple[tuple[int, ...], tuple[int, 
 def cmd_chartable(args, parser) -> int:
     if args.m < 1 or args.n < 1:
         parser.error("chartable needs --m >= 1 and --n >= 1")
-    _guard(parser, args, args.m, args.n, (args.m * args.n) ** args.n)
+    _guard(parser, args, args.m, args.n, "(m*n)^n", (args.m * args.n) ** args.n)
     if args.verbose:
         print(f"solving H_({args.m},{args.n}) character table", file=sys.stderr)
     table = hecke_character_table(args.m, args.n)
@@ -159,7 +164,7 @@ def cmd_verify(args, parser) -> int:
     bk, bl = _resolve_profile(parser, args, args.m)
     if sum(bk) + sum(bl) == 0:
         parser.error("the verification profile needs at least one variable")
-    _guard(parser, args, args.m, args.n, (sum(bk) + sum(bl)) ** args.n)
+    _guard(parser, args, args.m, args.n, "(k+l)^n", (sum(bk) + sum(bl)) ** args.n)
     config = SuiteConfig(m=args.m, n=args.n, bk=bk, bl=bl)
     if args.verbose:
         print(f"running suite {args.suite} at {config}", file=sys.stderr)
@@ -197,14 +202,12 @@ def cmd_expand(args, parser) -> int:
         l = sum(args.l) if args.l else 0
         if k + l == 0:
             parser.error("expand hl needs --k or --l")
-        _guard(parser, args, 1, max(args.a, 1), (k + l) ** max(args.a, 1))
+        _guard(parser, args, 1, max(args.a, 1), "(k+l)^a", (k + l) ** max(args.a, 1))
         block = BlockVariables(HookProfile((k,), (l,)), extra=("t",))
         t = Poly.var(block.registry, "t")
-        xs, ys = block.x_polys(1), block.y_polys(1)
-        if l == 0:
-            value = hall_littlewood_q(args.a, xs, t, block.registry)
-        else:
-            value = super_hall_littlewood_q(args.a, xs, ys, t, block.registry)
+        value = super_hall_littlewood_q(
+            args.a, block.x_polys(1), block.y_polys(1), t, block.registry
+        )
         payload = _poly_payload(value, None, f"hl a={args.a}")
     elif target == "qtilde":
         if args.alpha is None and args.beta is None:
@@ -226,7 +229,7 @@ def cmd_expand(args, parser) -> int:
         n = sum(sum(c) for c in bshape)
         bk, bl = _resolve_profile(parser, args, m)
         profile = HookProfile(bk, bl)
-        _guard(parser, args, m, max(n, 1), (profile.k + profile.l) ** max(n, 1))
+        _guard(parser, args, m, max(n, 1), "(k+l)^n", (profile.k + profile.l) ** max(n, 1))
         block = BlockVariables(profile)
         if target == "superschur":
             # non-hook shapes legitimately expand to the zero polynomial

@@ -33,36 +33,26 @@ class SingularMatrixError(ArithmeticError):
     """Coefficient matrix does not have full column rank."""
 
 
-class InconsistentSystemError(ArithmeticError):
-    """Overdetermined system has a held-out row with nonzero residual."""
-
-    def __init__(self, row: int, message: str | None = None):
-        self.row = row
-        super().__init__(message or f"inconsistent system: residual in row {row}")
-
-
 class Variable:
-    """A registered indeterminate: name, optional color block, invertibility flag."""
+    """A registered indeterminate: name and invertibility flag."""
 
-    __slots__ = ("name", "color", "invertible")
+    __slots__ = ("name", "invertible")
 
-    def __init__(self, name: str, color: int | None = None, invertible: bool = False):
+    def __init__(self, name: str, invertible: bool = False):
         self.name = name
-        self.color = color
         self.invertible = invertible
 
     def __repr__(self) -> str:
-        return f"Variable({self.name!r}, color={self.color}, invertible={self.invertible})"
+        return f"Variable({self.name!r}, invertible={self.invertible})"
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Variable)
-            and (self.name, self.color, self.invertible)
-            == (other.name, other.color, other.invertible)
+            and (self.name, self.invertible) == (other.name, other.invertible)
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.color, self.invertible))
+        return hash((self.name, self.invertible))
 
 
 class VariableRegistry:
@@ -739,43 +729,39 @@ def transport(f: Poly, registry: VariableRegistry) -> Poly:
 def solve_linear_exact(
     A: Sequence[Sequence[object]], rhs_columns: Sequence[Sequence[object]]
 ) -> list[list]:
-    """Solve A x = b exactly for every right-hand side b in ``rhs_columns``.
+    """Solve the square system A x = b exactly for every right-hand side b in ``rhs_columns``.
 
     Gauss-Jordan elimination with exact pivoting runs once on ``A``; each row
     operation is applied to all right-hand sides together, and one solution
     is returned per column.  ``A`` holds field scalars (int, Fraction or
     CyclotomicNumber); right-hand side entries may be scalars or polynomials.
-    For overdetermined systems the rows left without pivots form a
-    residual-check set: each must reduce to 0 = 0 in every column, and a
-    nonzero residual raises :class:`InconsistentSystemError` with the
-    offending row index.
+    A non-square ``A`` is a :class:`StructuralError`, a singular one a
+    :class:`SingularMatrixError`.
     """
-    rows = len(A)
-    if any(len(b) != rows for b in rhs_columns):
+    size = len(A)
+    if any(len(row) != size for row in A):
+        raise StructuralError("coefficient matrix is not square")
+    if any(len(b) != size for b in rhs_columns):
         raise StructuralError("matrix and right-hand side differ in length")
-    cols = len(A[0]) if rows else 0
     mat = [list(row) for row in A]
-    for row in mat:
-        if len(row) != cols:
-            raise StructuralError("ragged coefficient matrix")
     # rhs[r] holds row r of every right-hand side
-    rhs = [[b[r] for b in rhs_columns] for r in range(rows)]
+    rhs = [[b[r] for b in rhs_columns] for r in range(size)]
 
-    pivot_of_col: dict[int, int] = {}
+    pivot_of_col: list[int] = []
     used: set[int] = set()
-    for col in range(cols):
+    for col in range(size):
         pivot = next(
-            (r for r in range(rows) if r not in used and mat[r][col]), None
+            (r for r in range(size) if r not in used and mat[r][col]), None
         )
         if pivot is None:
             raise SingularMatrixError(f"no pivot available for column {col}")
         used.add(pivot)
-        pivot_of_col[col] = pivot
+        pivot_of_col.append(pivot)
         inv = _field_inverse(mat[pivot][col])
         if inv != 1:
             mat[pivot] = [x * inv for x in mat[pivot]]
             rhs[pivot] = [inv * value for value in rhs[pivot]]
-        for r in range(rows):
+        for r in range(size):
             if r == pivot:
                 continue
             factor = mat[r][col]
@@ -784,16 +770,4 @@ def solve_linear_exact(
             mat[r] = [x - factor * y for x, y in zip(mat[r], mat[pivot])]
             rhs[r] = [value - factor * p for value, p in zip(rhs[r], rhs[pivot])]
 
-    for r in range(rows):
-        if r in used:
-            continue
-        if any(mat[r][c] for c in range(cols)):
-            raise SingularMatrixError("elimination left a nonzero held-out row")
-        for residual in rhs[r]:
-            bad = not residual.is_zero() if isinstance(residual, Poly) else bool(residual)
-            if bad:
-                raise InconsistentSystemError(r)
-
-    return [
-        [rhs[pivot_of_col[c]][j] for c in range(cols)] for j in range(len(rhs_columns))
-    ]
+    return [[rhs[pivot][j] for pivot in pivot_of_col] for j in range(len(rhs_columns))]

@@ -22,23 +22,24 @@ from superfrob.combinat import (
     multipartitions,
     partitions,
 )
-from superfrob.exact import InconsistentSystemError, Poly, transport
+from superfrob.exact import Poly
 from superfrob.characters import (
     degrees_match_counts,
+    frobenius_sums,
     hecke_character_table,
-    hecke_entries_on_all_rows,
+    hecke_identity_violations,
     mn_character,
     specialize_table,
     verify_column_orthogonality,
     verify_orthogonality,
     wreath_character_table,
+    wreath_identity_violations,
 )
 from superfrob.symfunc import (
     BlockVariables,
     colored_power_sum_product,
     complete_homogeneous,
     degree_monomials,
-    hall_littlewood_q,
     q_bmu,
     q_tilde,
     super_hall_littlewood_q,
@@ -207,16 +208,8 @@ def suite_frobenius(config: SuiteConfig) -> list[CheckResult]:
 
     def main_theorem():
         table = hecke_character_table(config.m, config.n)
-        schur_values = {
-            bshape: super_schur(bshape, block) for bshape in labels
-        }
-        for bmu in labels:
-            lhs = trace_of(bmu)
-            total = Poly.zero(block.registry)
-            for bshape in labels:
-                entry = transport(table.entry(bshape, bmu), block.registry)
-                total = total + entry * schur_values[bshape]
-            if lhs != total:
+        for bmu, total in zip(table.cols, frobenius_sums(table, block)):
+            if trace_of(bmu) != total:
                 return False, f"Frobenius identity fails at {bmu}"
         return True, f"identity on independent profile {config.bk}|{config.bl}"
 
@@ -345,7 +338,7 @@ def suite_identities(config: SuiteConfig) -> list[CheckResult]:
         xs = block.x_polys(1)
         t = Poly.var(block.registry, "t")
         for a in range(config.n + 1):
-            if hall_littlewood_q(a, xs, t).substitute({"t": 0}) != complete_homogeneous(
+            if super_hall_littlewood_q(a, xs, [], t).substitute({"t": 0}) != complete_homogeneous(
                 a, xs, block.registry
             ):
                 return False, f"q_a(x;0) != h_a at a={a}"
@@ -400,19 +393,20 @@ def suite_identities(config: SuiteConfig) -> list[CheckResult]:
 
     checks.append(_timed("cancellation", cancellation))
 
-    def full_row_solve():
-        # the table's square solve on dominant rows against the solve on every
-        # monomial row, whose held-out rows the solver residual-checks
-        rows = len(degree_monomials(config.m * config.n, config.n))
-        try:
-            full = hecke_entries_on_all_rows(config.m, config.n)
-        except InconsistentSystemError as err:
-            return False, f"held-out monomial row {err.row} has a nonzero residual"
-        if full != hecke_character_table(config.m, config.n).entries:
-            return False, "square solve differs from the full-row solve"
-        return True, f"square solve equals the solve on all {rows} monomial rows"
+    def all_monomial_rows():
+        # each route's table against the identity it was solved from, as a
+        # polynomial equality: every monomial row, not only the dominant ones
+        m, n = config.m, config.n
+        for route, failures in (
+            ("Hecke", hecke_identity_violations(hecke_character_table(m, n))),
+            ("wreath", wreath_identity_violations(wreath_character_table(m, n))),
+        ):
+            if failures:
+                return False, f"{route} identity fails at {failures[0]}"
+        rows = len(degree_monomials(m * n, n))
+        return True, f"both routes' identities hold on all {rows} monomial rows"
 
-    checks.append(_timed("full-row-solve", full_row_solve))
+    checks.append(_timed("all-monomial-rows", all_monomial_rows))
     return checks
 
 

@@ -61,13 +61,9 @@ class BlockVariables:
         variables = [Variable("q", invertible=True)]
         variables += [Variable(f"Q{i}") for i in range(1, m + 1)]
         for i in range(1, m + 1):
-            variables += [
-                Variable(f"x{i}_{a}", color=i) for a in range(1, profile.bk[i - 1] + 1)
-            ]
+            variables += [Variable(f"x{i}_{a}") for a in range(1, profile.bk[i - 1] + 1)]
         for i in range(1, m + 1):
-            variables += [
-                Variable(f"y{i}_{b}", color=i) for b in range(1, profile.bl[i - 1] + 1)
-            ]
+            variables += [Variable(f"y{i}_{b}") for b in range(1, profile.bl[i - 1] + 1)]
         variables += [Variable(name) for name in extra]
         self.registry = VariableRegistry(variables)
         self.q = Poly.var(self.registry, "q")
@@ -303,19 +299,14 @@ def hl_series(
     return series
 
 
-def hall_littlewood_q(a: int, x_vars: list[Poly], t: Poly, registry=None) -> Poly:
-    """q_a(x;t): coefficient of u^a in prod_i (1-x_i t u)/(1-x_i u)."""
-    if registry is None:
-        registry = t.registry if isinstance(t, Poly) else x_vars[0].registry
-    if not isinstance(t, Poly):
-        t = Poly.const(registry, t)
-    return hl_series(x_vars, [], t, a, registry)[a]
-
-
 def super_hall_littlewood_q(
     a: int, x_vars: list[Poly], y_vars: list[Poly], t: Poly, registry=None
 ) -> Poly:
-    """q_a(x/y;t): coefficient of u^a in the mixed product generating function."""
+    """q_a(x/y;t): coefficient of u^a in the mixed product generating function.
+
+    With ``y_vars = []`` this is the ordinary q_a(x;t), the coefficient of u^a
+    in prod_i (1-x_i t u)/(1-x_i u).
+    """
     if registry is None:
         registry = t.registry if isinstance(t, Poly) else (x_vars + y_vars)[0].registry
     if not isinstance(t, Poly):
@@ -353,8 +344,8 @@ def super_hall_littlewood_q_via_decomposition(
     t = Poly.var(registry, t_name)
     total = Poly.zero(registry)
     for i in range(a + 1):
-        qx = hall_littlewood_q(i, x_vars, t, registry)
-        qy = hall_littlewood_q(a - i, y_vars, t, registry)
+        qx = super_hall_littlewood_q(i, x_vars, [], t, registry)
+        qy = super_hall_littlewood_q(a - i, y_vars, [], t, registry)
         total = total + qx * reversed_in_variable(qy, t_name, a - i)
     return total
 

@@ -1,5 +1,6 @@
 """Tests for character computations and consistency checks."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from superfrob.characters import (
     character_degrees,
     degrees_match_counts,
     hecke_character_table,
-    hecke_entries_on_all_rows,
+    hecke_identity_violations,
     mn_character,
     mn_table,
     specialize_table,
@@ -26,7 +27,7 @@ from superfrob.characters import (
     verify_orthogonality,
     wreath_character,
     wreath_character_table,
-    wreath_entries_on_all_rows,
+    wreath_identity_violations,
 )
 from superfrob.symfunc import (
     BlockVariables,
@@ -133,12 +134,25 @@ def test_hecke_table_finds_trivial_row_without_specializing_the_table(monkeypatc
         assert specialized.trivial_row_index == table.trivial_row_index
 
 
+def _bump_one_entry(table: CharacterTable, row: int, col: int) -> CharacterTable:
+    """A copy of the table with entry (row, col) increased by 1."""
+    entries = [list(values) for values in table.entries]
+    entries[row][col] = entries[row][col] + 1
+    return dataclasses.replace(table, entries=entries)
+
+
 @pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
-def test_square_solve_equals_full_row_solve(m, n):
-    # dominant rows with the symmetry certificate against every monomial row
-    # with held-out rows residual-checked, on both routes
-    assert hecke_entries_on_all_rows(m, n) == hecke_character_table(m, n).entries
-    assert wreath_entries_on_all_rows(m, n) == wreath_character_table(m, n).entries
+def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
+    # each route's table satisfies the identity it was solved from on every
+    # monomial row, and one wrong entry fails it at that entry's label
+    hecke = hecke_character_table(m, n)
+    wreath = wreath_character_table(m, n)
+    assert hecke_identity_violations(hecke) == []
+    assert wreath_identity_violations(wreath) == []
+    row, col = len(hecke.rows) - 1, len(hecke.cols) // 2
+    # the Hecke identity holds per column bmu, the wreath identity per row bl
+    assert hecke_identity_violations(_bump_one_entry(hecke, row, col)) == [hecke.cols[col]]
+    assert wreath_identity_violations(_bump_one_entry(wreath, row, col)) == [wreath.rows[row]]
 
 
 def _break_color_symmetry(monkeypatch, name):

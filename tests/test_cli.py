@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,35 @@ def test_chartable_desk_scale_guard(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["chartable", "--m", "3", "--n", "4"])
     assert err.value.code == 2
+
+
+def test_chartable_guard_names_the_charged_quantity(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["chartable", "--m", "1", "--n", "7"])
+    assert err.value.code == 2
+    assert "(m*n)^n = 823543 exceeds the cap 200000" in capsys.readouterr().err
+
+
+def test_flags_are_registered_only_where_read(capsys):
+    # verify always prints JSON, and expand has nothing to report on stderr
+    for argv in (
+        ["verify", "--suite", "relations", "--m", "1", "--n", "2", "--format", "csv"],
+        ["expand", "hl", "--a", "2", "--k", "2", "--verbose"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
+
+def test_readme_commands_exit_zero(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line)[1:] for line in readme.splitlines() if line.startswith("superfrob ")
+    ]
+    assert commands
+    for argv in commands:
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 def test_chartable_csv(capsys):
@@ -165,7 +196,8 @@ def test_verify_identities_example(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
-    assert any(check["name"] == "eq-qq" for check in report["checks"])
+    names = {check["name"] for check in report["checks"]}
+    assert {"eq-qq", "all-monomial-rows"} <= names
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -194,6 +226,13 @@ def test_expand_hl_degree_zero(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["string"] == "1"
+
+
+def test_expand_hl_bytes_pinned(capsys):
+    # the all-even profile goes through the same generating series as the super one
+    code, out, _ = run_cli(capsys, ["expand", "hl", "--a", "3", "--k", "2"])
+    assert code == 0
+    assert _sha256(out) == "323aa594f345c65c008b99b78d535936b8d0b09e2baf2fcb12561f453777da0e"
 
 
 def test_expand_superschur_non_hook_is_zero(capsys):

@@ -18,7 +18,7 @@ def test_run_all_small():
     assert "frobenius/main-theorem" in names
     assert "orthogonality/dual-path" in names
     assert "identities/eq-qq" in names
-    assert "identities/full-row-solve" in names
+    assert "identities/all-monomial-rows" in names
     assert all(r.seconds >= 0 for r in results)
 
 
@@ -36,7 +36,7 @@ def test_unknown_suite_rejected():
 
 
 def test_suite_all_solves_the_hecke_table_once():
-    # main-theorem, orthogonality and the full-row audit share one solve
+    # main-theorem, orthogonality and the all-monomial-rows audit share one solve
     hecke_character_table.cache_clear()
     results = run_suite("all", SuiteConfig(1, 2, (1,), (1,)))
     assert all(r.passed for r in results)

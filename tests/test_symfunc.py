@@ -22,7 +22,6 @@ from superfrob.symfunc import (
     complete_homogeneous,
     coordinates_on_degree,
     degree_monomials,
-    hall_littlewood_q,
     lr_coefficient,
     power_sum,
     q_bmu,
@@ -139,8 +138,8 @@ def test_hall_littlewood_base_cases():
     xs = block.x_polys(1)
     t = Poly.var(block.registry, "t")
     one = Poly.one(block.registry)
-    assert hall_littlewood_q(0, xs, t) == one
-    assert hall_littlewood_q(1, xs, t) == (one - t) * (xs[0] + xs[1])
+    assert super_hall_littlewood_q(0, xs, [], t) == one
+    assert super_hall_littlewood_q(1, xs, [], t) == (one - t) * (xs[0] + xs[1])
 
 
 def test_hall_littlewood_t_zero_degenerates_to_h():
@@ -148,7 +147,7 @@ def test_hall_littlewood_t_zero_degenerates_to_h():
     xs = block.x_polys(1)
     t = Poly.var(block.registry, "t")
     for a in range(5):
-        specialized = hall_littlewood_q(a, xs, t).substitute({"t": 0})
+        specialized = super_hall_littlewood_q(a, xs, [], t).substitute({"t": 0})
         assert specialized == complete_homogeneous(a, xs)
 
 
@@ -160,7 +159,7 @@ def test_hall_littlewood_matches_rational_formula():
     points = [Fraction(2), Fraction(3), Fraction(5, 2)]
     t_val = Fraction(7, 3)
     for a in range(1, 5):
-        poly = hall_littlewood_q(a, xs, t)
+        poly = super_hall_littlewood_q(a, xs, [], t)
         value = poly.substitute(
             {"x1_1": points[0], "x1_2": points[1], "x1_3": points[2], "t": t_val}
         ).constant_value()
@@ -186,11 +185,14 @@ def test_super_hall_littlewood_base_cases():
 
 
 def test_super_hall_littlewood_reduces_to_plain():
-    block = make_block((2,), (0,), extra=("t",))
+    # y -> 0 turns every odd factor (1 - y u)/(1 - y t u) into 1
+    block = make_block((2,), (2,), extra=("t",))
     xs = block.x_polys(1)
+    ys = block.y_polys(1)
     t = Poly.var(block.registry, "t")
     for a in range(4):
-        assert super_hall_littlewood_q(a, xs, [], t) == hall_littlewood_q(a, xs, t)
+        restricted = super_hall_littlewood_q(a, xs, ys, t).substitute({"y1_1": 0, "y1_2": 0})
+        assert restricted == super_hall_littlewood_q(a, xs, [], t)
 
 
 def test_super_hall_littlewood_decomposition():
