@@ -122,6 +122,11 @@ def _guard(parser, args, m: int, n: int, charged: str, dimension: int):
         parser.error(
             f"m*n = {m * n} exceeds the desk-scale cap {DESK_SCALE_MN}; pass --force to override"
         )
+    _guard_dimension(parser, args, charged, dimension)
+
+
+def _guard_dimension(parser, args, charged: str, dimension: int):
+    """Refuse the charged quantity (named `charged`) above the desk-scale cap."""
     if dimension > DESK_SCALE_DIMENSION and not args.force:
         parser.error(
             f"{charged} = {dimension} exceeds the cap {DESK_SCALE_DIMENSION}; pass --force to override"
@@ -202,7 +207,7 @@ def cmd_expand(args, parser) -> int:
         l = sum(args.l) if args.l else 0
         if k + l == 0:
             parser.error("expand hl needs --k or --l")
-        _guard(parser, args, 1, max(args.a, 1), "(k+l)^a", (k + l) ** max(args.a, 1))
+        _guard_dimension(parser, args, "(k+l)^a", (k + l) ** args.a)
         block = BlockVariables(HookProfile((k,), (l,)), extra=("t",))
         t = Poly.var(block.registry, "t")
         value = super_hall_littlewood_q(

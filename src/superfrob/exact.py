@@ -208,7 +208,7 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check_registry(self, other: "Poly"):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and self.registry != other.registry:
             raise StructuralError("polynomials live in different registries")
 
     def __add__(self, other):
@@ -251,6 +251,15 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_registry(other)
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            # a monomial factor shifts exponents injectively and scales by a
+            # nonzero field element, so no two terms meet and none vanishes
+            big, small = (other, self) if len(self.terms) == 1 else (self, other)
+            ((e2, c2),) = small.terms.items()
+            return Poly._raw(
+                self.registry,
+                {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in big.terms.items()},
+            )
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -294,11 +303,13 @@ class Poly:
         return Poly._raw(self.registry, {tuple(-e for e in exps): _field_inverse(coeff)})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = Poly.const(self.registry, other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.registry == other.registry and self.terms == other.terms
+            if not isinstance(other, (int, Fraction, CyclotomicNumber)):
+                return NotImplemented
+            other = Poly.const(self.registry, other)
+        return (
+            self.registry is other.registry or self.registry == other.registry
+        ) and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.registry, frozenset(self.terms.items())))
@@ -348,6 +359,13 @@ class Poly:
         """Group terms by their exponents on ``names``; values keep the remaining variables."""
         positions = [self.registry.index(n) for n in names]
         out: dict[tuple[int, ...], dict] = {}
+        if positions and positions == list(range(positions[0], positions[-1] + 1)):
+            # contiguous names (e.g. all x variables of a block): slice the exponents
+            lo, hi = positions[0], positions[-1] + 1
+            gap = (0,) * (hi - lo)
+            for exps, coeff in self.terms.items():
+                out.setdefault(exps[lo:hi], {})[exps[:lo] + gap + exps[hi:]] = coeff
+            return {k: Poly._raw(self.registry, v) for k, v in out.items()}
         for exps, coeff in self.terms.items():
             key = tuple(exps[p] for p in positions)
             rest = list(exps)
@@ -726,6 +744,17 @@ def transport(f: Poly, registry: VariableRegistry) -> Poly:
     return Poly(registry, terms)
 
 
+def _integral(value):
+    """value with each integral Fraction in it, also as a coefficient, made an int."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, CyclotomicNumber):
+        return CyclotomicNumber._raw(value.order, tuple(map(_integral, value.coeffs)))
+    if isinstance(value, Poly):
+        return Poly._raw(value.registry, {e: _integral(c) for e, c in value.terms.items()})
+    return value
+
+
 def solve_linear_exact(
     A: Sequence[Sequence[object]], rhs_columns: Sequence[Sequence[object]]
 ) -> list[list]:
@@ -735,8 +764,9 @@ def solve_linear_exact(
     operation is applied to all right-hand sides together, and one solution
     is returned per column.  ``A`` holds field scalars (int, Fraction or
     CyclotomicNumber); right-hand side entries may be scalars or polynomials.
-    A non-square ``A`` is a :class:`StructuralError`, a singular one a
-    :class:`SingularMatrixError`.
+    Integral values come back as ``int``, also inside cyclotomic and
+    polynomial entries.  A non-square ``A`` is a :class:`StructuralError`, a
+    singular one a :class:`SingularMatrixError`.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -770,4 +800,4 @@ def solve_linear_exact(
             mat[r] = [x - factor * y for x, y in zip(mat[r], mat[pivot])]
             rhs[r] = [value - factor * p for value, p in zip(rhs[r], rhs[pivot])]
 
-    return [[rhs[pivot][j] for pivot in pivot_of_col] for j in range(len(rhs_columns))]
+    return [[_integral(rhs[pivot][j]) for pivot in pivot_of_col] for j in range(len(rhs_columns))]

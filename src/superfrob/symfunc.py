@@ -15,7 +15,6 @@ polynomial, so callers can keep it symbolic or set it to q^-2.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from superfrob.combinat import (
     HookProfile,
@@ -53,6 +52,10 @@ class BlockVariables:
     Registry layout (fixes exponent vectors and the canonical term order):
     q, Q_1..Q_m, all x variables color-major, all y variables color-major,
     then any extra names (e.g. the Hall-Littlewood parameter ``t``).
+
+    The block also keeps the closed-form pieces of ``q_n_i`` once built: one
+    Hall-Littlewood series in ``t = q^-2`` per color, and per degree n the
+    sums ``R_{n,L}`` that ``q_n_i`` combines (see :func:`_q_n_pieces`).
     """
 
     def __init__(self, profile: HookProfile, extra: tuple[str, ...] = ()):
@@ -69,6 +72,8 @@ class BlockVariables:
         self.q = Poly.var(self.registry, "q")
         self.q_inv = Poly.var(self.registry, "q", -1)
         self.q_minus_q_inv = self.q - self.q_inv
+        self._hl_by_color: dict[int, list[Poly]] = {}
+        self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
 
     @property
     def m(self) -> int:
@@ -371,11 +376,12 @@ def super_schur_component(
         for mu in sub_partitions(shape):
             if len(mu) > len(x_vars):
                 continue
-            sx = _schur_in(registry, mu, x_vars)
-            if sx.is_zero():
-                continue
+            # the odd factor first: with no odd variables only mu = shape survives
             sy = skew_schur(shape_conj, conjugate(mu), y_vars, registry)
             if sy.is_zero():
+                continue
+            sx = _schur_in(registry, mu, x_vars)
+            if sx.is_zero():
                 continue
             sign = -1 if (sum(shape) - sum(mu)) % 2 else 1
             total = total + sign * (sx * sy)
@@ -477,34 +483,37 @@ def q_tilde(alpha: tuple[int, ...], beta: tuple[int, ...], block: BlockVariables
     return mono * q_part * block.q_minus_q_inv ** (len_both - 1)
 
 
-def q_n_i(n: int, i: int, block: BlockVariables) -> Poly:
-    """Trace of D T(n,i) in closed form, with the (q - q^-1) prefactor cancelled.
+def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
+    """The sums R_{n,L} of q_n^(i) = sum_L Q_L^i R_{n,L}, by L, built once per block.
 
-    q_n^(i) = q^n/(q-q^-1) sum_{c in C(n;m)} Q_c^i prod_j q_{c_j}(x^(j)/y^(j); q^-2),
-    where Q_c is the Q of the largest color with a positive part.  Each
-    composition term is divided exactly by (q - q^-1); a nonzero remainder is
-    an internal consistency error.
+    R_{n,L} = q^n/(q-q^-1) sum_c prod_j q_{c_j}(x^(j)/y^(j); q^-2) over the
+    compositions c in C(n;m) whose largest color with a positive part is L.
+    Each composition term is divided exactly by (q - q^-1); a nonzero
+    remainder is an internal consistency error.  The q_a(x^(j)/y^(j); q^-2)
+    are read off one Hall-Littlewood series per color, rebuilt only when a
+    higher order is needed; truncations agree on every coefficient they share.
     """
-    if n < 1:
-        raise ValueError("q_n_i needs n >= 1")
-    registry = block.registry
+    sums = block._q_n_by_degree.get(n)
+    if sums is not None:
+        return sums
     m = block.m
+    registry = block.registry
     t = Poly.var(registry, "q", -2)
+    series = []
+    for color in range(1, m + 1):
+        kept = block._hl_by_color.get(color)
+        if kept is None or len(kept) <= n:
+            kept = hl_series(block.x_polys(color), block.y_polys(color), t, n, registry)
+            block._hl_by_color[color] = kept
+        series.append(kept)
     q_power = Poly.var(registry, "q", n)
-
-    @lru_cache(maxsize=None)
-    def hl(color: int, size: int) -> Poly:
-        return super_hall_littlewood_q(
-            size, block.x_polys(color), block.y_polys(color), t, registry
-        )
-
-    total = Poly.zero(registry)
+    sums = {}
     for bc in compositions(n, m):
         term = q_power
         largest = 0
         for j, c in enumerate(bc, start=1):
             if c:
-                term = term * hl(j, c)
+                term = term * series[j - 1][c]
                 largest = j
         try:
             term = term.exact_div(block.q_minus_q_inv)
@@ -512,7 +521,24 @@ def q_n_i(n: int, i: int, block: BlockVariables) -> Poly:
             raise ConsistencyError(
                 f"(q - q^-1) prefactor failed to cancel for composition {bc}"
             ) from err
-        total = total + block.Q(largest, i) * term
+        sums[largest] = sums[largest] + term if largest in sums else term
+    block._q_n_by_degree[n] = sums
+    return sums
+
+
+def q_n_i(n: int, i: int, block: BlockVariables) -> Poly:
+    """Trace of D T(n,i) in closed form, with the (q - q^-1) prefactor cancelled.
+
+    q_n^(i) = q^n/(q-q^-1) sum_{c in C(n;m)} Q_c^i prod_j q_{c_j}(x^(j)/y^(j); q^-2),
+    where Q_c is the Q of the largest color with a positive part.  The terms
+    depend on i only through Q_c^i, so they are summed once per largest color
+    (:func:`_q_n_pieces`) and each sum is weighted by Q_L^i here.
+    """
+    if n < 1:
+        raise ValueError("q_n_i needs n >= 1")
+    total = Poly.zero(block.registry)
+    for largest, piece in _q_n_pieces(n, block).items():
+        total = total + block.Q(largest, i) * piece
     return total
 
 

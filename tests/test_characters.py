@@ -288,6 +288,12 @@ def test_wreath_degrees():
     assert degrees_match_counts(table)
 
 
+def test_wreath_entries_keep_integral_coefficients_as_ints():
+    # character values lie in Z[zeta], so no denominator-1 Fraction survives the solve
+    table = wreath_character_table(3, 2)
+    assert {type(c) for row in table.entries for value in row for c in value.coeffs} == {int}
+
+
 def test_king_expansion():
     # S_lam(x/y) = sum_mu Z_mu^-1 chi^lam(mu) p_mu(x/y) on a genuinely super profile
     block = BlockVariables(HookProfile((2,), (2,)))

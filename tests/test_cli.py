@@ -228,6 +228,17 @@ def test_expand_hl_degree_zero(capsys):
     assert payload["string"] == "1"
 
 
+def test_expand_hl_guard_charges_only_its_dimension(capsys):
+    # expand hl has no m or n, so a long degree in one variable is cheap
+    code, out, _ = run_cli(capsys, ["expand", "hl", "--a", "11", "--k", "1"])
+    assert code == 0
+    assert json.loads(out)["string"] == "-x1_1^11*t + x1_1^11"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["expand", "hl", "--a", "12", "--k", "3", "--l", "0"])
+    assert err.value.code == 2
+    assert "(k+l)^a = 531441 exceeds the cap 200000" in capsys.readouterr().err
+
+
 def test_expand_hl_bytes_pinned(capsys):
     # the all-even profile goes through the same generating series as the super one
     code, out, _ = run_cli(capsys, ["expand", "hl", "--a", "3", "--k", "2"])

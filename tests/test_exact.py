@@ -164,6 +164,18 @@ def test_solve_cyclotomic_field():
     assert A[1][0] * x[0] + A[1][1] * x[1] == b[1]
 
 
+def test_solve_returns_ints_where_integral():
+    assert solve_linear_exact([[2]], [[4]]) == [[2]]
+    assert type(solve_linear_exact([[2]], [[4]])[0][0]) is int
+    [[value]] = solve_linear_exact([[3]], [[6 * q + 2 * x1]])
+    assert value == 2 * q + Fraction(2, 3) * x1
+    assert sorted(type(c).__name__ for c in value.terms.values()) == ["Fraction", "int"]
+    z3 = CyclotomicNumber.zeta(3)
+    [[value]] = solve_linear_exact([[CyclotomicNumber.from_rational(3, 2)]], [[z3 * 4]])
+    assert value == z3 * 2
+    assert all(type(c) is int for c in value.coeffs)
+
+
 def test_exact_division_by_q_minus_qinv():
     f = q**2 - qinv**2
     g = q - qinv

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from superfrob import symfunc
 from superfrob.combinat import (
     HookProfile,
     compositions,
@@ -360,6 +361,43 @@ def test_q_n_i_matches_q_tilde_split_by_color():
         - block.Q(2, 1) * Poly.var(block.registry, "q", -1) * y**2
     )
     assert q_n_i(2, 1, block) == expected
+
+
+def test_q_n_i_pieces_survive_out_of_order_degrees():
+    # the kept series must grow when a later request needs a higher order
+    block = make_block((1, 2, 1), (1, 1, 2))
+    registry = block.registry
+    t = Poly.var(registry, "q", -2)
+    for n in (3, 1, 4, 2):
+        for i in (1, 2, 3):
+            literal = Poly.zero(registry)
+            for bc in compositions(n, block.m):
+                term = Poly.var(registry, "q", n)
+                largest = 0
+                for j, c in enumerate(bc, start=1):
+                    if c:
+                        term = term * super_hall_littlewood_q(
+                            c, block.x_polys(j), block.y_polys(j), t, registry
+                        )
+                        largest = j
+                literal = literal + block.Q(largest, i) * term
+            assert q_n_i(n, i, block) * block.q_minus_q_inv == literal
+
+
+def test_q_bmu_builds_one_series_per_color(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return hl_series(*args)
+
+    hl_series = symfunc.hl_series
+    monkeypatch.setattr(symfunc, "hl_series", counted)
+    m, n = 2, 3
+    block = make_block((n,) * m, (0,) * m)
+    for bmu in multipartitions(m, n):
+        q_bmu(bmu, block)
+    assert calls == [n] * m
 
 
 def test_coordinates_on_degree():
