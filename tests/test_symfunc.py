@@ -385,13 +385,13 @@ def test_q_n_i_pieces_survive_out_of_order_degrees():
 
 
 def test_q_bmu_builds_one_series_per_color(monkeypatch):
+    hl_series = symfunc.hl_series
     calls = []
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[3])  # the order
         return hl_series(*args)
 
-    hl_series = symfunc.hl_series
     monkeypatch.setattr(symfunc, "hl_series", counted)
     m, n = 2, 3
     block = make_block((n,) * m, (0,) * m)
