@@ -196,8 +196,7 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     for bmu, values in zip(labels, solutions):
         for bshape, value in zip(labels, values):
             for coeff in value.terms.values():
-                # the solve returns integral values as ints
-                if isinstance(coeff, Fraction):
+                if isinstance(coeff, Fraction) and coeff.denominator != 1:
                     raise ConsistencyError(
                         f"non-integer character value for {bshape} at {bmu}: {value!r}"
                     )

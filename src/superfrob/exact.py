@@ -356,22 +356,23 @@ class Poly:
     # -- structure helpers -------------------------------------------------
 
     def coefficients_by(self, names: Sequence[str]) -> dict[tuple[int, ...], "Poly"]:
-        """Group terms by their exponents on ``names``; values keep the remaining variables."""
+        """Group terms by their exponents on ``names``; values keep the remaining variables.
+
+        ``names`` must be one contiguous range of the registry, in registry
+        order (e.g. all x variables of a block), so each key is a slice of the
+        exponent tuple.
+        """
         positions = [self.registry.index(n) for n in names]
+        lo = positions[0] if positions else 0
+        hi = lo + len(positions)
+        if positions != list(range(lo, hi)):
+            raise StructuralError(
+                f"coefficients_by needs a contiguous registry range, got {list(names)}"
+            )
+        gap = (0,) * (hi - lo)
         out: dict[tuple[int, ...], dict] = {}
-        if positions and positions == list(range(positions[0], positions[-1] + 1)):
-            # contiguous names (e.g. all x variables of a block): slice the exponents
-            lo, hi = positions[0], positions[-1] + 1
-            gap = (0,) * (hi - lo)
-            for exps, coeff in self.terms.items():
-                out.setdefault(exps[lo:hi], {})[exps[:lo] + gap + exps[hi:]] = coeff
-            return {k: Poly._raw(self.registry, v) for k, v in out.items()}
         for exps, coeff in self.terms.items():
-            key = tuple(exps[p] for p in positions)
-            rest = list(exps)
-            for p in positions:
-                rest[p] = 0
-            out.setdefault(key, {})[tuple(rest)] = coeff
+            out.setdefault(exps[lo:hi], {})[exps[:lo] + gap + exps[hi:]] = coeff
         return {k: Poly._raw(self.registry, v) for k, v in out.items()}
 
     def exact_div(self, divisor: "Poly") -> "Poly":

@@ -237,6 +237,11 @@ def test_expand_hl_guard_charges_only_its_dimension(capsys):
         cli.main(["expand", "hl", "--a", "12", "--k", "3", "--l", "0"])
     assert err.value.code == 2
     assert "(k+l)^a = 531441 exceeds the cap 200000" in capsys.readouterr().err
+    # one variable does not lift the bound on the degree itself
+    with pytest.raises(SystemExit) as err:
+        cli.main(["expand", "hl", "--a", "100000", "--k", "1"])
+    assert err.value.code == 2
+    assert "a^2 = 10000000000 exceeds the cap 200000" in capsys.readouterr().err
 
 
 def test_expand_hl_bytes_pinned(capsys):

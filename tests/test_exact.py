@@ -176,6 +176,19 @@ def test_solve_returns_ints_where_integral():
     assert all(type(c) is int for c in value.coeffs)
 
 
+def test_coefficients_by_slices_a_contiguous_range():
+    f = 3 * q * x1 * x2**2 + Q1 * x2**2 - x1
+    assert f.coefficients_by(["x1", "x2"]) == {
+        (1, 2): 3 * q,
+        (0, 2): Q1,
+        (1, 0): Poly.const(REG, -1),
+    }
+    assert f.coefficients_by([]) == {(): f}
+    for names in (["x2", "x1"], ["Q1", "x2"]):
+        with pytest.raises(StructuralError):
+            f.coefficients_by(names)
+
+
 def test_exact_division_by_q_minus_qinv():
     f = q**2 - qinv**2
     g = q - qinv
