@@ -346,20 +346,24 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
 
     Audit of :func:`wreath_character_table` against the identity it was
     solved from, as an exact polynomial equality: every monomial row is
-    checked and no symmetry within colors is assumed.
+    checked and no symmetry within colors is assumed.  As in the solve, both
+    sides are multiplied by ``common = lcm(Z_bmu)``, so the weights
+    ``common // Z_bmu`` are integers.
     """
     m = table.m
     block = solve_block(m, table.n)
+    orders = [centralizer_order_wreath(bmu, m) for bmu in table.cols]
+    common = math.lcm(*orders)
     weighted = [
-        Fraction(1, centralizer_order_wreath(bmu, m)) * colored_power_sum_product(bmu, block)
-        for bmu in table.cols
+        (common // order) * colored_power_sum_product(bmu, block)
+        for bmu, order in zip(table.cols, orders)
     ]
     violations = []
     for bshape, row in zip(table.rows, table.entries):
         total = Poly.zero(block.registry)
         for value, power_sum in zip(row, weighted):
             total = total + value * power_sum
-        if super_schur(bshape, block) != total:
+        if common * super_schur(bshape, block) != total:
             violations.append(bshape)
     return violations
 
@@ -388,11 +392,15 @@ class OrthogonalityReport:
     violations: list
 
 
-def _audit_pairs(m: int, labels, vectors, weights, diagonal) -> OrthogonalityReport:
+def _audit_pairs(
+    m: int, labels, vectors, weights, diagonal, scale: int = 1
+) -> OrthogonalityReport:
     """Check sum_k weights[k] * u[k] * conj(v[k]) == delta(u, v) * diagonal[u] for all pairs.
 
     Each entry is conjugated (and weighted) once up front rather than once per
-    pair; the exact sums compared are the same.
+    pair; the exact sums compared are the same.  ``scale`` is a nonzero
+    integer the caller multiplied into the weights and the diagonal; a
+    violating total is reported divided by it.
     """
     bars = [
         [weight * value.conjugate() for value, weight in zip(vector, weights)]
@@ -407,6 +415,8 @@ def _audit_pairs(m: int, labels, vectors, weights, diagonal) -> OrthogonalityRep
                 total = total + value * conjugate
             expected = CyclotomicNumber.from_rational(m, diagonal[i] if i == j else 0)
             if total != expected:
+                if scale != 1:
+                    total = total * Fraction(1, scale)
                 violations.append((labels[i], labels[j], total))
     return OrthogonalityReport(not violations, len(vectors) ** 2, violations)
 
@@ -418,14 +428,20 @@ def _centralizer_orders(table: CharacterTable) -> list[int]:
 
 
 def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
-    """First (row) orthogonality with weights 1/Z_bmu and conjugated second factor."""
+    """First (row) orthogonality with weights 1/Z_bmu and conjugated second factor.
+
+    The identity is checked multiplied by ``common = lcm(Z_bmu)``: integer
+    weights ``common // Z_bmu`` and ``common`` on the diagonal.
+    """
     orders = _centralizer_orders(table)
+    common = math.lcm(*orders)
     return _audit_pairs(
         table.m,
         table.rows,
         table.entries,
-        [Fraction(1, order) for order in orders],
-        [1] * len(table.rows),
+        [common // order for order in orders],
+        [common] * len(table.rows),
+        scale=common,
     )
 
 

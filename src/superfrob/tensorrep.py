@@ -6,6 +6,13 @@ dict from tuples to polynomial coefficients.  Operators are applied lazily to
 one basis vector at a time and never materialised as matrices: traces only
 need per-column results and columns are independent.
 
+Every operator acts on the flat form of a vector: a sparse integer (or, on
+the classical path, cyclotomic) combination of basis pairs (index tuple,
+exponent vector in the block registry's layout).  Each scalar an operator
+applies is a term of a :class:`TensorContext` constant, so it acts on a pair
+as an exponent shift times an integer.  Polynomials are formed only at the
+boundary: when a public function returns, and once per trace.
+
 The classical (q = 1) oracle is a separate tiny code path acting by signed
 permutations and root-of-unity scalings, deliberately independent of the
 T-operator path so that cross-checks between the two have teeth.
@@ -14,14 +21,19 @@ T-operator path so that cross-checks between the two have teeth.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from superfrob.combinat import Multipartition, WreathElement
-from superfrob.exact import CyclotomicNumber, Poly
+from superfrob.exact import CyclotomicNumber, Poly, StructuralError
 from superfrob.symfunc import BlockVariables
 
 TensorVector = dict[tuple[int, ...], Poly]
+# flat form: (index tuple, exponent vector) -> nonzero int or cyclotomic coefficient
+FlatVector = dict[tuple[tuple[int, ...], tuple[int, ...]], object]
+Kernel = Callable[[FlatVector], FlatVector]
 
 OperatorAtom = tuple
 OperatorWord = tuple[OperatorAtom, ...]
@@ -46,6 +58,7 @@ class TensorContext:
         self.q_minus_q_inv = block.q_minus_q_inv
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
         self._Q_powers: dict[tuple[int, int], Poly] = {}
+        self._d_eigenvalues: dict[tuple[int, ...], Poly] = {}
         # equal-index action of T_a per parity (q even, -q^-1 odd), checked once
         # against the unsimplified three-case formula: q and q^-1 are fixed here
         self.t_diagonal = (self.q, -self.q_inv)
@@ -65,6 +78,17 @@ class TensorContext:
             value = self._Q_powers[key] = self.Q[color] ** power
         return value
 
+    def d_eigenvalue(self, tup: Sequence[int]) -> Poly:
+        """The D eigenvalue of tup's weight, the product of its x / -y weights, once per weight."""
+        key = tuple(sorted(tup))
+        value = self._d_eigenvalues.get(key)
+        if value is None:
+            value = self.one
+            for i in key:
+                value = value * self.diag[i]
+            self._d_eigenvalues[key] = value
+        return value
+
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
 
@@ -72,13 +96,14 @@ class TensorContext:
         return {tuple(tup): self.one}
 
 
-def _accumulate(acc: TensorVector, key: tuple[int, ...], value: Poly):
+def _accumulate(acc: dict, key, value):
+    """acc[key] += value, dropping the entry when the sum vanishes."""
     current = acc.get(key)
     total = value if current is None else current + value
-    if total.is_zero():
-        acc.pop(key, None)
-    else:
+    if total:
         acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 def vec_add(a: TensorVector, b: TensorVector) -> TensorVector:
@@ -103,6 +128,37 @@ def vec_equal(a: TensorVector, b: TensorVector) -> bool:
     return all(a[key] == b[key] for key in a)
 
 
+# -- flat form and the boundary --------------------------------------------------
+
+
+def _flat(ctx: TensorContext, vec: TensorVector) -> FlatVector:
+    flat: FlatVector = {}
+    for tup, coeff in vec.items():
+        if coeff.registry is not ctx.registry and coeff.registry != ctx.registry:
+            raise StructuralError("vector coefficient lives in another registry")
+        for exps, value in coeff.terms.items():
+            flat[tup, exps] = value
+    return flat
+
+
+def _polys(ctx: TensorContext, flat: FlatVector) -> TensorVector:
+    grouped: dict[tuple[int, ...], dict] = {}
+    for (tup, exps), value in flat.items():
+        grouped.setdefault(tup, {})[exps] = value
+    return {tup: Poly._raw(ctx.registry, terms) for tup, terms in grouped.items()}
+
+
+def _add_scaled(
+    out: FlatVector, tup: tuple[int, ...], exps: tuple[int, ...], coeff, constant: Poly
+):
+    """out += coeff * constant at tup: each term of constant shifts exps and scales coeff."""
+    for shift, scalar in constant.terms.items():
+        _accumulate(out, (tup, tuple(map(operator.add, exps, shift))), coeff * scalar)
+
+
+# -- kernels: one per operator, on the flat form -----------------------------------
+
+
 def _phi_s_on_tuple(ctx: TensorContext, a: int, tup: tuple[int, ...]):
     """(new tuple, integer sign) for the signed place permutation at positions a-1, a."""
     left, right = tup[a - 2], tup[a - 1]
@@ -113,125 +169,161 @@ def _phi_s_on_tuple(ctx: TensorContext, a: int, tup: tuple[int, ...]):
     return swapped, sign
 
 
-def apply_phi_s(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    if not 2 <= a <= ctx.n:
-        raise IndexError(f"phi(s_a) index {a} out of range 2..{ctx.n}")
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
+def _phi_s_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
+    out: FlatVector = {}
+    for (tup, exps), coeff in vec.items():
         new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, new, coeff if sign == 1 else -coeff)
+        _accumulate(out, (new, exps), coeff if sign == 1 else -coeff)
     return out
 
 
-def apply_T(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    """The three-case action of T_a; equal indices collapse to q or -q^-1."""
-    if not 2 <= a <= ctx.n:
-        raise IndexError(f"T index {a} out of range 2..{ctx.n}")
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
+def _T_kernel(ctx: TensorContext, a: int, vec: FlatVector, by_color: bool = False) -> FlatVector:
+    """The three-case action of T_a; equal indices collapse to q or -q^-1.
+
+    With ``by_color`` this is S_a, which acts as T_a on same-color neighbours
+    and as the signed swap phi(s_a) across colors.
+    """
+    out: FlatVector = {}
+    for (tup, exps), coeff in vec.items():
         left, right = tup[a - 2], tup[a - 1]
         if left == right:
-            _accumulate(out, tup, coeff * ctx.t_diagonal[ctx.parity[left]])
-        elif left < right:
-            new, sign = _phi_s_on_tuple(ctx, a, tup)
-            _accumulate(out, tup, coeff * ctx.q_minus_q_inv)
-            _accumulate(out, new, coeff if sign == 1 else -coeff)
-        else:
-            new, sign = _phi_s_on_tuple(ctx, a, tup)
-            _accumulate(out, new, coeff if sign == 1 else -coeff)
+            _add_scaled(out, tup, exps, coeff, ctx.t_diagonal[ctx.parity[left]])
+            continue
+        new, sign = _phi_s_on_tuple(ctx, a, tup)
+        _accumulate(out, (new, exps), coeff if sign == 1 else -coeff)
+        if left < right and not (by_color and ctx.color[left] != ctx.color[right]):
+            _add_scaled(out, tup, exps, coeff, ctx.q_minus_q_inv)
     return out
 
 
-def apply_T_inv(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
+def _S_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
+    return _T_kernel(ctx, a, vec, by_color=True)
+
+
+def _T_inv_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
     """T_a^-1 = T_a - (q - q^-1), from the quadratic relation."""
-    out = apply_T(ctx, a, vec)
-    for tup, coeff in vec.items():
-        _accumulate(out, tup, -(coeff * ctx.q_minus_q_inv))
+    out = _T_kernel(ctx, a, vec)
+    for (tup, exps), coeff in vec.items():
+        _add_scaled(out, tup, exps, -coeff, ctx.q_minus_q_inv)
     return out
 
 
-def apply_S(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    """S_a acts as T_a on same-color neighbours and as phi(s_a) across colors."""
-    if not 2 <= a <= ctx.n:
-        raise IndexError(f"S index {a} out of range 2..{ctx.n}")
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
-        left, right = tup[a - 2], tup[a - 1]
-        if ctx.color[left] == ctx.color[right]:
-            for key, value in apply_T(ctx, a, {tup: coeff}).items():
-                _accumulate(out, key, value)
-        else:
-            new, sign = _phi_s_on_tuple(ctx, a, tup)
-            _accumulate(out, new, coeff if sign == 1 else -coeff)
-    return out
-
-
-def apply_Omega(ctx: TensorContext, j: int, power: int, vec: TensorVector) -> TensorVector:
+def _Omega_kernel(ctx: TensorContext, j: int, power: int, vec: FlatVector) -> FlatVector:
     """Omega_j^power scales each basis tuple by Q_{c_j}^power."""
-    if not 1 <= j <= ctx.n:
-        raise IndexError(f"Omega index {j} out of range 1..{ctx.n}")
-    if power < 0:
-        raise IndexError("Omega powers must be nonnegative")
     if power == 0:
-        return dict(vec)
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
-        scale = ctx.Q_power(ctx.color[tup[j - 1]], power)
-        _accumulate(out, tup, coeff * scale)
+        return vec
+    out: FlatVector = {}
+    for (tup, exps), coeff in vec.items():
+        # a monomial: the shift is injective, so no two entries meet
+        ((shift, scalar),) = ctx.Q_power(ctx.color[tup[j - 1]], power).terms.items()
+        out[tup, tuple(map(operator.add, exps, shift))] = coeff * scalar
     return out
 
 
-def apply_T1(ctx: TensorContext, vec: TensorVector) -> TensorVector:
+def _T1_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     """T_1 = T_2^-1 ... T_n^-1 S_n ... S_2 Omega_1, applied atomically."""
-    out = apply_Omega(ctx, 1, 1, vec)
+    vec = _Omega_kernel(ctx, 1, 1, vec)
     for a in range(2, ctx.n + 1):
-        out = apply_S(ctx, a, out)
+        vec = _S_kernel(ctx, a, vec)
     for a in range(ctx.n, 1, -1):
-        out = apply_T_inv(ctx, a, out)
-    return out
+        vec = _T_inv_kernel(ctx, a, vec)
+    return vec
 
 
-def _d_weighted(ctx: TensorContext, tup: tuple[int, ...], coeff: Poly) -> Poly:
-    """coeff times the D eigenvalue of basis tuple tup: the product of x / -y weights."""
-    for i in tup:
-        coeff = coeff * ctx.diag[i]
-    return coeff
-
-
-def apply_D(ctx: TensorContext, vec: TensorVector) -> TensorVector:
+def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     """Diagonal operator: tuple bi is scaled by the product of x / -y weights."""
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
-        _accumulate(out, tup, _d_weighted(ctx, tup, coeff))
+    out: FlatVector = {}
+    for (tup, exps), coeff in vec.items():
+        _add_scaled(out, tup, exps, coeff, ctx.d_eigenvalue(tup))
     return out
 
 
-def apply_atom(ctx: TensorContext, atom: OperatorAtom, vec: TensorVector) -> TensorVector:
+_GENERATORS = {
+    "T": ("T", _T_kernel),
+    "Tinv": ("T", _T_inv_kernel),
+    "S": ("S", _S_kernel),
+    "phis": ("phi(s_a)", _phi_s_kernel),
+}
+
+
+def _kernel(ctx: TensorContext, atom: OperatorAtom) -> Kernel:
+    """The flat kernel of one atom, with its indices checked once."""
     kind = atom[0]
-    if kind == "T":
-        return apply_T(ctx, atom[1], vec)
-    if kind == "Tinv":
-        return apply_T_inv(ctx, atom[1], vec)
-    if kind == "S":
-        return apply_S(ctx, atom[1], vec)
-    if kind == "phis":
-        return apply_phi_s(ctx, atom[1], vec)
+    if kind in _GENERATORS:
+        label, kernel = _GENERATORS[kind]
+        a = atom[1]
+        if not 2 <= a <= ctx.n:
+            raise IndexError(f"{label} index {a} out of range 2..{ctx.n}")
+        return partial(kernel, ctx, a)
     if kind == "omega":
-        return apply_Omega(ctx, atom[1], atom[2], vec)
+        _, j, power = atom
+        if not 1 <= j <= ctx.n:
+            raise IndexError(f"Omega index {j} out of range 1..{ctx.n}")
+        if power < 0:
+            raise IndexError("Omega powers must be nonnegative")
+        return partial(_Omega_kernel, ctx, j, power)
     if kind == "T1":
-        return apply_T1(ctx, vec)
+        return partial(_T1_kernel, ctx)
     if kind == "D":
-        return apply_D(ctx, vec)
+        return partial(_D_kernel, ctx)
     raise ValueError(f"unknown operator atom {atom!r}")
+
+
+def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Kernel:
+    """The word's action right-to-left (the rightmost atom acts first)."""
+    steps = [_kernel(ctx, atom) for atom in reversed(word)]
+
+    def run(vec: FlatVector) -> FlatVector:
+        for step in steps:
+            if not vec:
+                break
+            vec = step(vec)
+        return vec
+
+    return run
+
+
+# -- public operators on {tuple: Poly} vectors ---------------------------------------
+#
+# Each converts its vector to the flat form once, runs the kernels of its
+# atoms, and forms one Poly per tuple of the result.
 
 
 def apply_word(ctx: TensorContext, word: Sequence[OperatorAtom], vec: TensorVector) -> TensorVector:
     """Apply a word of atoms right-to-left (the rightmost atom acts first)."""
-    for atom in reversed(word):
-        vec = apply_atom(ctx, atom, vec)
-        if not vec:
-            return vec
-    return vec
+    return _polys(ctx, _word_kernel(ctx, word)(_flat(ctx, vec)))
+
+
+def apply_atom(ctx: TensorContext, atom: OperatorAtom, vec: TensorVector) -> TensorVector:
+    return _polys(ctx, _kernel(ctx, atom)(_flat(ctx, vec)))
+
+
+def apply_phi_s(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("phis", a), vec)
+
+
+def apply_T(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("T", a), vec)
+
+
+def apply_T_inv(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("Tinv", a), vec)
+
+
+def apply_S(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("S", a), vec)
+
+
+def apply_Omega(ctx: TensorContext, j: int, power: int, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("omega", j, power), vec)
+
+
+def apply_T1(ctx: TensorContext, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("T1",), vec)
+
+
+def apply_D(ctx: TensorContext, vec: TensorVector) -> TensorVector:
+    return apply_atom(ctx, ("D",), vec)
 
 
 def standard_word(bmu: Multipartition, n: int) -> OperatorWord:
@@ -263,30 +355,32 @@ def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
     return tuple(word)
 
 
-def _trace_D(ctx: TensorContext, action: Callable[[TensorVector], TensorVector]) -> Poly:
+def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     """Trace of D composed with an operator, summed column by column.
 
     The D eigenvalue of a basis tuple depends only on its weight, so diagonal
     coefficients are summed per weight space, keyed by the sorted tuple (the
-    weight's canonical representative), and the D weight is multiplied in once
-    per weight space.  Only the column loop is shared: each caller brings its
-    own action, so the T-operator oracle and the classical signed-permutation
+    weight's canonical representative), and D is applied once per weight
+    space.  Only the column loop is shared: each caller brings its own flat
+    action, so the T-operator oracle and the classical signed-permutation
     oracle stay independent.
     """
-    by_weight: TensorVector = {}
+    unit = (0,) * len(ctx.registry)
+    by_weight: FlatVector = {}
     for tup in ctx.basis():
-        coeff = action(ctx.basis_vector(tup)).get(tup)
-        if coeff is not None:
-            _accumulate(by_weight, tuple(sorted(tup)), coeff)
-    total = Poly.zero(ctx.registry)
-    for key, coeff in by_weight.items():
-        total = total + _d_weighted(ctx, key, coeff)
-    return total
+        weight = tuple(sorted(tup))
+        for (image, exps), coeff in action({(tup, unit): 1}).items():
+            if image == tup:
+                _accumulate(by_weight, (weight, exps), coeff)
+    total: dict = {}
+    for (_, exps), coeff in _D_kernel(ctx, by_weight).items():
+        _accumulate(total, exps, coeff)
+    return Poly._raw(ctx.registry, total)
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
     """Trace of D composed with the word, summed column by column."""
-    return _trace_D(ctx, lambda vec: apply_word(ctx, word, vec))
+    return _trace_D(ctx, _word_kernel(ctx, word))
 
 
 # -- classical (q = 1) oracle ---------------------------------------------------
@@ -297,13 +391,13 @@ def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
 # Trace(D w(bmu)) reproduces P_bmu exactly (sensitive only for m >= 3).
 
 
-def classical_apply(
-    ctx: TensorContext, element: WreathElement, vec: TensorVector, m: int
-) -> TensorVector:
+def _classical_kernel(
+    ctx: TensorContext, element: WreathElement, m: int, vec: FlatVector
+) -> FlatVector:
     colors, perm = element
     n = ctx.n
-    out: TensorVector = {}
-    for tup, coeff in vec.items():
+    out: FlatVector = {}
+    for (tup, exps), coeff in vec.items():
         # permutation part: positions permute by sigma, signs from odd crossings
         permuted = [0] * n
         for src in range(n):
@@ -315,14 +409,17 @@ def classical_apply(
             for i2 in range(i1 + 1, len(odd_positions)):
                 if perm[odd_positions[i1]] > perm[odd_positions[i2]]:
                     sign = -sign
-        scale = CyclotomicNumber.from_rational(m, sign)
-        for j in range(n):
-            c = colors[j]
-            if c:
-                scale = scale * CyclotomicNumber.zeta(m, (-c * ctx.color[permuted[j]]) % m)
-        _accumulate(out, tuple(permuted), coeff * scale)
+        power = sum(-c * ctx.color[permuted[j]] for j, c in enumerate(colors) if c)
+        scale = CyclotomicNumber.zeta(m, power) * coeff
+        _accumulate(out, (tuple(permuted), exps), scale if sign == 1 else -scale)
     return out
 
 
+def classical_apply(
+    ctx: TensorContext, element: WreathElement, vec: TensorVector, m: int
+) -> TensorVector:
+    return _polys(ctx, _classical_kernel(ctx, element, m, _flat(ctx, vec)))
+
+
 def classical_trace_D(ctx: TensorContext, element: WreathElement, m: int) -> Poly:
-    return _trace_D(ctx, lambda vec: classical_apply(ctx, element, vec, m))
+    return _trace_D(ctx, partial(_classical_kernel, ctx, element, m))

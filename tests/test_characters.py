@@ -8,6 +8,7 @@ import pytest
 from superfrob.combinat import (
     HookProfile,
     centralizer_order_sym,
+    centralizer_order_wreath,
     hook_length_count,
     multipartitions,
     partitions,
@@ -134,10 +135,10 @@ def test_hecke_table_finds_trivial_row_without_specializing_the_table(monkeypatc
         assert specialized.trivial_row_index == table.trivial_row_index
 
 
-def _bump_one_entry(table: CharacterTable, row: int, col: int) -> CharacterTable:
-    """A copy of the table with entry (row, col) increased by 1."""
+def _bump_one_entry(table: CharacterTable, row: int, col: int, by=1) -> CharacterTable:
+    """A copy of the table with entry (row, col) increased by `by`."""
     entries = [list(values) for values in table.entries]
-    entries[row][col] = entries[row][col] + 1
+    entries[row][col] = entries[row][col] + by
     return dataclasses.replace(table, entries=entries)
 
 
@@ -153,6 +154,12 @@ def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
     # the Hecke identity holds per column bmu, the wreath identity per row bl
     assert hecke_identity_violations(_bump_one_entry(hecke, row, col)) == [hecke.cols[col]]
     assert wreath_identity_violations(_bump_one_entry(wreath, row, col)) == [wreath.rows[row]]
+    # the audit clears the 1/Z_bmu weights by their lcm; a perturbation of
+    # exactly 1/Z_bmu, the size that clearing scales, is still named
+    fraction = Fraction(1, centralizer_order_wreath(wreath.cols[col], m))
+    assert wreath_identity_violations(_bump_one_entry(wreath, row, col, fraction)) == [
+        wreath.rows[row]
+    ]
 
 
 def _break_color_symmetry(monkeypatch, name):
@@ -249,6 +256,47 @@ def test_orthogonality_reports():
         assert report.passed and report.pairs_checked == len(table.rows) ** 2
         report2 = verify_column_orthogonality(table)
         assert report2.passed
+
+
+def _violations_in_rationals(m, labels, vectors, weights, diagonal):
+    """(u, v, total) for every pair whose rationally weighted sum misses delta * diagonal."""
+    violations = []
+    for i, u in enumerate(vectors):
+        for j, v in enumerate(vectors):
+            total = CyclotomicNumber.from_rational(m, 0)
+            for a, b, weight in zip(u, v, weights):
+                total = total + weight * a * b.conjugate()
+            if total != (diagonal[i] if i == j else 0):
+                violations.append((labels[i], labels[j], total))
+    return violations
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+def test_orthogonality_audits_name_a_bumped_entry(m, n):
+    # one wrong entry breaks row and column orthogonality, on and off the
+    # diagonal; each audit names exactly the pairs that a sum in rational
+    # weights 1/Z_bmu names, and reports that unscaled sum
+    table = wreath_character_table(m, n)
+    row, col = len(table.rows) - 1, len(table.cols) // 2
+    bumped = _bump_one_entry(table, row, col)
+    orders = [centralizer_order_wreath(bmu, m) for bmu in table.cols]
+    size = len(table.rows)
+
+    rows = verify_orthogonality(bumped)
+    expected = _violations_in_rationals(
+        m, table.rows, bumped.entries, [Fraction(1, z) for z in orders], [1] * size
+    )
+    assert rows.violations == expected and rows.pairs_checked == size**2
+    assert all(table.rows[row] in pair[:2] for pair in expected)
+    assert any(left != right for left, right, _ in expected)
+
+    columns = verify_column_orthogonality(bumped)
+    expected = _violations_in_rationals(
+        m, table.cols, list(zip(*bumped.entries)), [1] * size, orders
+    )
+    assert columns.violations == expected and columns.pairs_checked == size**2
+    assert all(table.cols[col] in pair[:2] for pair in expected)
+    assert any(left != right for left, right, _ in expected)
 
 
 def test_orthogonality_requires_specialized():

@@ -1,8 +1,10 @@
 """Tests for the tensor-superspace trace oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superfrob.combinat import (
     HookProfile,
@@ -349,3 +351,137 @@ def test_weight_space_classical_trace_equals_column_by_column_sum(bk, bl, n):
             ctx, lambda vec: classical_apply(ctx, element, vec, m)
         )
         assert classical_trace_D(ctx, element, m) == expected, element
+
+
+# -- the kernels against a per-Poly reference of the three-case formula ----------
+#
+# A test-local reference of each atom's action on {tuple: Poly} vectors, written
+# from the definitions: the equal-index case of T_a uses the unsimplified
+# formula ((q - q^-1) + (-1)^p (q + q^-1)) / 2, and D multiplies the x / -y
+# weights of every tuple afresh.
+
+
+def _ref_add(out, tup, value):
+    total = out[tup] + value if tup in out else value
+    if total.is_zero():
+        out.pop(tup, None)
+    else:
+        out[tup] = total
+
+
+def _ref_swap(ctx, a, tup):
+    left, right = tup[a - 2], tup[a - 1]
+    sign = -1 if ctx.profile.parity_of(left) and ctx.profile.parity_of(right) else 1
+    return tup[: a - 2] + (right, left) + tup[a:], sign
+
+
+def _ref_phis(ctx, a, vec):
+    out = {}
+    for tup, coeff in vec.items():
+        new, sign = _ref_swap(ctx, a, tup)
+        _ref_add(out, new, coeff * sign)
+    return out
+
+
+def _ref_T(ctx, a, vec):
+    reg = ctx.registry
+    q, q_inv = Poly.var(reg, "q"), Poly.var(reg, "q", -1)
+    out = {}
+    for tup, coeff in vec.items():
+        left, right = tup[a - 2], tup[a - 1]
+        if left == right:
+            sign = -1 if ctx.profile.parity_of(left) else 1
+            diagonal = Fraction(1, 2) * ((q - q_inv) + sign * (q + q_inv))
+            _ref_add(out, tup, coeff * diagonal)
+            continue
+        new, sign = _ref_swap(ctx, a, tup)
+        _ref_add(out, new, coeff * sign)
+        if left < right:
+            _ref_add(out, tup, coeff * (q - q_inv))
+    return out
+
+
+def _ref_Tinv(ctx, a, vec):
+    reg = ctx.registry
+    out = _ref_T(ctx, a, vec)
+    for tup, coeff in vec.items():
+        _ref_add(out, tup, -coeff * (Poly.var(reg, "q") - Poly.var(reg, "q", -1)))
+    return out
+
+
+def _ref_S(ctx, a, vec):
+    out = {}
+    for tup, coeff in vec.items():
+        same = ctx.profile.color_of(tup[a - 2]) == ctx.profile.color_of(tup[a - 1])
+        image = (_ref_T if same else _ref_phis)(ctx, a, {tup: coeff})
+        for key, value in image.items():
+            _ref_add(out, key, value)
+    return out
+
+
+def _ref_omega(ctx, j, power, vec):
+    out = {}
+    for tup, coeff in vec.items():
+        color = ctx.profile.color_of(tup[j - 1])
+        _ref_add(out, tup, coeff * Poly.var(ctx.registry, f"Q{color}", power))
+    return out
+
+
+def _ref_T1(ctx, vec):
+    vec = _ref_omega(ctx, 1, 1, vec)
+    for a in range(2, ctx.n + 1):
+        vec = _ref_S(ctx, a, vec)
+    for a in range(ctx.n, 1, -1):
+        vec = _ref_Tinv(ctx, a, vec)
+    return vec
+
+
+def _ref_D(ctx, vec):
+    out = {}
+    for tup, coeff in vec.items():
+        for index in tup:
+            kind, color, pos = ctx.profile.symbol_of(index)
+            weight = Poly.var(ctx.registry, f"{kind}{color}_{pos}")
+            coeff = coeff * (weight if kind == "x" else -weight)
+        _ref_add(out, tup, coeff)
+    return out
+
+
+def _ref_apply_word(ctx, word, vec):
+    for atom in reversed(word):
+        kind = atom[0]
+        if kind == "T1":
+            vec = _ref_T1(ctx, vec)
+        elif kind == "D":
+            vec = _ref_D(ctx, vec)
+        elif kind == "omega":
+            vec = _ref_omega(ctx, atom[1], atom[2], vec)
+        else:
+            reference = {"T": _ref_T, "Tinv": _ref_Tinv, "S": _ref_S, "phis": _ref_phis}
+            vec = reference[kind](ctx, atom[1], vec)
+    return vec
+
+
+@st.composite
+def _words_on_vectors(draw):
+    # odd variables throughout; m = 3 in the first two profiles
+    profiles = [((1, 1, 0), (0, 1, 1), 3), ((1, 0, 1), (0, 1, 1), 2), ((1, 1), (1, 1), 3)]
+    ctx = make_ctx(*draw(st.sampled_from(profiles)))
+    m, n = ctx.profile.m, ctx.n
+    generator = st.tuples(st.sampled_from(["T", "Tinv", "S", "phis"]), st.integers(2, n))
+    omega = st.tuples(st.just("omega"), st.integers(1, n), st.integers(0, m + 1))
+    atom = st.one_of(generator, omega, st.just(("T1",)), st.just(("D",)))
+    word = tuple(draw(st.lists(atom, max_size=6)))
+    index = st.integers(1, ctx.size)
+    tuples = draw(st.lists(st.tuples(*[index] * n), min_size=1, max_size=3, unique=True))
+    # a start vector with coefficients off the unit: q^-1, Q_m and a sign
+    coefficients = [ctx.one, -ctx.q_inv, ctx.Q[m] + ctx.q]
+    vec = {tup: coefficients[i % 3] for i, tup in enumerate(tuples)}
+    return ctx, word, vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_words_on_vectors())
+def test_kernels_match_the_per_poly_three_case_reference(case):
+    ctx, word, vec = case
+    assert vec_equal(apply_word(ctx, word, vec), _ref_apply_word(ctx, word, vec))
