@@ -46,11 +46,24 @@ def _comma_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_shape(parser: argparse.ArgumentParser, text: str):
+    """The multipartition in --shape; each part list must be a partition ([] is empty)."""
     try:
         data = json.loads(text)
-        return tuple(tuple(int(p) for p in component) for component in data)
-    except (json.JSONDecodeError, TypeError, ValueError):
+    except json.JSONDecodeError:
+        data = None
+    # parts must be JSON integers, not floats, booleans or strings of digits
+    if not isinstance(data, list) or not all(
+        isinstance(component, list) and all(type(p) is int for p in component)
+        for component in data
+    ):
         parser.error(f"--shape must be a JSON list of part lists, got {text!r}")
+    shape = tuple(tuple(component) for component in data)
+    for component in shape:
+        if any(p < 1 for p in component) or any(
+            a < b for a, b in zip(component, component[1:])
+        ):
+            parser.error(f"--shape parts must be positive and weakly decreasing, got {text!r}")
+    return shape
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,6 +238,8 @@ def cmd_expand(args, parser) -> int:
         beta = args.beta if args.beta is not None else (0,) * profile.l
         if len(alpha) != profile.k or len(beta) != profile.l:
             parser.error("--alpha/--beta lengths must match the profile")
+        if any(v < 0 for v in alpha + beta) or sum(alpha) + sum(beta) == 0:
+            parser.error("--alpha/--beta entries must be nonnegative with a positive total")
         block = BlockVariables(profile)
         value = q_tilde(alpha, beta, block)
         payload = _poly_payload(value, None, "qtilde")

@@ -7,6 +7,11 @@ polynomial.  Polynomials are sparse maps from dense exponent vectors to
 coefficients; the exponent vector layout is fixed by a
 :class:`VariableRegistry`.  Negative exponents are permitted only at
 registry positions flagged invertible (in practice: the Hecke parameter q).
+The one domain limit on exponents: a product of two polynomials with
+several terms each adds exponent vectors as single integers through the
+registry's codec (:meth:`VariableRegistry.encode`), so the exponents of its
+factors must lie in the signed 32-bit range [-2^31, 2^31); outside it the
+product raises :class:`DomainError`.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -56,9 +62,16 @@ class Variable:
 
 
 class VariableRegistry:
-    """Ordered set of variables fixing the exponent-vector layout of polynomials."""
+    """Ordered set of variables fixing the exponent-vector layout of polynomials.
 
-    __slots__ = ("variables", "_index")
+    The registry also owns the integer codec of its exponent vectors: each
+    exponent is one 64-bit digit of a Python int, so the encoding is linear,
+    ``encode(a) + encode(b) == encode(a + b)``.  Exponents must lie in the
+    signed 32-bit range; then any sum of fewer than 2^32 encoded vectors
+    keeps every digit inside the signed 64-bit range and decodes exactly.
+    """
+
+    __slots__ = ("variables", "_index", "_pack", "_unpack", "_bias31", "_bias63", "_nbytes")
 
     def __init__(self, variables: Iterable[Variable]):
         self.variables = tuple(variables)
@@ -66,6 +79,34 @@ class VariableRegistry:
         if len(set(names)) != len(names):
             raise StructuralError(f"duplicate variable names in registry: {names}")
         self._index = {v.name: i for i, v in enumerate(self.variables)}
+        width = len(self.variables)
+        # encode: each exponent as a little-endian int32 padded to 8 bytes;
+        # decode: each 64-bit digit as an int64
+        self._pack = struct.Struct("<" + "i4x" * width).pack
+        self._unpack = struct.Struct("<" + "q" * width).unpack
+        self._bias31 = sum(1 << (31 + 64 * i) for i in range(width))
+        self._bias63 = sum(1 << (63 + 64 * i) for i in range(width))
+        self._nbytes = 8 * width
+
+    def encode(self, exps: Sequence[int]) -> int:
+        """The int key sum_i exps[i] * 2^(64 i); DomainError outside the int32 range."""
+        try:
+            packed = self._pack(*exps)
+        except struct.error:
+            raise DomainError(
+                f"exponent vector {tuple(exps)} leaves the signed 32-bit range"
+            ) from None
+        # the padded bytes hold each exponent's two's complement u = e mod 2^32;
+        # flipping bit 31 gives e + 2^31 >= 0, and the bias takes 2^31 off again
+        bias = self._bias31
+        return (int.from_bytes(packed, "little") ^ bias) - bias
+
+    def decode(self, key: int) -> tuple[int, ...]:
+        """The exponent vector of an int key (a sum of encoded vectors)."""
+        # adding 2^63 per digit makes every digit nonnegative with no borrow;
+        # flipping bit 63 again leaves each digit's two's complement
+        bias = self._bias63
+        return self._unpack(((key + bias) ^ bias).to_bytes(self._nbytes, "little"))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -260,20 +301,24 @@ class Poly:
                 self.registry,
                 {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in big.terms.items()},
             )
+        # exponent vectors add as single ints; coefficients are nonzero field
+        # elements, so no product vanishes and only sums are tested
+        encode = self.registry.encode
+        right = [(encode(e), c) for e, c in other.terms.items()]
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            k1 = encode(e1)
+            for k2, c2 in right:
+                key = k1 + k2
                 prod = c1 * c2
-                if not prod:
-                    continue
-                key = tuple(map(operator.add, e1, e2))
                 acc = terms.get(key)
                 acc = prod if acc is None else acc + prod
                 if acc:
                     terms[key] = acc
                 elif key in terms:
                     del terms[key]
-        return Poly._raw(self.registry, terms)
+        decode = self.registry.decode
+        return Poly._raw(self.registry, {decode(k): c for k, c in terms.items()})
 
     __rmul__ = __mul__
 

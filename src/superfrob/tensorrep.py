@@ -8,10 +8,12 @@ need per-column results and columns are independent.
 
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
-exponent vector in the block registry's layout).  Each scalar an operator
-applies is a term of a :class:`TensorContext` constant, so it acts on a pair
-as an exponent shift times an integer.  Polynomials are formed only at the
-boundary: when a public function returns, and once per trace.
+monomial), where the monomial is the int key of its exponent vector under the
+block registry's linear codec (:meth:`VariableRegistry.encode`).  Each scalar
+an operator applies is a term of a :class:`TensorContext` constant, kept
+encoded next to the constant, so it acts on a pair as one int addition times
+an integer.  Polynomials are formed only at the boundary: when a public
+function returns, and once per trace.
 
 The classical (q = 1) oracle is a separate tiny code path acting by signed
 permutations and root-of-unity scalings, deliberately independent of the
@@ -21,7 +23,6 @@ T-operator path so that cross-checks between the two have teeth.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -31,8 +32,10 @@ from superfrob.exact import CyclotomicNumber, Poly, StructuralError
 from superfrob.symfunc import BlockVariables
 
 TensorVector = dict[tuple[int, ...], Poly]
-# flat form: (index tuple, exponent vector) -> nonzero int or cyclotomic coefficient
-FlatVector = dict[tuple[tuple[int, ...], tuple[int, ...]], object]
+# flat form: (index tuple, monomial key) -> nonzero int or cyclotomic coefficient
+FlatVector = dict[tuple[tuple[int, ...], int], object]
+# a constant's terms as (monomial key, coefficient) pairs
+EncodedTerms = tuple[tuple[int, object], ...]
 Kernel = Callable[[FlatVector], FlatVector]
 
 OperatorAtom = tuple
@@ -57,11 +60,14 @@ class TensorContext:
         self.q_inv = block.q_inv
         self.q_minus_q_inv = block.q_minus_q_inv
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
-        self._Q_powers: dict[tuple[int, int], Poly] = {}
-        self._d_eigenvalues: dict[tuple[int, ...], Poly] = {}
-        # equal-index action of T_a per parity (q even, -q^-1 odd), checked once
-        # against the unsimplified three-case formula: q and q^-1 are fixed here
+        self._Q_powers: dict[tuple[int, int], tuple[Poly, EncodedTerms]] = {}
+        self._d_eigenvalues: dict[tuple[int, ...], tuple[Poly, EncodedTerms]] = {}
+        self._T1_rows: dict[tuple[int, ...], tuple] = {}
+        # equal-index action of T_a per parity (q even, -q^-1 odd) and of
+        # T_a^-1 (q^-1 even, -q odd), checked once against the unsimplified
+        # three-case formula and T_a^-1 = T_a - (q - q^-1): q and q^-1 are fixed here
         self.t_diagonal = (self.q, -self.q_inv)
+        self.t_inv_diagonal = (self.q_inv, -self.q)
         half = Fraction(1, 2)
         for parity, sign in ((0, 1), (1, -1)):
             unsimplified = half * self.q_minus_q_inv + (sign * half) * (self.q + self.q_inv)
@@ -69,25 +75,54 @@ class TensorContext:
                 raise ArithmeticError(
                     "diagonal T action disagrees with the three-case formula"
                 )
+            if unsimplified - self.q_minus_q_inv != self.t_inv_diagonal[parity]:
+                raise ArithmeticError(
+                    "diagonal T^-1 action disagrees with T - (q - q^-1)"
+                )
+        # the kernels apply these encoded terms, read from the checked constants
+        self.t_diagonal_terms = tuple(map(self._encoded, self.t_diagonal))
+        self.t_inv_diagonal_terms = tuple(map(self._encoded, self.t_inv_diagonal))
+        self.q_minus_q_inv_terms = self._encoded(self.q_minus_q_inv)
 
-    def Q_power(self, color: int, power: int) -> Poly:
-        """Q_color^power, computed on first use and then read from a table."""
+    def _encoded(self, constant: Poly) -> EncodedTerms:
+        """The terms of a constant as (monomial key, coefficient) pairs."""
+        encode = self.registry.encode
+        return tuple((encode(exps), coeff) for exps, coeff in constant.terms.items())
+
+    def Q_power(self, color: int, power: int) -> tuple[Poly, EncodedTerms]:
+        """Q_color^power and its encoded terms, computed on first use and then read from a table."""
         key = (color, power)
-        value = self._Q_powers.get(key)
-        if value is None:
-            value = self._Q_powers[key] = self.Q[color] ** power
-        return value
+        entry = self._Q_powers.get(key)
+        if entry is None:
+            value = self.Q[color] ** power
+            entry = self._Q_powers[key] = (value, self._encoded(value))
+        return entry
 
-    def d_eigenvalue(self, tup: Sequence[int]) -> Poly:
-        """The D eigenvalue of tup's weight, the product of its x / -y weights, once per weight."""
+    def d_eigenvalue(self, tup: Sequence[int]) -> tuple[Poly, EncodedTerms]:
+        """The D eigenvalue of tup's weight (the product of its x / -y weights) and
+        its encoded terms, computed once per weight."""
         key = tuple(sorted(tup))
-        value = self._d_eigenvalues.get(key)
-        if value is None:
+        entry = self._d_eigenvalues.get(key)
+        if entry is None:
             value = self.one
             for i in key:
                 value = value * self.diag[i]
-            self._d_eigenvalues[key] = value
-        return value
+            entry = self._d_eigenvalues[key] = (value, self._encoded(value))
+        return entry
+
+    def T1_row(self, tup: tuple[int, ...]) -> tuple:
+        """The flat image of the basis pair (tup, 1) under T_1 = T_2^-1 ... T_n^-1
+        S_n ... S_2 Omega_1, computed by those kernels on first use and then read
+        from a table."""
+        row = self._T1_rows.get(tup)
+        if row is None:
+            image = _Omega_kernel(self, 1, 1, {(tup, 0): 1})
+            for a in range(2, self.n + 1):
+                image = _S_kernel(self, a, image)
+            for a in range(self.n, 1, -1):
+                image = _T_inv_kernel(self, a, image)
+            row = self._T1_rows[tup] = tuple(image.items())
+        return row
 
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
@@ -133,27 +168,27 @@ def vec_equal(a: TensorVector, b: TensorVector) -> bool:
 
 def _flat(ctx: TensorContext, vec: TensorVector) -> FlatVector:
     flat: FlatVector = {}
+    encode = ctx.registry.encode
     for tup, coeff in vec.items():
         if coeff.registry is not ctx.registry and coeff.registry != ctx.registry:
             raise StructuralError("vector coefficient lives in another registry")
         for exps, value in coeff.terms.items():
-            flat[tup, exps] = value
+            flat[tup, encode(exps)] = value
     return flat
 
 
 def _polys(ctx: TensorContext, flat: FlatVector) -> TensorVector:
     grouped: dict[tuple[int, ...], dict] = {}
-    for (tup, exps), value in flat.items():
-        grouped.setdefault(tup, {})[exps] = value
+    decode = ctx.registry.decode
+    for (tup, key), value in flat.items():
+        grouped.setdefault(tup, {})[decode(key)] = value
     return {tup: Poly._raw(ctx.registry, terms) for tup, terms in grouped.items()}
 
 
-def _add_scaled(
-    out: FlatVector, tup: tuple[int, ...], exps: tuple[int, ...], coeff, constant: Poly
-):
-    """out += coeff * constant at tup: each term of constant shifts exps and scales coeff."""
-    for shift, scalar in constant.terms.items():
-        _accumulate(out, (tup, tuple(map(operator.add, exps, shift))), coeff * scalar)
+def _add_scaled(out: FlatVector, tup: tuple[int, ...], key: int, coeff, terms: EncodedTerms):
+    """out += coeff * constant at tup: each encoded term shifts key and scales coeff."""
+    for shift, scalar in terms:
+        _accumulate(out, (tup, key + shift), coeff * scalar)
 
 
 # -- kernels: one per operator, on the flat form -----------------------------------
@@ -171,9 +206,9 @@ def _phi_s_on_tuple(ctx: TensorContext, a: int, tup: tuple[int, ...]):
 
 def _phi_s_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
     out: FlatVector = {}
-    for (tup, exps), coeff in vec.items():
+    for (tup, key), coeff in vec.items():
         new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, (new, exps), coeff if sign == 1 else -coeff)
+        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
     return out
 
 
@@ -184,15 +219,15 @@ def _T_kernel(ctx: TensorContext, a: int, vec: FlatVector, by_color: bool = Fals
     and as the signed swap phi(s_a) across colors.
     """
     out: FlatVector = {}
-    for (tup, exps), coeff in vec.items():
+    for (tup, key), coeff in vec.items():
         left, right = tup[a - 2], tup[a - 1]
         if left == right:
-            _add_scaled(out, tup, exps, coeff, ctx.t_diagonal[ctx.parity[left]])
+            _add_scaled(out, tup, key, coeff, ctx.t_diagonal_terms[ctx.parity[left]])
             continue
         new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, (new, exps), coeff if sign == 1 else -coeff)
+        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
         if left < right and not (by_color and ctx.color[left] != ctx.color[right]):
-            _add_scaled(out, tup, exps, coeff, ctx.q_minus_q_inv)
+            _add_scaled(out, tup, key, coeff, ctx.q_minus_q_inv_terms)
     return out
 
 
@@ -201,10 +236,19 @@ def _S_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
 
 
 def _T_inv_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
-    """T_a^-1 = T_a - (q - q^-1), from the quadratic relation."""
-    out = _T_kernel(ctx, a, vec)
-    for (tup, exps), coeff in vec.items():
-        _add_scaled(out, tup, exps, -coeff, ctx.q_minus_q_inv)
+    """T_a^-1 = T_a - (q - q^-1) in three cases: q^-1 or -q on equal indices,
+    the signed swap on an increasing pair, and the signed swap minus
+    (q - q^-1) on a decreasing one."""
+    out: FlatVector = {}
+    for (tup, key), coeff in vec.items():
+        left, right = tup[a - 2], tup[a - 1]
+        if left == right:
+            _add_scaled(out, tup, key, coeff, ctx.t_inv_diagonal_terms[ctx.parity[left]])
+            continue
+        new, sign = _phi_s_on_tuple(ctx, a, tup)
+        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
+        if left > right:
+            _add_scaled(out, tup, key, -coeff, ctx.q_minus_q_inv_terms)
     return out
 
 
@@ -213,28 +257,27 @@ def _Omega_kernel(ctx: TensorContext, j: int, power: int, vec: FlatVector) -> Fl
     if power == 0:
         return vec
     out: FlatVector = {}
-    for (tup, exps), coeff in vec.items():
+    for (tup, key), coeff in vec.items():
         # a monomial: the shift is injective, so no two entries meet
-        ((shift, scalar),) = ctx.Q_power(ctx.color[tup[j - 1]], power).terms.items()
-        out[tup, tuple(map(operator.add, exps, shift))] = coeff * scalar
+        ((shift, scalar),) = ctx.Q_power(ctx.color[tup[j - 1]], power)[1]
+        out[tup, key + shift] = coeff * scalar
     return out
 
 
 def _T1_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
-    """T_1 = T_2^-1 ... T_n^-1 S_n ... S_2 Omega_1, applied atomically."""
-    vec = _Omega_kernel(ctx, 1, 1, vec)
-    for a in range(2, ctx.n + 1):
-        vec = _S_kernel(ctx, a, vec)
-    for a in range(ctx.n, 1, -1):
-        vec = _T_inv_kernel(ctx, a, vec)
-    return vec
+    """T_1, applied atomically: each entry reads its tuple's row and shifts it."""
+    out: FlatVector = {}
+    for (tup, key), coeff in vec.items():
+        for (image, shift), scalar in ctx.T1_row(tup):
+            _accumulate(out, (image, key + shift), coeff * scalar)
+    return out
 
 
 def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     """Diagonal operator: tuple bi is scaled by the product of x / -y weights."""
     out: FlatVector = {}
-    for (tup, exps), coeff in vec.items():
-        _add_scaled(out, tup, exps, coeff, ctx.d_eigenvalue(tup))
+    for (tup, key), coeff in vec.items():
+        _add_scaled(out, tup, key, coeff, ctx.d_eigenvalue(tup)[1])
     return out
 
 
@@ -365,17 +408,18 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     action, so the T-operator oracle and the classical signed-permutation
     oracle stay independent.
     """
-    unit = (0,) * len(ctx.registry)
     by_weight: FlatVector = {}
     for tup in ctx.basis():
         weight = tuple(sorted(tup))
-        for (image, exps), coeff in action({(tup, unit): 1}).items():
+        # the monomial 1 has key 0
+        for (image, key), coeff in action({(tup, 0): 1}).items():
             if image == tup:
-                _accumulate(by_weight, (weight, exps), coeff)
-    total: dict = {}
-    for (_, exps), coeff in _D_kernel(ctx, by_weight).items():
-        _accumulate(total, exps, coeff)
-    return Poly._raw(ctx.registry, total)
+                _accumulate(by_weight, (weight, key), coeff)
+    total: dict[int, object] = {}
+    for (_, key), coeff in _D_kernel(ctx, by_weight).items():
+        _accumulate(total, key, coeff)
+    decode = ctx.registry.decode
+    return Poly._raw(ctx.registry, {decode(key): coeff for key, coeff in total.items()})
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
@@ -397,7 +441,7 @@ def _classical_kernel(
     colors, perm = element
     n = ctx.n
     out: FlatVector = {}
-    for (tup, exps), coeff in vec.items():
+    for (tup, key), coeff in vec.items():
         # permutation part: positions permute by sigma, signs from odd crossings
         permuted = [0] * n
         for src in range(n):
@@ -411,7 +455,7 @@ def _classical_kernel(
                     sign = -sign
         power = sum(-c * ctx.color[permuted[j]] for j, c in enumerate(colors) if c)
         scale = CyclotomicNumber.zeta(m, power) * coeff
-        _accumulate(out, (tuple(permuted), exps), scale if sign == 1 else -scale)
+        _accumulate(out, (tuple(permuted), key), scale if sign == 1 else -scale)
     return out
 
 

@@ -300,6 +300,27 @@ def test_expand_usage_errors(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "superschur", "--shape", "[[-1]]", "--k", "1", "--l", "1"],
+        ["expand", "superschur", "--shape", "[[1,2]]", "--k", "1", "--l", "1"],
+        ["expand", "qbmu", "--shape", "[[-1]]"],
+        ["expand", "qtilde", "--alpha=-1,2", "--k", "2", "--l", "0"],
+        ["expand", "qtilde", "--alpha=0,0", "--k", "2", "--l", "0"],
+        ["expand", "superschur", "--shape", "[[1.5]]", "--k", "1", "--l", "1"],
+        ["expand", "superschur", "--shape", '"11"', "--k", "1", "--l", "1"],
+    ],
+)
+def test_expand_refuses_malformed_shapes_and_weights(capsys, argv):
+    # a shape part must be a positive integer, each part list weakly
+    # decreasing, and a qtilde weight nonnegative with a positive total
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "internal failure" not in capsys.readouterr().err
+
+
 def test_poly_json_round_trip():
     block = BlockVariables(HookProfile((1, 1), (1, 1)))
     f = q_bmu(((2,), (1,)), block)

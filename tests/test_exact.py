@@ -411,3 +411,104 @@ def test_joint_solve_matches_columnwise(rows, solutions, perturb):
         if perturb is None:
             for values, x in zip(solutions, joint):
                 assert x == [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]
+
+
+# -- the registry codec and the general product ------------------------------
+
+INT32 = (-(2**31), 2**31 - 1)
+
+
+def _exponents(invertible: bool):
+    # small values and values at both ends of the signed 32-bit range
+    low = INT32[0] if invertible else 0
+    return st.one_of(
+        st.integers(min_value=low, max_value=3),
+        st.integers(min_value=INT32[1] - 3, max_value=INT32[1]),
+        st.integers(min_value=low, max_value=low + 3),
+    )
+
+
+@st.composite
+def registries_with_vectors(draw):
+    width = draw(st.integers(min_value=1, max_value=12))
+    registry = VariableRegistry(
+        [Variable("q", invertible=True)] + [Variable(f"x{i}") for i in range(1, width)]
+    )
+    vector = st.tuples(_exponents(True), *[_exponents(False)] * (width - 1))
+    return registry, draw(st.lists(vector, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(registries_with_vectors())
+def test_registry_codec_round_trips_and_is_linear(case):
+    registry, vectors = case
+    keys = [registry.encode(v) for v in vectors]
+    for vector, key in zip(vectors, keys):
+        assert registry.decode(key) == vector
+    # a sum of keys decodes to the sum of the vectors, also outside the int32 range
+    total = tuple(map(sum, zip(*vectors)))
+    assert registry.decode(sum(keys)) == total
+    if all(INT32[0] <= e <= INT32[1] for e in total):
+        assert registry.encode(total) == sum(keys)
+
+
+def test_registry_codec_refuses_exponents_outside_int32():
+    for exps in [(0, 0, 2**31, 0), (-(2**31) - 1, 0, 0, 0)]:
+        with pytest.raises(DomainError):
+            REG.encode(exps)
+    big = Poly.var(REG, "x1", 2**31) + 1
+    with pytest.raises(DomainError):
+        big * (x1 + 1)
+    # at the edge of the range the product is exact
+    edge = (Poly.var(REG, "x1", 2**31 - 1) + 1) * (Poly.var(REG, "x1", 2**31 - 1) - 1)
+    assert edge == Poly.var(REG, "x1", 2**32 - 2) - 1
+
+
+def _tuple_product(f: Poly, g: Poly) -> dict:
+    """The product's terms by a tuple-add double loop, dropping cancelled keys."""
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return {key: c for key, c in terms.items() if c}
+
+
+def _coefficients(kind: str):
+    small = st.integers(min_value=-4, max_value=4).filter(bool)
+    if kind == "int":
+        return small
+    if kind == "Fraction":
+        return st.builds(Fraction, small, st.integers(min_value=1, max_value=4))
+    return st.builds(
+        lambda a, b: CyclotomicNumber(3, (a, b)), small, st.integers(min_value=-4, max_value=4)
+    )
+
+
+@st.composite
+def product_pairs(draw):
+    coeff = _coefficients(draw(st.sampled_from(["int", "Fraction", "CyclotomicNumber"])))
+    exps = st.tuples(
+        st.integers(min_value=-2, max_value=2), *[st.integers(min_value=0, max_value=2)] * 3
+    )
+    f = Poly(REG, draw(st.dictionaries(exps, coeff, min_size=2, max_size=6)))
+    shape = draw(st.sampled_from(["random", "sign-flip", "monomial", "zero"]))
+    if shape == "random":
+        g = Poly(REG, draw(st.dictionaries(exps, coeff, min_size=2, max_size=6)))
+    elif shape == "sign-flip":
+        # f with some signs flipped: the cross terms of (a + b)(a - b) cancel
+        flips = draw(st.lists(st.booleans(), min_size=len(f.terms), max_size=len(f.terms)))
+        g = Poly(REG, {e: -c if flip else c for (e, c), flip in zip(f.terms.items(), flips)})
+    elif shape == "monomial":
+        g = Poly(REG, draw(st.dictionaries(exps, coeff, min_size=1, max_size=1)))
+    else:
+        g = Poly.zero(REG)
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_product_matches_a_tuple_add_double_loop(pair):
+    f, g = pair
+    assert (f * g).terms == _tuple_product(f, g)
+    assert (g * f).terms == _tuple_product(g, f)
