@@ -18,6 +18,7 @@ the package's cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,9 @@ from superfrob.exact import (
     CyclotomicNumber,
     DomainError,
     Poly,
+    _coefficient_vector,
+    _cyclo_reduce,
+    euler_phi,
     solve_linear_exact,
     transport,
 )
@@ -261,7 +265,7 @@ def _specializer(m: int):
             if any(exps[m + 1 :]):
                 raise DomainError(f"character entry {entry!r} is not in q and Q only")
             slots[sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m] += coeff
-        return CyclotomicNumber.from_slots(m, slots)
+        return CyclotomicNumber._raw(m, _cyclo_reduce(m, slots))
 
     return specialize
 
@@ -397,27 +401,38 @@ def _audit_pairs(
 ) -> OrthogonalityReport:
     """Check sum_k weights[k] * u[k] * conj(v[k]) == delta(u, v) * diagonal[u] for all pairs.
 
-    Each entry is conjugated (and weighted) once up front rather than once per
-    pair; the exact sums compared are the same.  ``scale`` is a nonzero
+    Each pair's sum is taken in Z[x]/(x^m - 1) on coefficient vectors and
+    reduced modulo Phi_m once before it is compared.  For a coefficient
+    vector u_k and conj(v_k) = sum_b v_{k,b} zeta^(-b), slot s of the sum
+    collects u_{k,a} * weights[k] * v_{k,(a-s) mod m}; so each v is
+    conjugated and weighted once, as one flat vector per slot s, and a slot
+    is one dot product with u's flat coefficients.  ``scale`` is a nonzero
     integer the caller multiplied into the weights and the diagonal; a
     violating total is reported divided by it.
     """
+    phi = euler_phi(m)
+    flats = [[c for value in vector for c in _coefficient_vector(value, m)] for vector in vectors]
     bars = [
-        [weight * value.conjugate() for value, weight in zip(vector, weights)]
-        for vector in vectors
+        [
+            [
+                weight * flat[k * phi + b] if b < phi else 0
+                for k, weight in enumerate(weights)
+                for b in ((a - s) % m for a in range(phi))
+            ]
+            for s in range(m)
+        ]
+        for flat in flats
     ]
-    zero = CyclotomicNumber.from_rational(m, 0)
+    zeros = (0,) * (phi - 1)
     violations = []
-    for i, vector in enumerate(vectors):
-        for j, bar in enumerate(bars):
-            total = zero
-            for value, conjugate in zip(vector, bar):
-                total = total + value * conjugate
-            expected = CyclotomicNumber.from_rational(m, diagonal[i] if i == j else 0)
-            if total != expected:
+    for i, flat in enumerate(flats):
+        for j, slots in enumerate(bars):
+            total = _cyclo_reduce(m, [sum(map(operator.mul, flat, bar)) for bar in slots])
+            if total != ((diagonal[i] if i == j else 0),) + zeros:
+                value = CyclotomicNumber._raw(m, total)
                 if scale != 1:
-                    total = total * Fraction(1, scale)
-                violations.append((labels[i], labels[j], total))
+                    value = value * Fraction(1, scale)
+                violations.append((labels[i], labels[j], value))
     return OrthogonalityReport(not violations, len(vectors) ** 2, violations)
 
 

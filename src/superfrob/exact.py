@@ -13,6 +13,12 @@ registry's codec (:meth:`VariableRegistry.encode`), so the exponents of its
 factors must lie in the signed 32-bit range [-2^31, 2^31); outside it the
 product raises :class:`DomainError`.
 
+Cyclotomic numbers multiply through one tuple-level kernel on their
+coefficient vectors, which :func:`solve_linear_exact` also uses: the solve
+clears each row of its denominators, holds every entry as an integer or an
+integer coefficient vector over Z[zeta_m], and runs a fraction-free
+elimination in which every division is checked exact.
+
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
 """
@@ -24,6 +30,7 @@ import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -146,6 +153,10 @@ def _coerce_coeff(value):
 
 def _quotient(a, b):
     """a / b for rationals: an int when the quotient is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
     quotient = Fraction(a, b)
     return quotient.numerator if quotient.denominator == 1 else quotient
 
@@ -578,13 +589,72 @@ def _zeta_powers(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _reduction(m: int):
+    """phi(m) and, per residue r mod m, the nonzero (position, coefficient) pairs of zeta^r."""
+    table = _zeta_powers(m)
+    return len(table[0]), tuple(
+        tuple((pos, c) for pos, c in enumerate(row) if c) for row in table
+    )
+
+
+def _cyclo_reduce(m: int, acc: Sequence) -> tuple:
+    """The coefficient vector of sum_s acc[s] zeta^s, of any length, reduced modulo Phi_m."""
+    phi, rows = _reduction(m)
+    if len(acc) <= phi:
+        return tuple(acc) + (0,) * (phi - len(acc))
+    out = list(acc[:phi])
+    for s in range(phi, len(acc)):
+        value = acc[s]
+        if value:
+            for pos, c in rows[s % m]:
+                out[pos] += value * c
+    return tuple(out)
+
+
+def _cyclo_mul(m: int, a: Sequence, b: Sequence) -> tuple:
+    """The product of two coefficient vectors of Q(zeta_m): the one multiplication kernel."""
+    acc = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return _cyclo_reduce(m, acc)
+
+
+def _cyclo_galois(m: int, a: Sequence, k: int) -> tuple:
+    """The image of a coefficient vector under zeta -> zeta^k."""
+    slots = [0] * m
+    for i, c in enumerate(a):
+        slots[i * k % m] += c
+    return _cyclo_reduce(m, slots)
+
+
+def _conjugate_product(m: int, a: Sequence) -> tuple[tuple, object]:
+    """(c, N) for a nonzero coefficient vector a, with 1 / a = c / N.
+
+    c is the product of the other Galois conjugates of a and N = a * c its
+    rational norm.
+    """
+    phi = len(a)
+    others = (1,) + (0,) * (phi - 1)
+    for k in range(2, m):
+        if math.gcd(k, m) == 1:
+            others = _cyclo_mul(m, others, _cyclo_galois(m, a, k))
+    norm = _cyclo_mul(m, a, others)
+    if any(norm[1:]):
+        raise DomainError(f"norm of {a} in Q(zeta_{m}) is not rational")
+    return others, norm[0]
+
+
 class CyclotomicNumber:
     """Element of Q(zeta_m), stored as a residue modulo the m-th cyclotomic polynomial.
 
     Reduction modulo Phi_m (rather than z^m - 1) makes this a field, so
     equality tests are unambiguous and conjugation zeta -> zeta^(m-1) is a
     ring automorphism.  Every operation that meets a power of zeta reads it
-    from the one table :func:`_zeta_powers`.
+    from the one table :func:`_zeta_powers`, and every product goes through
+    the one kernel :func:`_cyclo_mul`.
     """
 
     __slots__ = ("order", "coeffs")
@@ -619,17 +689,9 @@ class CyclotomicNumber:
     @classmethod
     def from_slots(cls, order: int, slots: Sequence) -> "CyclotomicNumber":
         """sum_k slots[k] zeta^k over the rational slots 0 <= k < order."""
-        table = _zeta_powers(order)
         if len(slots) != order:
             raise StructuralError(f"need {order} slots for order {order}, got {len(slots)}")
-        out = [0] * len(table[0])
-        for slot, power in zip(slots, table):
-            if slot:
-                slot = _rational(slot)
-                for pos, c in enumerate(power):
-                    if c:
-                        out[pos] += slot * c
-        return cls._raw(order, tuple(out))
+        return cls._raw(order, _cyclo_reduce(order, [_rational(slot) for slot in slots]))
 
     # -- helpers -----------------------------------------------------------
 
@@ -649,11 +711,7 @@ class CyclotomicNumber:
 
     def _galois(self, k: int) -> "CyclotomicNumber":
         """The field automorphism zeta -> zeta^k, for k prime to the order."""
-        m = self.order
-        slots = [0] * m
-        for i, c in enumerate(self.coeffs):
-            slots[i * k % m] += c
-        return CyclotomicNumber.from_slots(m, slots)
+        return CyclotomicNumber._raw(self.order, _cyclo_galois(self.order, self.coeffs, k))
 
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
@@ -698,14 +756,7 @@ class CyclotomicNumber:
         if pair is None:
             return NotImplemented
         x, y = pair
-        m = x.order
-        slots = [0] * m
-        for i, a in enumerate(x.coeffs):
-            if a:
-                for j, b in enumerate(y.coeffs):
-                    if b:
-                        slots[(i + j) % m] += a * b
-        return CyclotomicNumber.from_slots(m, slots)
+        return CyclotomicNumber._raw(x.order, _cyclo_mul(x.order, x.coeffs, y.coeffs))
 
     __rmul__ = __mul__
 
@@ -713,13 +764,8 @@ class CyclotomicNumber:
         """The product of the other Galois conjugates over the rational norm."""
         if self.is_zero():
             raise DomainError("cyclotomic zero has no inverse")
-        m = self.order
-        others = CyclotomicNumber.from_rational(m, 1)
-        for k in range(2, m):
-            if math.gcd(k, m) == 1:
-                others = others * self._galois(k)
-        norm = (self * others).rational_value()
-        return CyclotomicNumber._raw(m, tuple(_quotient(c, norm) for c in others.coeffs))
+        others, norm = _conjugate_product(self.order, self.coeffs)
+        return CyclotomicNumber._raw(self.order, tuple(_quotient(c, norm) for c in others))
 
     def __truediv__(self, other):
         pair = self._align(other)
@@ -790,15 +836,45 @@ def transport(f: Poly, registry: VariableRegistry) -> Poly:
     return Poly(registry, terms)
 
 
-def _integral(value):
-    """value with each integral Fraction in it, also as a coefficient, made an int."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
+def _coefficient_vector(value, m: int) -> tuple:
+    """A scalar of Q(zeta_m) as its coefficients over 1, zeta_m, ..., zeta_m^(phi(m)-1).
+
+    A cyclotomic number of another order must be rational.
+    """
     if isinstance(value, CyclotomicNumber):
-        return CyclotomicNumber._raw(value.order, tuple(map(_integral, value.coeffs)))
-    if isinstance(value, Poly):
-        return Poly._raw(value.registry, {e: _integral(c) for e, c in value.terms.items()})
-    return value
+        if value.order == m:
+            return value.coeffs
+        value = value.rational_value()
+    return (_rational(value),) + (0,) * (euler_phi(m) - 1)
+
+
+def _solve_field(A, rhs_rows) -> tuple[int | None, list[int]]:
+    """The system's cyclotomic order (None if rational) and each augmented row's denominator lcm."""
+    orders: set[int] = set()
+    first = None
+    denominators = []
+    for row, rhs in zip(A, rhs_rows):
+        den = 1
+        scalars = [row] + [
+            value.terms.values() if isinstance(value, Poly) else (value,) for value in rhs
+        ]
+        for value in chain.from_iterable(scalars):
+            if type(value) is int:
+                continue
+            if isinstance(value, CyclotomicNumber):
+                first = first or value.order
+                if not value.is_rational():
+                    orders.add(value.order)
+                parts = value.coeffs
+            else:
+                parts = (_rational(value),)
+            for c in parts:
+                if isinstance(c, Fraction):
+                    den = math.lcm(den, c.denominator)
+        denominators.append(den)
+    if len(orders) > 1:
+        raise StructuralError("cyclotomic orders differ")
+    return (orders.pop() if orders else first), denominators
 
 
 def solve_linear_exact(
@@ -806,11 +882,20 @@ def solve_linear_exact(
 ) -> list[list]:
     """Solve the square system A x = b exactly for every right-hand side b in ``rhs_columns``.
 
-    Gauss-Jordan elimination with exact pivoting runs once on ``A``; each row
-    operation is applied to all right-hand sides together, and one solution
-    is returned per column.  ``A`` holds field scalars (int, Fraction or
-    CyclotomicNumber); right-hand side entries may be scalars or polynomials.
-    Integral values come back as ``int``, also inside cyclotomic and
+    ``A`` holds field scalars (int, Fraction or CyclotomicNumber of one order
+    m); right-hand side entries may be scalars or polynomials.  Each row of
+    the augmented system is first cleared of its denominators, so every entry
+    is an integer, or an integer coefficient vector over Z[zeta_m] (a
+    polynomial entry: such a value per term).  One fraction-free
+    Gauss-Jordan elimination (Bareiss) then runs on ``A`` and applies each
+    row operation to all right-hand sides together: a row with entry f != 0
+    in the pivot column becomes ``(p * row - f * pivot_row) / p_j``, for the
+    pivot p and the pivot p_j of the step that last changed the row.  Each
+    such division is an exact quotient in the ring, taken as the product
+    with p_j's other Galois conjugates followed by an integer divmod by
+    p_j's norm; a nonzero remainder raises :class:`DomainError`.  Only the
+    last step, which divides each solution row by its pivot, makes field
+    values.  Integral values come back as ``int``, also inside cyclotomic and
     polynomial entries.  A non-square ``A`` is a :class:`StructuralError`, a
     singular one a :class:`SingularMatrixError`.
     """
@@ -819,31 +904,161 @@ def solve_linear_exact(
         raise StructuralError("coefficient matrix is not square")
     if any(len(b) != size for b in rhs_columns):
         raise StructuralError("matrix and right-hand side differ in length")
-    mat = [list(row) for row in A]
-    # rhs[r] holds row r of every right-hand side
-    rhs = [[b[r] for b in rhs_columns] for r in range(size)]
+    # rhs_rows[r] holds row r of every right-hand side
+    rhs_rows = [[b[r] for b in rhs_columns] for r in range(size)]
+    polys = [value for row in rhs_rows for value in row if isinstance(value, Poly)]
+    registry = polys[0].registry if polys else None
+    for poly in polys:
+        polys[0]._check_registry(poly)
+    order, denominators = _solve_field(A, rhs_rows)
+    # a rational system runs in Z, the ring of integers of Q(zeta_1)
+    m = order or 1
+    phi = euler_phi(m)
 
-    pivot_of_col: list[int] = []
-    used: set[int] = set()
-    for col in range(size):
-        pivot = next(
-            (r for r in range(size) if r not in used and mat[r][col]), None
+    if phi == 1:
+        one, zero = 1, 0
+        mul = operator.mul
+
+        def combine(ps, x, fs, y):
+            return ps * x - fs * y
+
+        def divide(value, norm):
+            if norm == 1:
+                return value
+            quotient, remainder = divmod(value, norm)
+            if remainder:
+                raise DomainError("inexact elimination step: nonzero remainder")
+            return quotient
+
+    else:
+        one, zero = (1,) + (0,) * (phi - 1), (0,) * phi
+
+        def mul(a, b):
+            return _cyclo_mul(m, a, b)
+
+        def combine(ps, x, fs, y):
+            return tuple(map(operator.sub, _cyclo_mul(m, ps, x), _cyclo_mul(m, fs, y)))
+
+        def divide(value, norm):
+            if norm == 1:
+                return value
+            out = []
+            for c in value:
+                quotient, remainder = divmod(c, norm)
+                if remainder:
+                    raise DomainError("inexact elimination step: nonzero remainder")
+                out.append(quotient)
+            return tuple(out)
+
+    def to_ring(value, den):
+        if type(value) is int and phi == 1:
+            return value * den
+        # den clears every denominator of the row, so each product is integral
+        cleared = tuple(
+            c * den if type(c) is int else (c * den).numerator
+            for c in _coefficient_vector(value, m)
         )
+        return cleared if phi > 1 else cleared[0]
+
+    # each row: scalars (A's row, then scalar right-hand sides) and, when a
+    # right-hand side holds a polynomial, every right-hand side as {exps: entry}
+    constant = (0,) * len(registry) if registry is not None else None
+    mat, terms = [], []
+    for row, rhs, den in zip(A, rhs_rows, denominators):
+        if registry is None:
+            mat.append([to_ring(value, den) for value in list(row) + rhs])
+            terms.append([])
+        else:
+            mat.append([to_ring(value, den) for value in row])
+            terms.append(
+                [
+                    {e: to_ring(c, den) for e, c in value.terms.items()}
+                    if isinstance(value, Poly)
+                    else ({constant: to_ring(value, den)} if value else {})
+                    for value in rhs
+                ]
+            )
+
+    def scaled_terms(xs, ys, ps, fs, norm):
+        # (ps * xs - fs * ys) / norm, termwise
+        out = {}
+        for e, x in xs.items():
+            y = ys.get(e)
+            value = divide(mul(ps, x) if y is None else combine(ps, x, fs, y), norm)
+            if value != zero:
+                out[e] = value
+        for e, y in ys.items():
+            if e not in xs:
+                value = divide(combine(ps, zero, fs, y), norm)
+                if value != zero:
+                    out[e] = value
+        return out
+
+    # Plain Bareiss scales a row with f = 0 by p_k / p_{k-1} at step k.  Those
+    # scalings are left out: a row last changed at step j holds its step-j
+    # entries, and its entries at a later step k are those times p_k / p_j; so
+    # its next update divides by p_j instead of p_{k-1}, and a pivot row is
+    # scaled up to step k - 1 before use.  1 / p_j is cofactors[j] / norms[j].
+    pivots, cofactors, norms = [one], [one], [1]
+    stage = [0] * size
+    free = list(range(size))
+    pivot_rows = []
+    for col in range(size):
+        pivot = next((r for r in free if mat[r][col] != zero), None)
         if pivot is None:
             raise SingularMatrixError(f"no pivot available for column {col}")
-        used.add(pivot)
-        pivot_of_col.append(pivot)
-        inv = _field_inverse(mat[pivot][col])
-        if inv != 1:
-            mat[pivot] = [x * inv for x in mat[pivot]]
-            rhs[pivot] = [inv * value for value in rhs[pivot]]
+        free.remove(pivot)
+        pivot_rows.append(pivot)
+        k = len(pivots)
+        j = stage[pivot]
+        if j != k - 1:
+            # the pivot row's entries at step k - 1
+            scale, norm = mul(pivots[k - 1], cofactors[j]), norms[j]
+            mat[pivot][col:] = [divide(mul(scale, x), norm) for x in mat[pivot][col:]]
+            terms[pivot] = [scaled_terms(xs, {}, scale, zero, norm) for xs in terms[pivot]]
+        p = mat[pivot][col]
+        tail = mat[pivot][col + 1 :]
         for r in range(size):
-            if r == pivot:
+            f = mat[r][col]
+            if r == pivot or f == zero:
                 continue
-            factor = mat[r][col]
-            if not factor:
-                continue
-            mat[r] = [x - factor * y for x, y in zip(mat[r], mat[pivot])]
-            rhs[r] = [value - factor * p for value, p in zip(rhs[r], rhs[pivot])]
+            j = stage[r]
+            ps, fs, norm = mul(p, cofactors[j]), mul(f, cofactors[j]), norms[j]
+            mat[r][col + 1 :] = [
+                divide(combine(ps, x, fs, y), norm) for x, y in zip(mat[r][col + 1 :], tail)
+            ]
+            terms[r] = [
+                scaled_terms(xs, ys, ps, fs, norm) for xs, ys in zip(terms[r], terms[pivot])
+            ]
+            stage[r] = k
+        stage[pivot] = k
+        pivots.append(p)
+        cofactor, norm = (one, p) if phi == 1 else _conjugate_product(m, p)
+        cofactors.append(cofactor)
+        norms.append(norm)
 
-    return [[_integral(rhs[pivot][j]) for pivot in pivot_of_col] for j in range(len(rhs_columns))]
+    # the pivot row of each column, last changed at step j, reads p_j * e_col | p_j * x
+    if phi == 1:
+
+        def field(value, j):
+            quotient = _quotient(value, norms[j])
+            return quotient if order is None else CyclotomicNumber._raw(m, (quotient,))
+
+    else:
+
+        def field(value, j):
+            product = _cyclo_mul(m, value, cofactors[j])
+            return CyclotomicNumber._raw(m, tuple(_quotient(c, norms[j]) for c in product))
+
+    if registry is None:
+        return [
+            [field(mat[r][size + c], stage[r]) for r in pivot_rows]
+            for c in range(len(rhs_columns))
+        ]
+    return [
+        [
+            Poly._raw(registry, {e: field(value, stage[r]) for e, value in terms[r][c].items()})
+            for r in pivot_rows
+        ]
+        for c in range(len(rhs_columns))
+    ]

@@ -1,6 +1,7 @@
 """Tests for character computations and consistency checks."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from superfrob.characters import (
     wreath_character_table,
     wreath_identity_violations,
 )
+from superfrob.serialize import json_text, table_payload
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
@@ -271,11 +273,12 @@ def _violations_in_rationals(m, labels, vectors, weights, diagonal):
     return violations
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (5, 1)])
 def test_orthogonality_audits_name_a_bumped_entry(m, n):
     # one wrong entry breaks row and column orthogonality, on and off the
     # diagonal; each audit names exactly the pairs that a sum in rational
-    # weights 1/Z_bmu names, and reports that unscaled sum
+    # weights 1/Z_bmu names, and reports that unscaled sum; at (4,2) and
+    # (5,1) phi(m) > 1 and conjugation permutes the coefficient slots
     table = wreath_character_table(m, n)
     row, col = len(table.rows) - 1, len(table.cols) // 2
     bumped = _bump_one_entry(table, row, col)
@@ -340,6 +343,24 @@ def test_wreath_entries_keep_integral_coefficients_as_ints():
     # character values lie in Z[zeta], so no denominator-1 Fraction survives the solve
     table = wreath_character_table(3, 2)
     assert {type(c) for row in table.entries for value in row for c in value.coeffs} == {int}
+
+
+# sha256 of json_text(table_payload(...)) of the wreath tables, as computed
+# by the Gauss-Jordan solve over Fraction coefficients that preceded the
+# fraction-free one
+WREATH_PAYLOAD_SHA256 = {
+    (3, 2): "295a9ef8c95f1846063dcde1aa431cb57a4e9152cfaa6c77e77a63fe38487e17",
+    (4, 2): "1479900afcf4f63f7f12bffba9463e477d8db74b103e87836e13e94de62c7d5e",
+    (2, 3): "4152af93120250301db84c647b76d0e2d141bd31d711d0f83201ffc857319bae",
+    (3, 3): "fa4dba953766176d068e2a016fb63986b90db95953a18c35cdc793d88d94087e",
+    (5, 2): "5aadf38020e58cd331d771aa272adaae07cdd31178c3546707302182145fe9de",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(WREATH_PAYLOAD_SHA256))
+def test_wreath_table_payloads_are_pinned(m, n):
+    text = json_text(table_payload(wreath_character_table(m, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == WREATH_PAYLOAD_SHA256[(m, n)]
 
 
 def test_king_expansion():

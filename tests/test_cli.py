@@ -70,6 +70,22 @@ def test_chartable_guard_names_the_charged_quantity(capsys):
     assert "(m*n)^n = 823543 exceeds the cap 200000" in capsys.readouterr().err
 
 
+def test_verify_charges_the_tensor_only_to_suites_that_build_it(capsys):
+    # orthogonality never reads --k/--l, so only its m*n cap applies
+    profile = ["--m", "1", "--n", "6", "--k", "5", "--l", "5"]
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "orthogonality", *profile])
+    assert code == 0 and json.loads(out)["passed"] is True
+    for suite in ("relations", "frobenius", "identities", "all"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--suite", suite, *profile])
+        assert err.value.code == 2
+        assert "(k+l)^n = 1000000 exceeds the cap 200000" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--suite", "orthogonality", "--m", "1", "--n", "11"])
+    assert err.value.code == 2
+    assert "m*n = 11 exceeds the desk-scale cap 10" in capsys.readouterr().err
+
+
 def test_flags_are_registered_only_where_read(capsys):
     # verify always prints JSON, and expand has nothing to report on stderr
     for argv in (

@@ -4,7 +4,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from superfrob.exact import (
     CyclotomicNumber,
@@ -411,6 +411,87 @@ def test_joint_solve_matches_columnwise(rows, solutions, perturb):
         if perturb is None:
             for values, x in zip(solutions, joint):
                 assert x == [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]
+
+
+# -- the fraction-free solve over Q(zeta_m) -----------------------------------
+
+
+@st.composite
+def cyclotomic_systems(draw):
+    """(m, A, columns): a square system over Q(zeta_m), m in 1..6, of size 1-3.
+
+    Entries have integral or Fraction coefficients; the right-hand sides are
+    all scalars or all polynomials with cyclotomic coefficients.
+    """
+    m = draw(st.integers(min_value=1, max_value=6))
+    width = euler_phi(m)
+    if draw(st.booleans()):
+        coefficients = st.integers(min_value=-3, max_value=3)
+    else:
+        coefficients = st.builds(
+            Fraction, st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=4)
+        )
+
+    def scalar():
+        return CyclotomicNumber(m, draw(st.lists(coefficients, min_size=width, max_size=width)))
+
+    size = draw(st.integers(min_value=1, max_value=3))
+    A = [[scalar() for _ in range(size)] for _ in range(size)]
+    polynomial = draw(st.booleans())
+    columns = [
+        [scalar() * q + scalar() * x1 + scalar() if polynomial else scalar() for _ in range(size)]
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return m, A, columns
+
+
+@settings(max_examples=120, deadline=None)
+@given(cyclotomic_systems())
+def test_cyclotomic_solve_residuals_vanish_and_joint_equals_columnwise(system):
+    _, A, columns = system
+    joint = _solve_or_error(A, columns)
+    alone = [_solve_or_error(A, [column]) for column in columns]
+    if isinstance(joint, SingularMatrixError):
+        assert all(isinstance(result, SingularMatrixError) for result in alone)
+        return
+    assert joint == [result[0] for result in alone]
+    for x, column in zip(joint, columns):
+        for row, rhs in zip(A, column):
+            total = 0
+            for coeff, value in zip(row, x):
+                total = coeff * value + total
+            assert total == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_systems(), st.data())
+def test_a_row_that_is_a_ring_multiple_of_another_is_singular(system, data):
+    m, A, columns = system
+    assume(len(A) >= 2)
+    width = euler_phi(m)
+    coefficients = st.lists(st.integers(min_value=-3, max_value=3), min_size=width, max_size=width)
+    factor = CyclotomicNumber(m, data.draw(coefficients))
+    A[-1] = [factor * value for value in A[0]]
+    with pytest.raises(SingularMatrixError):
+        solve_linear_exact(A, columns)
+
+
+def test_a_corrupted_pivot_quotient_raises(monkeypatch):
+    # every division by the previous pivot is checked exact, so a wrong
+    # cofactor of a pivot stops the wreath solve instead of giving a table
+    from superfrob import exact
+    from superfrob.characters import wreath_character_table
+
+    assert wreath_character_table.__wrapped__(3, 2).entries
+    original = exact._conjugate_product
+
+    def corrupted(m, a):
+        others, norm = original(m, a)
+        return (others[0] + 1,) + others[1:], norm
+
+    monkeypatch.setattr(exact, "_conjugate_product", corrupted)
+    with pytest.raises(DomainError, match="nonzero remainder"):
+        wreath_character_table.__wrapped__(3, 2)
 
 
 # -- the registry codec and the general product ------------------------------
