@@ -180,10 +180,11 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
 
     The expansions of all q_bmu over the super Schur basis are solved in one
-    square elimination on the |P_{m,n}| dominant monomial rows.  Every
-    expansion entering the solve is certified symmetric within each color,
-    which makes the dominant rows equivalent to all monomial rows, and entries
-    are verified to be integer Laurent polynomials.
+    square elimination on the |P_{m,n}| dominant monomial rows, with one
+    scalar right-hand side per column bmu and (q, Q) monomial of its
+    coordinates.  Every expansion entering the solve is certified symmetric
+    within each color, which makes the dominant rows equivalent to all
+    monomial rows, and entries are verified to be integer Laurent polynomials.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -193,17 +194,31 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
         [c.constant_value() for c in _dominant_coordinates(super_schur(bshape, block), block, n)]
         for bshape in labels
     ]
-    solutions = solve_linear_exact(
-        [list(row) for row in zip(*schur_columns)],
-        [_dominant_coordinates(q_bmu(bmu, block), block, n) for bmu in labels],
+    coordinates = [_dominant_coordinates(q_bmu(bmu, block), block, n) for bmu in labels]
+    monomials = [list(dict.fromkeys(e for c in coords for e in c.terms)) for coords in coordinates]
+    values = iter(
+        solve_linear_exact(
+            [list(row) for row in zip(*schur_columns)],
+            [
+                [c.terms.get(e, 0) for c in coords]
+                for coords, exps in zip(coordinates, monomials)
+                for e in exps
+            ],
+        )
     )
-    for bmu, values in zip(labels, solutions):
-        for bshape, value in zip(labels, values):
-            for coeff in value.terms.values():
-                if isinstance(coeff, Fraction) and coeff.denominator != 1:
+    solutions = []
+    for bmu, exps in zip(labels, monomials):
+        parts = [next(values) for _ in exps]
+        column = []
+        for r, bshape in enumerate(labels):
+            terms = {e: part[r] for e, part in zip(exps, parts) if part[r]}
+            for value in terms.values():
+                if isinstance(value, Fraction) and value.denominator != 1:
                     raise ConsistencyError(
                         f"non-integer character value for {bshape} at {bmu}: {value!r}"
                     )
+            column.append(Poly._raw(block.registry, terms))
+        solutions.append(column)
     entries = [list(row) for row in zip(*solutions)]
     specialize = _specializer(m)
     return CharacterTable(

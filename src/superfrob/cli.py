@@ -182,11 +182,13 @@ def cmd_verify(args, parser) -> int:
     if args.m < 1 or args.n < 1:
         parser.error("verify needs --m >= 1 and --n >= 1")
     bk, bl = _resolve_profile(parser, args, args.m)
-    if sum(bk) + sum(bl) == 0:
-        parser.error("the verification profile needs at least one variable")
     # the orthogonality suite builds no tensor and never reads --k/--l, so only
     # the m*n cap applies to it
-    dimension = (sum(bk) + sum(bl)) ** args.n if args.suite in TENSOR_SUITES else 0
+    dimension = 0
+    if args.suite in TENSOR_SUITES:
+        if sum(bk) + sum(bl) == 0:
+            parser.error("the verification profile needs at least one variable")
+        dimension = (sum(bk) + sum(bl)) ** args.n
     _guard(parser, args, args.m, args.n, "(k+l)^n", dimension)
     config = SuiteConfig(m=args.m, n=args.n, bk=bk, bl=bl)
     if args.verbose:

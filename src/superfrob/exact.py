@@ -15,9 +15,10 @@ product raises :class:`DomainError`.
 
 Cyclotomic numbers multiply through one tuple-level kernel on their
 coefficient vectors, which :func:`solve_linear_exact` also uses: the solve
-clears each row of its denominators, holds every entry as an integer or an
-integer coefficient vector over Z[zeta_m], and runs a fraction-free
-elimination in which every division is checked exact.
+takes scalar right-hand sides only, clears each row of its denominators,
+holds every entry as an integer or an integer coefficient vector over
+Z[zeta_m], and runs a fraction-free elimination in which every division is
+checked exact.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -855,10 +856,7 @@ def _solve_field(A, rhs_rows) -> tuple[int | None, list[int]]:
     denominators = []
     for row, rhs in zip(A, rhs_rows):
         den = 1
-        scalars = [row] + [
-            value.terms.values() if isinstance(value, Poly) else (value,) for value in rhs
-        ]
-        for value in chain.from_iterable(scalars):
+        for value in chain(row, rhs):
             if type(value) is int:
                 continue
             if isinstance(value, CyclotomicNumber):
@@ -882,11 +880,11 @@ def solve_linear_exact(
 ) -> list[list]:
     """Solve the square system A x = b exactly for every right-hand side b in ``rhs_columns``.
 
-    ``A`` holds field scalars (int, Fraction or CyclotomicNumber of one order
-    m); right-hand side entries may be scalars or polynomials.  Each row of
-    the augmented system is first cleared of its denominators, so every entry
-    is an integer, or an integer coefficient vector over Z[zeta_m] (a
-    polynomial entry: such a value per term).  One fraction-free
+    ``A`` and the right-hand sides hold field scalars: int, Fraction or
+    CyclotomicNumber of one order m; any other entry, a polynomial among
+    them, is a :class:`StructuralError`.  Each row of the augmented system is
+    first cleared of its denominators, so every entry is an integer, or an
+    integer coefficient vector over Z[zeta_m].  One fraction-free
     Gauss-Jordan elimination (Bareiss) then runs on ``A`` and applies each
     row operation to all right-hand sides together: a row with entry f != 0
     in the pivot column becomes ``(p * row - f * pivot_row) / p_j``, for the
@@ -895,8 +893,8 @@ def solve_linear_exact(
     with p_j's other Galois conjugates followed by an integer divmod by
     p_j's norm; a nonzero remainder raises :class:`DomainError`.  Only the
     last step, which divides each solution row by its pivot, makes field
-    values.  Integral values come back as ``int``, also inside cyclotomic and
-    polynomial entries.  A non-square ``A`` is a :class:`StructuralError`, a
+    values.  Integral values come back as ``int``, also inside cyclotomic
+    entries.  A non-square ``A`` is a :class:`StructuralError`, a
     singular one a :class:`SingularMatrixError`.
     """
     size = len(A)
@@ -906,10 +904,6 @@ def solve_linear_exact(
         raise StructuralError("matrix and right-hand side differ in length")
     # rhs_rows[r] holds row r of every right-hand side
     rhs_rows = [[b[r] for b in rhs_columns] for r in range(size)]
-    polys = [value for row in rhs_rows for value in row if isinstance(value, Poly)]
-    registry = polys[0].registry if polys else None
-    for poly in polys:
-        polys[0]._check_registry(poly)
     order, denominators = _solve_field(A, rhs_rows)
     # a rational system runs in Z, the ring of integers of Q(zeta_1)
     m = order or 1
@@ -960,39 +954,11 @@ def solve_linear_exact(
         )
         return cleared if phi > 1 else cleared[0]
 
-    # each row: scalars (A's row, then scalar right-hand sides) and, when a
-    # right-hand side holds a polynomial, every right-hand side as {exps: entry}
-    constant = (0,) * len(registry) if registry is not None else None
-    mat, terms = [], []
-    for row, rhs, den in zip(A, rhs_rows, denominators):
-        if registry is None:
-            mat.append([to_ring(value, den) for value in list(row) + rhs])
-            terms.append([])
-        else:
-            mat.append([to_ring(value, den) for value in row])
-            terms.append(
-                [
-                    {e: to_ring(c, den) for e, c in value.terms.items()}
-                    if isinstance(value, Poly)
-                    else ({constant: to_ring(value, den)} if value else {})
-                    for value in rhs
-                ]
-            )
-
-    def scaled_terms(xs, ys, ps, fs, norm):
-        # (ps * xs - fs * ys) / norm, termwise
-        out = {}
-        for e, x in xs.items():
-            y = ys.get(e)
-            value = divide(mul(ps, x) if y is None else combine(ps, x, fs, y), norm)
-            if value != zero:
-                out[e] = value
-        for e, y in ys.items():
-            if e not in xs:
-                value = divide(combine(ps, zero, fs, y), norm)
-                if value != zero:
-                    out[e] = value
-        return out
+    # each row: A's row, then the row of every right-hand side
+    mat = [
+        [to_ring(value, den) for value in chain(row, rhs)]
+        for row, rhs, den in zip(A, rhs_rows, denominators)
+    ]
 
     # Plain Bareiss scales a row with f = 0 by p_k / p_{k-1} at step k.  Those
     # scalings are left out: a row last changed at step j holds its step-j
@@ -1015,7 +981,6 @@ def solve_linear_exact(
             # the pivot row's entries at step k - 1
             scale, norm = mul(pivots[k - 1], cofactors[j]), norms[j]
             mat[pivot][col:] = [divide(mul(scale, x), norm) for x in mat[pivot][col:]]
-            terms[pivot] = [scaled_terms(xs, {}, scale, zero, norm) for xs in terms[pivot]]
         p = mat[pivot][col]
         tail = mat[pivot][col + 1 :]
         for r in range(size):
@@ -1026,9 +991,6 @@ def solve_linear_exact(
             ps, fs, norm = mul(p, cofactors[j]), mul(f, cofactors[j]), norms[j]
             mat[r][col + 1 :] = [
                 divide(combine(ps, x, fs, y), norm) for x, y in zip(mat[r][col + 1 :], tail)
-            ]
-            terms[r] = [
-                scaled_terms(xs, ys, ps, fs, norm) for xs, ys in zip(terms[r], terms[pivot])
             ]
             stage[r] = k
         stage[pivot] = k
@@ -1050,15 +1012,6 @@ def solve_linear_exact(
             product = _cyclo_mul(m, value, cofactors[j])
             return CyclotomicNumber._raw(m, tuple(_quotient(c, norms[j]) for c in product))
 
-    if registry is None:
-        return [
-            [field(mat[r][size + c], stage[r]) for r in pivot_rows]
-            for c in range(len(rhs_columns))
-        ]
     return [
-        [
-            Poly._raw(registry, {e: field(value, stage[r]) for e, value in terms[r][c].items()})
-            for r in pivot_rows
-        ]
-        for c in range(len(rhs_columns))
+        [field(mat[r][size + c], stage[r]) for r in pivot_rows] for c in range(len(rhs_columns))
     ]

@@ -49,7 +49,6 @@ from superfrob.symfunc import (
 )
 from superfrob.tensorrep import (
     TensorContext,
-    apply_T1,
     apply_word,
     standard_word,
     trace_D_word,
@@ -158,7 +157,7 @@ def suite_relations(config: SuiteConfig) -> list[CheckResult]:
         for tup in ctx.basis():
             acc = ctx.basis_vector(tup)
             for i in range(1, config.m + 1):
-                acc = vec_add(apply_T1(ctx, acc), vec_scale(acc, -ctx.Q[i]))
+                acc = vec_add(apply_word(ctx, (("T1",),), acc), vec_scale(acc, -ctx.Q[i]))
             if acc:
                 return False, f"prod (T_1 - Q_i) nonzero on {tup}"
         return True, f"prod_(i=1..{config.m}) (T_1 - Q_i) = 0"

@@ -326,47 +326,16 @@ def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Kernel:
     return run
 
 
-# -- public operators on {tuple: Poly} vectors ---------------------------------------
+# -- the public operator on {tuple: Poly} vectors ------------------------------------
 #
-# Each converts its vector to the flat form once, runs the kernels of its
-# atoms, and forms one Poly per tuple of the result.
+# It converts its vector to the flat form once, runs the kernels of the word's
+# atoms, and forms one Poly per tuple of the result.  One atom is a one-atom
+# word, e.g. (("T", 2),).
 
 
 def apply_word(ctx: TensorContext, word: Sequence[OperatorAtom], vec: TensorVector) -> TensorVector:
     """Apply a word of atoms right-to-left (the rightmost atom acts first)."""
     return _polys(ctx, _word_kernel(ctx, word)(_flat(ctx, vec)))
-
-
-def apply_atom(ctx: TensorContext, atom: OperatorAtom, vec: TensorVector) -> TensorVector:
-    return _polys(ctx, _kernel(ctx, atom)(_flat(ctx, vec)))
-
-
-def apply_phi_s(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("phis", a), vec)
-
-
-def apply_T(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("T", a), vec)
-
-
-def apply_T_inv(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("Tinv", a), vec)
-
-
-def apply_S(ctx: TensorContext, a: int, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("S", a), vec)
-
-
-def apply_Omega(ctx: TensorContext, j: int, power: int, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("omega", j, power), vec)
-
-
-def apply_T1(ctx: TensorContext, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("T1",), vec)
-
-
-def apply_D(ctx: TensorContext, vec: TensorVector) -> TensorVector:
-    return apply_atom(ctx, ("D",), vec)
 
 
 def standard_word(bmu: Multipartition, n: int) -> OperatorWord:

@@ -186,6 +186,26 @@ def test_hecke_certificate_rejects_asymmetric_q_bmu(monkeypatch, m, n):
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_hecke_table_rejects_non_integer_character_values(monkeypatch, m, n):
+    # halving every q_bmu halves every character value, so some coefficient
+    # of the solve is not an integer
+    from superfrob import characters
+
+    original = characters.q_bmu
+
+    def halved(bmu, block):
+        return Fraction(1, 2) * original(bmu, block)
+
+    monkeypatch.setattr(characters, "q_bmu", halved)
+    hecke_character_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="non-integer character value"):
+            hecke_character_table(m, n)
+    finally:
+        hecke_character_table.cache_clear()
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
 def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
     wreath_character_table.cache_clear()
     _break_color_symmetry(monkeypatch, "super_schur")
@@ -361,6 +381,23 @@ WREATH_PAYLOAD_SHA256 = {
 def test_wreath_table_payloads_are_pinned(m, n):
     text = json_text(table_payload(wreath_character_table(m, n)))
     assert hashlib.sha256(text.encode()).hexdigest() == WREATH_PAYLOAD_SHA256[(m, n)]
+
+
+# sha256 of json_text(table_payload(...)) of the generic Hecke tables, as
+# computed by the solve that carried polynomial right-hand sides through the
+# elimination
+HECKE_PAYLOAD_SHA256 = {
+    (1, 6): "0b2354e2c79be6dc3933f7ee4842b225674c437dc6a34d22b4cd2bf1524cb2f8",
+    (2, 4): "bc59d306821c6dd6d485a6ed23da440a05d54d29c60a1a8a68a7955a8b77fae6",
+    (3, 3): "8cbfd0ee38df732ea1d0331fcfd95032613ca9309cb7a12a04e472669c7d261a",
+    (4, 2): "a17c8ac72dc55a61307736d2181ed56b57b74fe914433869417a27f65180a6ea",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(HECKE_PAYLOAD_SHA256))
+def test_hecke_table_payloads_are_pinned(m, n):
+    text = json_text(table_payload(hecke_character_table(m, n)))
+    assert hashlib.sha256(text.encode()).hexdigest() == HECKE_PAYLOAD_SHA256[(m, n)]
 
 
 def test_king_expansion():

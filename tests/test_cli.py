@@ -84,6 +84,15 @@ def test_verify_charges_the_tensor_only_to_suites_that_build_it(capsys):
         cli.main(["verify", "--suite", "orthogonality", "--m", "1", "--n", "11"])
     assert err.value.code == 2
     assert "m*n = 11 exceeds the desk-scale cap 10" in capsys.readouterr().err
+    # nor does it need a variable of the tensor superspace
+    empty = ["--m", "2", "--n", "2", "--k", "0", "--l", "0"]
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "orthogonality", *empty])
+    assert code == 0 and json.loads(out)["passed"] is True
+    for suite in ("relations", "frobenius", "identities", "all"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--suite", suite, *empty])
+        assert err.value.code == 2
+        assert "the verification profile needs at least one variable" in capsys.readouterr().err
 
 
 def test_flags_are_registered_only_where_read(capsys):

@@ -125,21 +125,21 @@ def test_phi_divisor_product_identity():
 
 
 def test_solve_identity():
-    rhs = [q, Q1, x1]
+    rhs = [3, Fraction(-1, 2), CyclotomicNumber.from_rational(1, 7)]
     eye = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     assert solve_linear_exact(eye, [rhs]) == [rhs]
 
 
 def test_solve_diagonal():
     A = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]]
-    sol = solve_linear_exact(A, [[q, Q1]])
-    assert sol == [[Fraction(1, 2) * q, Fraction(1, 4) * Q1]]
+    sol = solve_linear_exact(A, [[3, 5]])
+    assert sol == [[Fraction(3, 2), Fraction(5, 4)]]
 
 
 def test_solve_singular():
     A = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
     with pytest.raises(SingularMatrixError):
-        solve_linear_exact(A, [[q, Q1]])
+        solve_linear_exact(A, [[1, 2]])
 
 
 def test_solve_rejects_non_square():
@@ -150,9 +150,18 @@ def test_solve_rejects_non_square():
         [[Fraction(1), Fraction(0)], [Fraction(1)]],
     ):
         with pytest.raises(StructuralError):
-            solve_linear_exact(A, [[x1] * len(A)])
+            solve_linear_exact(A, [[1] * len(A)])
     with pytest.raises(StructuralError):
-        solve_linear_exact([[Fraction(1)]], [[x1, x2]])
+        solve_linear_exact([[Fraction(1)]], [[1, 2]])
+
+
+def test_solve_refuses_polynomial_right_hand_sides():
+    # right-hand sides are field scalars; a polynomial is not one
+    for rhs in ([q], [Poly.const(REG, 2)], [Poly.zero(REG)]):
+        with pytest.raises(StructuralError, match="unsupported coefficient"):
+            solve_linear_exact([[Fraction(1)]], [rhs])
+    with pytest.raises(StructuralError, match="unsupported coefficient"):
+        solve_linear_exact([[2, 0], [0, 1]], [[4, 1], [6 * q, x1]])
 
 
 def test_solve_cyclotomic_field():
@@ -167,9 +176,9 @@ def test_solve_cyclotomic_field():
 def test_solve_returns_ints_where_integral():
     assert solve_linear_exact([[2]], [[4]]) == [[2]]
     assert type(solve_linear_exact([[2]], [[4]])[0][0]) is int
-    [[value]] = solve_linear_exact([[3]], [[6 * q + 2 * x1]])
-    assert value == 2 * q + Fraction(2, 3) * x1
-    assert sorted(type(c).__name__ for c in value.terms.values()) == ["Fraction", "int"]
+    [[whole], [part]] = solve_linear_exact([[3]], [[6], [2]])
+    assert (whole, part) == (2, Fraction(2, 3))
+    assert (type(whole), type(part)) == (int, Fraction)
     z3 = CyclotomicNumber.zeta(3)
     [[value]] = solve_linear_exact([[CyclotomicNumber.from_rational(3, 2)]], [[z3 * 4]])
     assert value == z3 * 2
@@ -354,13 +363,13 @@ def test_division_inverts_multiplication(f):
 )
 def test_solver_residuals_vanish(rows):
     A = [[Fraction(v) for v in row] for row in rows]
-    b = [q * Fraction(i + 1) + x1 for i in range(len(A))]
+    b = [Fraction(3 * i + 1, i + 2) for i in range(len(A))]
     try:
         [x] = solve_linear_exact(A, [b])
     except SingularMatrixError:
         return
     for row, rhs in zip(A, b):
-        total = Poly.zero(REG)
+        total = 0
         for coeff, value in zip(row, x):
             total = total + coeff * value
         assert total == rhs
@@ -392,15 +401,15 @@ def test_joint_solve_matches_columnwise(rows, solutions, perturb):
     # each column is A times a known solution, optionally perturbed in one row
     columns = []
     for values in solutions:
-        x = [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]
-        column = [Poly.zero(REG)] * len(A)
+        x = [Fraction(v, c + 1) for c, v in enumerate(values)]
+        column = [0] * len(A)
         for r, row in enumerate(A):
             for coeff, value in zip(row, x):
                 column[r] = column[r] + coeff * value
         columns.append(column)
     if perturb is not None:
         col, row = perturb[0] % len(columns), perturb[1] % len(A)
-        columns[col][row] = columns[col][row] + Q1
+        columns[col][row] = columns[col][row] + 1
 
     alone = [_solve_or_error(A, [column]) for column in columns]
     joint = _solve_or_error(A, columns)
@@ -410,7 +419,7 @@ def test_joint_solve_matches_columnwise(rows, solutions, perturb):
         assert joint == [result[0] for result in alone]
         if perturb is None:
             for values, x in zip(solutions, joint):
-                assert x == [Fraction(v) * q + Fraction(c) * x1 for c, v in enumerate(values)]
+                assert x == [Fraction(v, c + 1) for c, v in enumerate(values)]
 
 
 # -- the fraction-free solve over Q(zeta_m) -----------------------------------
@@ -421,7 +430,7 @@ def cyclotomic_systems(draw):
     """(m, A, columns): a square system over Q(zeta_m), m in 1..6, of size 1-3.
 
     Entries have integral or Fraction coefficients; the right-hand sides are
-    all scalars or all polynomials with cyclotomic coefficients.
+    all cyclotomic numbers or all rationals (int or Fraction).
     """
     m = draw(st.integers(min_value=1, max_value=6))
     width = euler_phi(m)
@@ -437,9 +446,9 @@ def cyclotomic_systems(draw):
 
     size = draw(st.integers(min_value=1, max_value=3))
     A = [[scalar() for _ in range(size)] for _ in range(size)]
-    polynomial = draw(st.booleans())
+    rational = draw(st.booleans())
     columns = [
-        [scalar() * q + scalar() * x1 + scalar() if polynomial else scalar() for _ in range(size)]
+        [draw(coefficients) if rational else scalar() for _ in range(size)]
         for _ in range(draw(st.integers(min_value=1, max_value=3)))
     ]
     return m, A, columns

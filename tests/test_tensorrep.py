@@ -26,13 +26,6 @@ from superfrob.symfunc import (
 )
 from superfrob.tensorrep import (
     TensorContext,
-    apply_D,
-    apply_Omega,
-    apply_S,
-    apply_T,
-    apply_T1,
-    apply_T_inv,
-    apply_phi_s,
     apply_word,
     classical_apply,
     classical_trace_D,
@@ -65,23 +58,23 @@ def test_phi_s_cases():
     ctx = make_ctx((1,), (1,), 2)
     one = ctx.one
     # equal even entries: fixed with sign +1
-    assert apply_phi_s(ctx, 2, {(1, 1): one}) == {(1, 1): one}
+    assert apply_word(ctx, (("phis", 2),), {(1, 1): one}) == {(1, 1): one}
     # equal odd entries: sign -1
-    assert apply_phi_s(ctx, 2, {(2, 2): one}) == {(2, 2): -one}
+    assert apply_word(ctx, (("phis", 2),), {(2, 2): one}) == {(2, 2): -one}
     # mixed parities swap with sign (+1)^(0*1)
-    assert apply_phi_s(ctx, 2, {(1, 2): one}) == {(2, 1): one}
+    assert apply_word(ctx, (("phis", 2),), {(1, 2): one}) == {(2, 1): one}
     with pytest.raises(IndexError):
-        apply_phi_s(ctx, 3, {(1, 1): one})
+        apply_word(ctx, (("phis", 3),), {(1, 1): one})
 
 
 def test_T_action_cases():
     ctx = make_ctx((1,), (1,), 2)
     one = ctx.one
     q, q_inv, qmqi = ctx.q, ctx.q_inv, ctx.q_minus_q_inv
-    assert apply_T(ctx, 2, {(1, 1): one}) == {(1, 1): q}
-    assert apply_T(ctx, 2, {(2, 2): one}) == {(2, 2): -q_inv}
-    assert apply_T(ctx, 2, {(1, 2): one}) == {(1, 2): qmqi, (2, 1): one}
-    assert apply_T(ctx, 2, {(2, 1): one}) == {(1, 2): one}
+    assert apply_word(ctx, (("T", 2),), {(1, 1): one}) == {(1, 1): q}
+    assert apply_word(ctx, (("T", 2),), {(2, 2): one}) == {(2, 2): -q_inv}
+    assert apply_word(ctx, (("T", 2),), {(1, 2): one}) == {(1, 2): qmqi, (2, 1): one}
+    assert apply_word(ctx, (("T", 2),), {(2, 1): one}) == {(1, 2): one}
 
 
 def test_T_diagonal_verification_flag():
@@ -91,8 +84,8 @@ def test_T_diagonal_verification_flag():
         assert ctx.t_diagonal == (ctx.q, -ctx.q_inv)
     ctx = make_ctx((1,), (1,), 2)
     one = ctx.one
-    assert apply_T(ctx, 2, {(1, 1): one}) == {(1, 1): ctx.q}
-    assert apply_T(ctx, 2, {(2, 2): one}) == {(2, 2): -ctx.q_inv}
+    assert apply_word(ctx, (("T", 2),), {(1, 1): one}) == {(1, 1): ctx.q}
+    assert apply_word(ctx, (("T", 2),), {(2, 2): one}) == {(2, 2): -ctx.q_inv}
 
 
 def test_T_diagonal_check_rejects_corrupted_q_inv():
@@ -106,34 +99,34 @@ def test_T_inv_is_inverse():
     ctx = make_ctx((1, 1), (1, 1), 2)
     for tup in ctx.basis():
         v = ctx.basis_vector(tup)
-        assert vec_equal(apply_T_inv(ctx, 2, apply_T(ctx, 2, v)), v)
-        assert vec_equal(apply_T(ctx, 2, apply_T_inv(ctx, 2, v)), v)
+        assert vec_equal(apply_word(ctx, (("Tinv", 2),), apply_word(ctx, (("T", 2),), v)), v)
+        assert vec_equal(apply_word(ctx, (("T", 2),), apply_word(ctx, (("Tinv", 2),), v)), v)
 
 
 def test_S_matches_T_for_single_color():
     ctx = make_ctx((1,), (1,), 2)
     for tup in ctx.basis():
         v = ctx.basis_vector(tup)
-        assert vec_equal(apply_S(ctx, 2, v), apply_T(ctx, 2, v))
+        assert vec_equal(apply_word(ctx, (("S", 2),), v), apply_word(ctx, (("T", 2),), v))
 
 
 def test_S_dispatches_on_color():
     ctx = make_ctx((1, 1), (0, 0), 2)
     one = ctx.one
     # different colors: plain signed swap
-    assert apply_S(ctx, 2, {(1, 2): one}) == {(2, 1): one}
+    assert apply_word(ctx, (("S", 2),), {(1, 2): one}) == {(2, 1): one}
     # same color: Hecke action
-    assert apply_S(ctx, 2, {(1, 1): one}) == {(1, 1): ctx.q}
+    assert apply_word(ctx, (("S", 2),), {(1, 1): one}) == {(1, 1): ctx.q}
 
 
 def test_Omega_examples():
     ctx = make_ctx((1, 1), (0, 0), 2)
     one = ctx.one
-    assert apply_Omega(ctx, 1, 1, {(2, 1): one}) == {(2, 1): ctx.Q[2]}
-    assert apply_Omega(ctx, 1, 0, {(2, 1): one}) == {(2, 1): one}
-    assert apply_Omega(ctx, 2, 3, {(2, 1): one}) == {(2, 1): ctx.Q[1] ** 3}
+    assert apply_word(ctx, (("omega", 1, 1),), {(2, 1): one}) == {(2, 1): ctx.Q[2]}
+    assert apply_word(ctx, (("omega", 1, 0),), {(2, 1): one}) == {(2, 1): one}
+    assert apply_word(ctx, (("omega", 2, 3),), {(2, 1): one}) == {(2, 1): ctx.Q[1] ** 3}
     # same power, other color: a second entry of the context's power table
-    assert apply_Omega(ctx, 1, 3, {(2, 1): one}) == {(2, 1): ctx.Q[2] ** 3}
+    assert apply_word(ctx, (("omega", 1, 3),), {(2, 1): one}) == {(2, 1): ctx.Q[2] ** 3}
 
 
 def test_T1_collapses_for_single_color():
@@ -141,14 +134,14 @@ def test_T1_collapses_for_single_color():
     ctx = make_ctx((1,), (1,), 3)
     for tup in ctx.basis():
         v = ctx.basis_vector(tup)
-        assert vec_equal(apply_T1(ctx, v), {tup: ctx.Q[1]})
+        assert vec_equal(apply_word(ctx, (("T1",),), v), {tup: ctx.Q[1]})
 
 
 def test_T1_n1_equals_Omega1():
     ctx = make_ctx((1, 1), (1, 1), 1)
     for tup in ctx.basis():
         v = ctx.basis_vector(tup)
-        assert vec_equal(apply_T1(ctx, v), apply_Omega(ctx, 1, 1, v))
+        assert vec_equal(apply_word(ctx, (("T1",),), v), apply_word(ctx, (("omega", 1, 1),), v))
 
 
 def test_cyclotomic_relation_annihilates():
@@ -157,7 +150,7 @@ def test_cyclotomic_relation_annihilates():
     for tup in ctx.basis():
         acc = ctx.basis_vector(tup)
         for i in (1, 2):
-            image = apply_T1(ctx, acc)
+            image = apply_word(ctx, (("T1",),), acc)
             for key, value in acc.items():
                 image[key] = image.get(key, Poly.zero(ctx.registry)) - value * ctx.Q[i]
             acc = {k: v for k, v in image.items() if not v.is_zero()}
@@ -169,9 +162,9 @@ def test_D_diagonal_weights():
     one = ctx.one
     x = Poly.var(ctx.registry, "x1_1")
     y = Poly.var(ctx.registry, "y1_1")
-    assert apply_D(ctx, {(1,): one}) == {(1,): x}
-    assert apply_D(ctx, {(2,): one}) == {(2,): -y}
-    assert apply_D(ctx, {}) == {}
+    assert apply_word(ctx, (("D",),), {(1,): one}) == {(1,): x}
+    assert apply_word(ctx, (("D",),), {(2,): one}) == {(2,): -y}
+    assert apply_word(ctx, (("D",),), {}) == {}
 
 
 def test_D_commutes_with_T():
@@ -179,7 +172,8 @@ def test_D_commutes_with_T():
     for tup in ctx.basis():
         v = ctx.basis_vector(tup)
         assert vec_equal(
-            apply_D(ctx, apply_T(ctx, 2, v)), apply_T(ctx, 2, apply_D(ctx, v))
+            apply_word(ctx, (("D",),), apply_word(ctx, (("T", 2),), v)),
+            apply_word(ctx, (("T", 2),), apply_word(ctx, (("D",),), v)),
         )
 
 
@@ -283,7 +277,7 @@ def test_apply_word_composition_order():
     ctx = make_ctx((1,), (1,), 2)
     v = ctx.basis_vector((1, 2))
     # word (D, T2) applies T2 first, then D
-    direct = apply_D(ctx, apply_T(ctx, 2, v))
+    direct = apply_word(ctx, (("D",),), apply_word(ctx, (("T", 2),), v))
     assert vec_equal(apply_word(ctx, (("D",), ("T", 2)), v), direct)
 
 
@@ -296,8 +290,8 @@ def test_type_a_relations_at_n4():
         for tup in ctx.basis():
             v = ctx.basis_vector(tup)
             for a in range(2, 5):
-                Tv = apply_T(ctx, a, v)
-                lhs = apply_T(ctx, a, Tv)
+                Tv = apply_word(ctx, (("T", a),), v)
+                lhs = apply_word(ctx, (("T", a),), Tv)
                 rhs = vec_add(vec_scale(Tv, ctx.q_minus_q_inv), v)
                 assert vec_equal(lhs, rhs), (bk, bl, a, tup)
             for a in (2, 3):
@@ -313,7 +307,7 @@ def column_by_column_trace(ctx, action):
     # the definition: sum over basis tuples of the tuple's coefficient in D(action(e_tup))
     total = Poly.zero(ctx.registry)
     for tup in ctx.basis():
-        coeff = apply_D(ctx, action(ctx.basis_vector(tup))).get(tup)
+        coeff = apply_word(ctx, (("D",),), action(ctx.basis_vector(tup))).get(tup)
         if coeff is not None:
             total = total + coeff
     return total
