@@ -276,7 +276,7 @@ def _specializer(m: int):
 
     def specialize(entry: Poly) -> CyclotomicNumber:
         slots = [0] * m
-        for exps, coeff in entry.terms.items():
+        for exps, coeff in entry.decoded_terms().items():
             if any(exps[m + 1 :]):
                 raise DomainError(f"character entry {entry!r} is not in q and Q only")
             slots[sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m] += coeff
@@ -367,22 +367,47 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
     solved from, as an exact polynomial equality: every monomial row is
     checked and no symmetry within colors is assumed.  As in the solve, both
     sides are multiplied by ``common = lcm(Z_bmu)``, so the weights
-    ``common // Z_bmu`` are integers.
+    ``common // Z_bmu`` are integers.  The sums run per monomial key on
+    Z[zeta_m] coefficient vectors, the solver's representation: slot s of a
+    product u * w collects u_a * w_b over a + b = s, so each key keeps one
+    flat vector of weighted power-sum coefficients per slot, a slot of the
+    row sum is one dot product with the row's flat coefficients, and the
+    slots are reduced modulo Phi_m once per key before the comparison.
     """
     m = table.m
+    phi = euler_phi(m)
     block = solve_block(m, table.n)
     orders = [centralizer_order_wreath(bmu, m) for bmu in table.cols]
     common = math.lcm(*orders)
-    weighted = [
-        (common // order) * colored_power_sum_product(bmu, block)
-        for bmu, order in zip(table.cols, orders)
-    ]
+    zero = (0,) * phi
+    # per monomial key, the coefficient vector of (common // Z_bmu) P_bmu per column
+    weighted: dict[int, list] = {}
+    for k, (bmu, order) in enumerate(zip(table.cols, orders)):
+        weight = common // order
+        for key, coeff in colored_power_sum_product(bmu, block).terms.items():
+            column = weighted.get(key)
+            if column is None:
+                column = weighted[key] = [zero] * len(orders)
+            column[k] = tuple(weight * c for c in _coefficient_vector(coeff, m))
+    slots = {
+        key: [
+            [w[s - a] if 0 <= s - a < phi else 0 for w in column for a in range(phi)]
+            for s in range(2 * phi - 1)
+        ]
+        for key, column in weighted.items()
+    }
     violations = []
     for bshape, row in zip(table.rows, table.entries):
-        total = Poly.zero(block.registry)
-        for value, power_sum in zip(row, weighted):
-            total = total + value * power_sum
-        if common * super_schur(bshape, block) != total:
+        flat = [c for value in row for c in _coefficient_vector(value, m)]
+        expected = {
+            key: _coefficient_vector(common * coeff, m)
+            for key, coeff in super_schur(bshape, block).terms.items()
+        }
+        if not expected.keys() <= slots.keys() or any(
+            _cyclo_reduce(m, [sum(map(operator.mul, flat, bar)) for bar in bars])
+            != expected.get(key, zero)
+            for key, bars in slots.items()
+        ):
             violations.append(bshape)
     return violations
 

@@ -3,15 +3,22 @@
 Every quantity in this package is exact.  Coefficients are integers, or
 rationals (``fractions.Fraction``) where a division needs one, or elements
 of a cyclotomic field Q(zeta_m) represented modulo the m-th cyclotomic
-polynomial.  Polynomials are sparse maps from dense exponent vectors to
-coefficients; the exponent vector layout is fixed by a
-:class:`VariableRegistry`.  Negative exponents are permitted only at
-registry positions flagged invertible (in practice: the Hecke parameter q).
-The one domain limit on exponents: a product of two polynomials with
-several terms each adds exponent vectors as single integers through the
-registry's codec (:meth:`VariableRegistry.encode`), so the exponents of its
-factors must lie in the signed 32-bit range [-2^31, 2^31); outside it the
-product raises :class:`DomainError`.
+polynomial.  Polynomials are sparse maps from monomials to coefficients; the
+exponent-vector layout is fixed by a :class:`VariableRegistry`, and each
+monomial is stored as the int key of its exponent vector under the
+registry's linear codec (one 64-bit digit per variable, so a product of
+monomials is one int addition).  Exponent tuples are formed only at the
+boundary: by :meth:`Poly.decoded_terms`, which the term order of
+:meth:`Poly.sorted_terms` and printing, ``substitute`` and ``transport``
+read, and for the group keys of ``coefficients_by``.  Negative exponents
+are permitted only at registry positions flagged invertible (in practice:
+the Hecke parameter q).
+
+The domain limits on exponents: a stored exponent must lie in the signed
+64-bit range, and the factors of every product (and of ``exact_div``) must
+have all exponents in the signed 32-bit range [-2^31, 2^31), checked once per
+factor; outside it the operation raises :class:`DomainError` instead of
+letting a digit wrap into its neighbour.
 
 Cyclotomic numbers multiply through one tuple-level kernel on their
 coefficient vectors, which :func:`solve_linear_exact` also uses: the solve
@@ -74,12 +81,13 @@ class VariableRegistry:
 
     The registry also owns the integer codec of its exponent vectors: each
     exponent is one 64-bit digit of a Python int, so the encoding is linear,
-    ``encode(a) + encode(b) == encode(a + b)``.  Exponents must lie in the
-    signed 32-bit range; then any sum of fewer than 2^32 encoded vectors
+    ``encode(a) + encode(b) == encode(a + b)``.  These int keys are how
+    :class:`Poly` stores its monomials.  :meth:`encode` takes exponents in the
+    signed 32-bit range only; then any sum of fewer than 2^32 encoded vectors
     keeps every digit inside the signed 64-bit range and decodes exactly.
     """
 
-    __slots__ = ("variables", "_index", "_pack", "_unpack", "_bias31", "_bias63", "_nbytes")
+    __slots__ = ("variables", "_index", "_codec", "_bias31", "_bias63", "_outside31")
 
     def __init__(self, variables: Iterable[Variable]):
         self.variables = tuple(variables)
@@ -88,25 +96,32 @@ class VariableRegistry:
             raise StructuralError(f"duplicate variable names in registry: {names}")
         self._index = {v.name: i for i, v in enumerate(self.variables)}
         width = len(self.variables)
-        # encode: each exponent as a little-endian int32 padded to 8 bytes;
-        # decode: each 64-bit digit as an int64
-        self._pack = struct.Struct("<" + "i4x" * width).pack
-        self._unpack = struct.Struct("<" + "q" * width).unpack
+        # each exponent is one little-endian int64 digit
+        self._codec = struct.Struct("<" + "q" * width)
         self._bias31 = sum(1 << (31 + 64 * i) for i in range(width))
         self._bias63 = sum(1 << (63 + 64 * i) for i in range(width))
-        self._nbytes = 8 * width
+        # key + bias31 has no bit of this mask set exactly when every digit of
+        # key lies in [-2^31, 2^31): the biased digits are then in [0, 2^32)
+        self._outside31 = ~sum(((1 << 32) - 1) << (64 * i) for i in range(width))
 
     def encode(self, exps: Sequence[int]) -> int:
         """The int key sum_i exps[i] * 2^(64 i); DomainError outside the int32 range."""
+        key = self._key(exps)
+        if (key + self._bias31) & self._outside31:
+            raise DomainError(f"exponent vector {tuple(exps)} leaves the signed 32-bit range")
+        return key
+
+    def _key(self, exps: Sequence[int]) -> int:
+        """The int key of a storable exponent vector; DomainError outside the int64 range."""
         try:
-            packed = self._pack(*exps)
+            packed = self._codec.pack(*exps)
         except struct.error:
             raise DomainError(
-                f"exponent vector {tuple(exps)} leaves the signed 32-bit range"
+                f"exponent vector {tuple(exps)} leaves the signed 64-bit range"
             ) from None
-        # the padded bytes hold each exponent's two's complement u = e mod 2^32;
-        # flipping bit 31 gives e + 2^31 >= 0, and the bias takes 2^31 off again
-        bias = self._bias31
+        # the bytes hold each exponent's two's complement u = e mod 2^64;
+        # flipping bit 63 gives e + 2^63 >= 0, and the bias takes 2^63 off again
+        bias = self._bias63
         return (int.from_bytes(packed, "little") ^ bias) - bias
 
     def decode(self, key: int) -> tuple[int, ...]:
@@ -114,7 +129,8 @@ class VariableRegistry:
         # adding 2^63 per digit makes every digit nonnegative with no borrow;
         # flipping bit 63 again leaves each digit's two's complement
         bias = self._bias63
-        return self._unpack(((key + bias) ^ bias).to_bytes(self._nbytes, "little"))
+        codec = self._codec
+        return codec.unpack(((key + bias) ^ bias).to_bytes(codec.size, "little"))
 
     def __len__(self) -> int:
         return len(self.variables)
@@ -171,18 +187,25 @@ def _field_inverse(value):
 class Poly:
     """Sparse multivariate Laurent polynomial over exact coefficients.
 
-    ``terms`` maps dense exponent tuples (one slot per registry variable) to
-    nonzero coefficients.  Negative exponents are only allowed at invertible
-    positions; this is enforced at the construction entry points, and no
-    arithmetic operation can introduce a negative exponent elsewhere.
+    ``terms`` maps the int key of each exponent vector (one slot per registry
+    variable, under :meth:`VariableRegistry.encode`'s linear codec) to its
+    nonzero coefficient, so every ring operation works on int keys.
+    :meth:`decoded_terms` reads them back as exponent tuples; the public
+    constructor takes tuple-keyed terms.  Negative exponents are only
+    allowed at invertible positions; this is enforced at the construction
+    entry points, and no arithmetic operation can introduce a negative
+    exponent elsewhere.  The factors of a product must have every exponent
+    in the signed 32-bit range, which is checked once per factor and then
+    remembered (``_in_int32``).
     """
 
-    __slots__ = ("registry", "terms")
+    __slots__ = ("registry", "terms", "_in_int32")
 
     def __init__(self, registry: VariableRegistry, terms: Mapping[tuple[int, ...], object]):
         self.registry = registry
         cleaned = {}
         width = len(registry)
+        key = registry._key
         for exps, coeff in terms.items():
             coeff = _coerce_coeff(coeff)
             if not coeff:
@@ -195,29 +218,33 @@ class Poly:
                         f"negative exponent for non-invertible variable "
                         f"{registry.variables[pos].name!r}"
                     )
-            cleaned[tuple(exps)] = coeff
+            cleaned[key(exps)] = coeff
         self.terms = cleaned
+        self._in_int32 = False
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, registry: VariableRegistry, terms: dict) -> "Poly":
-        # internal fast path: terms already cleaned (no zeros, valid exponents)
+    def _raw(cls, registry: VariableRegistry, terms: dict, in_int32: bool = False) -> "Poly":
+        # internal fast path: terms already cleaned (int keys, no zeros, valid
+        # exponents); in_int32 only when every exponent is known to be int32
         p = object.__new__(cls)
         p.registry = registry
         p.terms = terms
+        p._in_int32 = in_int32
         return p
 
     @classmethod
     def zero(cls, registry: VariableRegistry) -> "Poly":
-        return cls._raw(registry, {})
+        return cls._raw(registry, {}, True)
 
     @classmethod
     def const(cls, registry: VariableRegistry, value) -> "Poly":
         value = _coerce_coeff(value)
         if not value:
             return cls.zero(registry)
-        return cls._raw(registry, {(0,) * len(registry): value})
+        # the empty monomial has key 0
+        return cls._raw(registry, {0: value}, True)
 
     @classmethod
     def one(cls, registry: VariableRegistry) -> "Poly":
@@ -228,9 +255,9 @@ class Poly:
         pos = registry.index(name)
         if power < 0 and not registry.variables[pos].invertible:
             raise DomainError(f"variable {name!r} is not invertible")
-        exps = [0] * len(registry)
-        exps[pos] = power
-        return cls._raw(registry, {tuple(exps): 1})
+        if not -(1 << 63) <= power < 1 << 63:
+            raise DomainError(f"exponent {power} of {name!r} leaves the signed 64-bit range")
+        return cls._raw(registry, {power << (64 * pos): 1}, -(1 << 31) <= power < 1 << 31)
 
     @classmethod
     def monomial(cls, registry: VariableRegistry, powers: Mapping[str, int], coeff=1) -> "Poly":
@@ -248,7 +275,7 @@ class Poly:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(not key for key in self.terms)
 
     def constant_value(self):
         """The coefficient of the empty monomial; error if any variable survives."""
@@ -256,13 +283,26 @@ class Poly:
             return 0
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return self.terms[0]
 
     # -- ring operations ---------------------------------------------------
 
     def _check_registry(self, other: "Poly"):
         if self.registry is not other.registry and self.registry != other.registry:
             raise StructuralError("polynomials live in different registries")
+
+    def _check_int32(self):
+        """The factor rule of a product: DomainError unless every exponent is int32."""
+        if self._in_int32:
+            return
+        registry = self.registry
+        bias, outside = registry._bias31, registry._outside31
+        for key in self.terms:
+            if (key + bias) & outside:
+                raise DomainError(
+                    f"exponent vector {registry.decode(key)} leaves the signed 32-bit range"
+                )
+        self._in_int32 = True
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -271,19 +311,21 @@ class Poly:
             return NotImplemented
         self._check_registry(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
+        for key, coeff in other.terms.items():
+            acc = terms.get(key)
             acc = coeff if acc is None else acc + coeff
             if acc:
-                terms[exps] = acc
-            elif exps in terms:
-                del terms[exps]
-        return Poly._raw(self.registry, terms)
+                terms[key] = acc
+            elif key in terms:
+                del terms[key]
+        return Poly._raw(self.registry, terms, self._in_int32 and other._in_int32)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw(self.registry, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(
+            self.registry, {key: -c for key, c in self.terms.items()}, self._in_int32
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -300,37 +342,38 @@ class Poly:
             other = _coerce_coeff(other)
             if not other:
                 return Poly.zero(self.registry)
-            return Poly._raw(self.registry, {e: c * other for e, c in self.terms.items()})
+            return Poly._raw(
+                self.registry, {key: c * other for key, c in self.terms.items()}, self._in_int32
+            )
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_registry(other)
+        self._check_int32()
+        other._check_int32()
         if len(self.terms) == 1 or len(other.terms) == 1:
-            # a monomial factor shifts exponents injectively and scales by a
+            # a monomial factor shifts keys injectively and scales by a
             # nonzero field element, so no two terms meet and none vanishes
             big, small = (other, self) if len(self.terms) == 1 else (self, other)
-            ((e2, c2),) = small.terms.items()
-            return Poly._raw(
-                self.registry,
-                {tuple(map(operator.add, e1, e2)): c1 * c2 for e1, c1 in big.terms.items()},
-            )
-        # exponent vectors add as single ints; coefficients are nonzero field
-        # elements, so no product vanishes and only sums are tested
-        encode = self.registry.encode
-        right = [(encode(e), c) for e, c in other.terms.items()]
+            ((k2, c2),) = small.terms.items()
+            return Poly._raw(self.registry, {k1 + k2: c1 * c2 for k1, c1 in big.terms.items()})
+        # coefficients are nonzero field elements, so no product vanishes and
+        # only sums are tested
+        right = other.terms.items()
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            k1 = encode(e1)
+        get = terms.get
+        for k1, c1 in self.terms.items():
             for k2, c2 in right:
                 key = k1 + k2
-                prod = c1 * c2
-                acc = terms.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    terms[key] = acc
-                elif key in terms:
-                    del terms[key]
-        decode = self.registry.decode
-        return Poly._raw(self.registry, {decode(k): c for k, c in terms.items()})
+                acc = get(key)
+                if acc is None:
+                    terms[key] = c1 * c2
+                else:
+                    acc += c1 * c2
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        del terms[key]
+        return Poly._raw(self.registry, terms)
 
     __rmul__ = __mul__
 
@@ -339,25 +382,28 @@ class Poly:
             raise StructuralError("polynomial powers must be integers")
         if power < 0:
             return self._unit_inverse() ** (-power)
-        result = Poly.one(self.registry)
+        if power == 0:
+            return Poly.one(self.registry)
+        result = None
         base = self
-        while power:
+        while True:
             if power & 1:
-                result = result * base
+                result = base if result is None else result * base
             power >>= 1
-            if power:
-                base = base * base
-        return result
+            if not power:
+                return result
+            base = base * base
 
     def _unit_inverse(self) -> "Poly":
         # only monomials in invertible variables have polynomial inverses
         if len(self.terms) != 1:
             raise DomainError("only monomials in invertible variables are invertible")
-        exps, coeff = next(iter(self.terms.items()))
+        ((exps, coeff),) = self.decoded_terms().items()
         for pos, e in enumerate(exps):
             if e != 0 and not self.registry.variables[pos].invertible:
                 raise DomainError("only monomials in invertible variables are invertible")
-        return Poly._raw(self.registry, {tuple(-e for e in exps): _field_inverse(coeff)})
+        inverse = self.registry._key(tuple(-e for e in exps))
+        return Poly._raw(self.registry, {inverse: _field_inverse(coeff)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -394,7 +440,7 @@ class Poly:
                 raise DomainError(f"zero assigned to invertible variable {name!r}")
             positions[pos] = target
         result = Poly.zero(self.registry)
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self.decoded_terms().items():
             reduced = list(exps)
             factor = Poly.const(self.registry, coeff)
             for pos, target in positions.items():
@@ -407,7 +453,8 @@ class Poly:
                     break
             if factor.is_zero():
                 continue
-            result = result + factor * Poly._raw(self.registry, {tuple(reduced): 1})
+            rest = Poly._raw(self.registry, {self.registry._key(reduced): 1})
+            result = result + factor * rest
         return result
 
     # -- structure helpers -------------------------------------------------
@@ -416,8 +463,8 @@ class Poly:
         """Group terms by their exponents on ``names``; values keep the remaining variables.
 
         ``names`` must be one contiguous range of the registry, in registry
-        order (e.g. all x variables of a block), so each key is a slice of the
-        exponent tuple.
+        order (e.g. all x variables of a block), so each group is read off a
+        key by one shift and mask; only the group keys are decoded to tuples.
         """
         positions = [self.registry.index(n) for n in names]
         lo = positions[0] if positions else 0
@@ -426,48 +473,65 @@ class Poly:
             raise StructuralError(
                 f"coefficients_by needs a contiguous registry range, got {list(names)}"
             )
-        gap = (0,) * (hi - lo)
-        out: dict[tuple[int, ...], dict] = {}
-        for exps, coeff in self.terms.items():
-            out.setdefault(exps[lo:hi], {})[exps[:lo] + gap + exps[hi:]] = coeff
-        return {k: Poly._raw(self.registry, v) for k, v in out.items()}
+        registry = self.registry
+        shift, width = 64 * lo, 64 * (hi - lo)
+        bias = registry._bias63
+        # bias makes every digit of a key nonnegative with no borrow, so the
+        # range's digits are one shift and mask away, each still biased by 2^63
+        mask = (1 << width) - 1
+        inner = (bias >> shift) & mask
+        restore = inner << shift
+        out: dict[int, dict] = {}
+        for key, coeff in self.terms.items():
+            part = ((key + bias) >> shift) & mask
+            # the rest: key with the range's digits set to 0
+            out.setdefault(part, {})[key + restore - (part << shift)] = coeff
+        # flipping bit 63 of each biased digit leaves its two's complement
+        unpack = struct.Struct("<" + "q" * (hi - lo)).unpack
+        return {
+            unpack((part ^ inner).to_bytes(width // 8, "little")): Poly._raw(
+                registry, rest, self._in_int32
+            )
+            for part, rest in out.items()
+        }
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact division by a polynomial involving at most one variable.
 
         The quotient may be Laurent when that variable is invertible.  A
         nonzero remainder is a hard error: in-scope quantities are Laurent in
-        q and polynomial elsewhere, so inexact division signals a bug.
+        q and polynomial elsewhere, so inexact division signals a bug.  Both
+        sides follow the factor rule of a product (int32 exponents); terms
+        are grouped by their key less the divisor variable's digit, as
+        :meth:`coefficients_by` splits it.
         """
         self._check_registry(divisor)
         if divisor.is_zero():
             raise DomainError("division by zero polynomial")
-        support = {
-            pos
-            for exps in divisor.terms
-            for pos, e in enumerate(exps)
-            if e != 0
-        }
+        divisor_terms = divisor.decoded_terms()
+        support = {pos for exps in divisor_terms for pos, e in enumerate(exps) if e != 0}
         if not support:
             return self * _field_inverse(divisor.constant_value())
         if len(support) > 1:
             raise DomainError("divisor must involve a single variable")
         pos = support.pop()
-        invertible = self.registry.variables[pos].invertible
+        variable = self.registry.variables[pos]
+        self._check_int32()
+        divisor._check_int32()
+        unit = 1 << (64 * pos)
 
-        div_lo = min(e[pos] for e in divisor.terms)
-        den = {e[pos] - div_lo: c for e, c in divisor.terms.items()}
+        div_lo = min(e[pos] for e in divisor_terms)
+        den = {e[pos] - div_lo: c for e, c in divisor_terms.items()}
         den_deg = max(den)
         den_lead_inv = _field_inverse(den[den_deg])
 
-        groups: dict[tuple[int, ...], dict[int, object]] = {}
-        for exps, coeff in self.terms.items():
-            rest = list(exps)
-            e = rest[pos]
-            rest[pos] = 0
-            groups.setdefault(tuple(rest), {})[e] = coeff
+        # each group: the key with the divisor variable's digit zeroed
+        groups: dict[int, dict[int, object]] = {}
+        for (e,), rest in self.coefficients_by([variable.name]).items():
+            for key, coeff in rest.terms.items():
+                groups.setdefault(key, {})[e] = coeff
 
-        result_terms: dict[tuple[int, ...], object] = {}
+        result_terms: dict[int, object] = {}
         for rest, num in groups.items():
             num_lo = min(num)
             work = {e - num_lo: c for e, c in num.items()}
@@ -479,13 +543,11 @@ class Poly:
                 lead = work[deg] * den_lead_inv
                 shift = deg - den_deg
                 final = shift + offset
-                if final < 0 and not invertible:
+                if final < 0 and not variable.invertible:
                     raise DomainError(
                         "inexact division: Laurent quotient in non-invertible variable"
                     )
-                exps = list(rest)
-                exps[pos] = final
-                result_terms[tuple(exps)] = lead
+                result_terms[rest + final * unit] = lead
                 for d, c in den.items():
                     tgt = d + shift
                     acc = work.get(tgt, 0) - lead * c
@@ -497,9 +559,16 @@ class Poly:
 
     # -- presentation ------------------------------------------------------
 
+    def decoded_terms(self) -> dict[tuple[int, ...], object]:
+        """The terms keyed by exponent tuples, for the readers at the boundary."""
+        decode = self.registry.decode
+        return {decode(key): coeff for key, coeff in self.terms.items()}
+
     def sorted_terms(self):
         """Terms in descending graded-lexicographic order over the registry layout."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(
+            self.decoded_terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
+        )
 
     def __repr__(self) -> str:
         from superfrob.serialize import poly_to_string  # serialize imports this module
@@ -828,7 +897,7 @@ def transport(f: Poly, registry: VariableRegistry) -> Poly:
     src_names = f.registry.names()
     terms: dict[tuple[int, ...], object] = {}
     width = len(registry)
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.decoded_terms().items():
         out = [0] * width
         for name, e in zip(src_names, exps):
             if e:

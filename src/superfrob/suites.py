@@ -385,7 +385,7 @@ def suite_identities(config: SuiteConfig) -> list[CheckResult]:
                     colored_power_sum_product(bshape, block),
                 ):
                     g = f.substitute(swap)
-                    if any(exps[pos] != 0 for exps in g.terms):
+                    if any(exps[pos] != 0 for exps in g.decoded_terms()):
                         return False, f"u survives for {bshape} in color {color}"
                     cases += 1
         return True, f"{cases} substitutions checked"

@@ -133,7 +133,7 @@ def schur(shape: Partition, variables: list[Poly]) -> Poly:
         return Poly.zero(registry)
     positions = []
     for v in variables:
-        (exps,) = v.terms.keys()
+        (exps,) = v.decoded_terms()
         positions.append(max(range(len(exps)), key=lambda p: exps[p]))
     width = len(registry)
     terms: dict[tuple[int, ...], int] = {}
@@ -327,7 +327,7 @@ def reversed_in_variable(f: Poly, name: str, degree: int) -> Poly:
     """
     pos = f.registry.index(name)
     terms = {}
-    for exps, coeff in f.terms.items():
+    for exps, coeff in f.decoded_terms().items():
         if exps[pos] > degree:
             raise DomainError(f"degree in {name} exceeds reversal degree {degree}")
         new = list(exps)

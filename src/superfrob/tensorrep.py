@@ -9,11 +9,15 @@ need per-column results and columns are independent.
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
 monomial), where the monomial is the int key of its exponent vector under the
-block registry's linear codec (:meth:`VariableRegistry.encode`).  Each scalar
-an operator applies is a term of a :class:`TensorContext` constant, kept
-encoded next to the constant, so it acts on a pair as one int addition times
-an integer.  Polynomials are formed only at the boundary: when a public
-function returns, and once per trace.
+block registry's linear codec (:meth:`VariableRegistry.encode`), the same key
+under which :class:`Poly` stores its terms.  Moving between the two forms
+regroups terms and never encodes or decodes a monomial; a coefficient
+entering the flat form is held to the int32 factor rule of a product, since
+the kernels add keys.  Each scalar an operator applies is a term of a
+:class:`TensorContext` constant, kept encoded next to the constant, so it
+acts on a pair as one int addition times an integer.
+Polynomials are formed only at the boundary: when a public function returns,
+and once per trace.
 
 The classical (q = 1) oracle is a separate tiny code path acting by signed
 permutations and root-of-unity scalings, deliberately independent of the
@@ -80,14 +84,9 @@ class TensorContext:
                     "diagonal T^-1 action disagrees with T - (q - q^-1)"
                 )
         # the kernels apply these encoded terms, read from the checked constants
-        self.t_diagonal_terms = tuple(map(self._encoded, self.t_diagonal))
-        self.t_inv_diagonal_terms = tuple(map(self._encoded, self.t_inv_diagonal))
-        self.q_minus_q_inv_terms = self._encoded(self.q_minus_q_inv)
-
-    def _encoded(self, constant: Poly) -> EncodedTerms:
-        """The terms of a constant as (monomial key, coefficient) pairs."""
-        encode = self.registry.encode
-        return tuple((encode(exps), coeff) for exps, coeff in constant.terms.items())
+        self.t_diagonal_terms = tuple(tuple(c.terms.items()) for c in self.t_diagonal)
+        self.t_inv_diagonal_terms = tuple(tuple(c.terms.items()) for c in self.t_inv_diagonal)
+        self.q_minus_q_inv_terms = tuple(self.q_minus_q_inv.terms.items())
 
     def Q_power(self, color: int, power: int) -> tuple[Poly, EncodedTerms]:
         """Q_color^power and its encoded terms, computed on first use and then read from a table."""
@@ -95,7 +94,7 @@ class TensorContext:
         entry = self._Q_powers.get(key)
         if entry is None:
             value = self.Q[color] ** power
-            entry = self._Q_powers[key] = (value, self._encoded(value))
+            entry = self._Q_powers[key] = (value, tuple(value.terms.items()))
         return entry
 
     def d_eigenvalue(self, tup: Sequence[int]) -> tuple[Poly, EncodedTerms]:
@@ -107,7 +106,7 @@ class TensorContext:
             value = self.one
             for i in key:
                 value = value * self.diag[i]
-            entry = self._d_eigenvalues[key] = (value, self._encoded(value))
+            entry = self._d_eigenvalues[key] = (value, tuple(value.terms.items()))
         return entry
 
     def T1_row(self, tup: tuple[int, ...]) -> tuple:
@@ -168,20 +167,19 @@ def vec_equal(a: TensorVector, b: TensorVector) -> bool:
 
 def _flat(ctx: TensorContext, vec: TensorVector) -> FlatVector:
     flat: FlatVector = {}
-    encode = ctx.registry.encode
     for tup, coeff in vec.items():
         if coeff.registry is not ctx.registry and coeff.registry != ctx.registry:
             raise StructuralError("vector coefficient lives in another registry")
-        for exps, value in coeff.terms.items():
-            flat[tup, encode(exps)] = value
+        coeff._check_int32()
+        for key, value in coeff.terms.items():
+            flat[tup, key] = value
     return flat
 
 
 def _polys(ctx: TensorContext, flat: FlatVector) -> TensorVector:
     grouped: dict[tuple[int, ...], dict] = {}
-    decode = ctx.registry.decode
     for (tup, key), value in flat.items():
-        grouped.setdefault(tup, {})[decode(key)] = value
+        grouped.setdefault(tup, {})[key] = value
     return {tup: Poly._raw(ctx.registry, terms) for tup, terms in grouped.items()}
 
 
@@ -387,8 +385,7 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     total: dict[int, object] = {}
     for (_, key), coeff in _D_kernel(ctx, by_weight).items():
         _accumulate(total, key, coeff)
-    decode = ctx.registry.decode
-    return Poly._raw(ctx.registry, {decode(key): coeff for key, coeff in total.items()})
+    return Poly._raw(ctx.registry, total)
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:

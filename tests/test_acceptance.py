@@ -236,7 +236,7 @@ def test_criterion_09_king_and_cancellation():
                         colored_power_sum_product(bshape, cancel_block),
                     ):
                         g = f.substitute(swap)
-                        assert all(exps[pos] == 0 for exps in g.terms), (
+                        assert all(exps[pos] == 0 for exps in g.decoded_terms()), (
                             f"u survives for {bshape}, color {color}"
                         )
 

@@ -144,7 +144,7 @@ def _bump_one_entry(table: CharacterTable, row: int, col: int, by=1) -> Characte
     return dataclasses.replace(table, entries=entries)
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)])
 def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
     # each route's table satisfies the identity it was solved from on every
     # monomial row, and one wrong entry fails it at that entry's label
@@ -162,6 +162,12 @@ def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
     assert wreath_identity_violations(_bump_one_entry(wreath, row, col, fraction)) == [
         wreath.rows[row]
     ]
+    if m >= 3:
+        # a non-rational error is named too: it reaches the zeta slots of the sums
+        zeta = CyclotomicNumber.zeta(m, 1)
+        assert wreath_identity_violations(_bump_one_entry(wreath, row, col, zeta)) == [
+            wreath.rows[row]
+        ]
 
 
 def _break_color_symmetry(monkeypatch, name):

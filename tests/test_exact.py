@@ -18,6 +18,7 @@ from superfrob.exact import (
     cyclotomic_phi,
     euler_phi,
     solve_linear_exact,
+    transport,
 )
 
 REG = VariableRegistry(
@@ -111,7 +112,7 @@ def test_cyclotomic_phi_against_floating_roots():
             assert abs(c.imag) < 1e-6 and abs(c.real - r) < 1e-6
             if r:
                 expected[(i,)] = Fraction(r)
-        assert cyclotomic_phi(m).terms == expected
+        assert cyclotomic_phi(m).decoded_terms() == expected
 
 
 def test_phi_divisor_product_identity():
@@ -557,8 +558,8 @@ def test_registry_codec_refuses_exponents_outside_int32():
 def _tuple_product(f: Poly, g: Poly) -> dict:
     """The product's terms by a tuple-add double loop, dropping cancelled keys."""
     terms = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in f.decoded_terms().items():
+        for e2, c2 in g.decoded_terms().items():
             key = tuple(a + b for a, b in zip(e1, e2))
             terms[key] = terms.get(key, 0) + c1 * c2
     return {key: c for key, c in terms.items() if c}
@@ -587,8 +588,9 @@ def product_pairs(draw):
         g = Poly(REG, draw(st.dictionaries(exps, coeff, min_size=2, max_size=6)))
     elif shape == "sign-flip":
         # f with some signs flipped: the cross terms of (a + b)(a - b) cancel
-        flips = draw(st.lists(st.booleans(), min_size=len(f.terms), max_size=len(f.terms)))
-        g = Poly(REG, {e: -c if flip else c for (e, c), flip in zip(f.terms.items(), flips)})
+        terms = f.decoded_terms()
+        flips = draw(st.lists(st.booleans(), min_size=len(terms), max_size=len(terms)))
+        g = Poly(REG, {e: -c if flip else c for (e, c), flip in zip(terms.items(), flips)})
     elif shape == "monomial":
         g = Poly(REG, draw(st.dictionaries(exps, coeff, min_size=1, max_size=1)))
     else:
@@ -600,5 +602,121 @@ def product_pairs(draw):
 @given(product_pairs())
 def test_product_matches_a_tuple_add_double_loop(pair):
     f, g = pair
-    assert (f * g).terms == _tuple_product(f, g)
-    assert (g * f).terms == _tuple_product(g, f)
+    assert (f * g).decoded_terms() == _tuple_product(f, g)
+    assert (g * f).decoded_terms() == _tuple_product(g, f)
+
+
+# -- int-keyed terms against tuple-keyed references ----------------------------
+#
+# Poly stores each monomial as its int key; every reference below is built
+# from the decoded (exponent tuple) terms alone.
+
+WIDE = VariableRegistry(
+    [Variable("q", invertible=True)] + [Variable(f"x{i}") for i in range(1, 6)]
+)
+
+
+@st.composite
+def wide_polys(draw, margin: int = 0):
+    """A polynomial over WIDE whose exponents reach both int32 ends, less `margin`."""
+    low, high = INT32[0] + margin, INT32[1] - margin
+    q_exps = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=low, max_value=low + 3),
+        st.integers(min_value=high - 3, max_value=high),
+    )
+    x_exps = st.one_of(
+        st.integers(min_value=0, max_value=3), st.integers(min_value=high - 3, max_value=high)
+    )
+    exps = st.tuples(q_exps, *[x_exps] * (len(WIDE) - 1))
+    return Poly(WIDE, draw(st.dictionaries(exps, _coefficients("int"), min_size=1, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys(), st.integers(min_value=0, max_value=len(WIDE)), st.data())
+def test_coefficients_by_matches_a_tuple_slice(f, lo, data):
+    hi = data.draw(st.integers(min_value=lo, max_value=len(WIDE)))
+    expected: dict = {}
+    for exps, coeff in f.decoded_terms().items():
+        rest = exps[:lo] + (0,) * (hi - lo) + exps[hi:]
+        expected.setdefault(exps[lo:hi], {})[rest] = coeff
+    grouped = f.coefficients_by(WIDE.names()[lo:hi])
+    assert {key: g.decoded_terms() for key, g in grouped.items()} == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys(margin=1), st.sampled_from([1, -2, Fraction(3, 2)]))
+def test_exact_div_matches_the_tuple_product(f, constant):
+    q_minus_q_inv = Poly.var(WIDE, "q") - Poly.var(WIDE, "q", -1)
+    product = f * q_minus_q_inv
+    quotient = product.exact_div(q_minus_q_inv)
+    assert quotient.decoded_terms() == f.decoded_terms()
+    assert _tuple_product(quotient, q_minus_q_inv) == product.decoded_terms()
+    scaled = f.exact_div(Poly.const(WIDE, constant))
+    assert scaled.decoded_terms() == {
+        exps: coeff / Fraction(constant) for exps, coeff in f.decoded_terms().items()
+    }
+
+
+MOVED = VariableRegistry(
+    [Variable("x2"), Variable("extra"), Variable("q", invertible=True)]
+    + [Variable(f"x{i}") for i in (1, 3, 4, 5)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys())
+def test_transport_matches_a_rebuild_by_name(f):
+    moved = transport(f, MOVED)
+    expected = {}
+    for exps, coeff in f.decoded_terms().items():
+        by_name = dict(zip(WIDE.names(), exps))
+        expected[tuple(by_name.get(name, 0) for name in MOVED.names())] = coeff
+    assert moved.registry == MOVED
+    assert moved.decoded_terms() == expected
+    assert transport(moved, WIDE) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.integers(min_value=-3, max_value=3).filter(bool),
+        st.sampled_from([INT32[0] + 1, INT32[1]]),
+    ),
+    st.integers(min_value=1, max_value=4),
+    _coefficients("Fraction"),
+)
+def test_negative_powers_of_q_negate_the_exponent(a, k, coeff):
+    assume(abs(a) * k <= INT32[1])
+    monomial = coeff * Poly.var(REG, "q", a)
+    inverse = monomial ** (-k)
+    assert inverse.decoded_terms() == {(-a * k, 0, 0, 0): 1 / Fraction(coeff) ** k}
+    assert inverse * monomial**k == Poly.one(REG)
+    with pytest.raises(DomainError):
+        (coeff * x1) ** -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["q", "Q1", "x1", "x2"]),
+    st.integers(min_value=2**31, max_value=2**31 + 3),
+    product_pairs(),
+)
+def test_products_refuse_a_factor_outside_int32(name, e, pair):
+    f, _ = pair
+    big = Poly.var(REG, name, e)
+    for factor in (f, x1, Poly.one(REG)):
+        with pytest.raises(DomainError):
+            big * factor
+        with pytest.raises(DomainError):
+            factor * (big + factor)
+    with pytest.raises(DomainError):
+        big**2
+    if name == "q":
+        with pytest.raises(DomainError):
+            Poly.var(REG, "q", -e - 1) * f
+    # squaring from inside the range leaves it, and a further square would wrap
+    half = Poly.var(REG, name, 2**30)
+    assert half**2 == Poly.var(REG, name, 2**31)
+    with pytest.raises(DomainError):
+        half**4
