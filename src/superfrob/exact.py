@@ -132,6 +132,16 @@ class VariableRegistry:
         codec = self._codec
         return codec.unpack(((key + bias) ^ bias).to_bytes(codec.size, "little"))
 
+    def tag_codec(self) -> tuple[int, int]:
+        """(shift, bias) of one tag digit directly above the last variable's digit.
+
+        A key ``(tag << shift) + k``, with k a sum of encoded vectors, reads
+        back its tag as ``(key + bias) >> shift``: by the bias rule of
+        :meth:`decode`, k + bias lies in [0, 2^shift).  Adding encoded vectors
+        to a tagged key leaves its tag unchanged.
+        """
+        return 64 * len(self.variables), self._bias63
+
     def __len__(self) -> int:
         return len(self.variables)
 

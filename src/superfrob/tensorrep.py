@@ -3,8 +3,13 @@
 Basis vectors of V^(tensor n) are index tuples (i_1..i_n) with entries in the
 color-major global layout of a :class:`HookProfile`; a sparse vector is a
 dict from tuples to polynomial coefficients.  Operators are applied lazily to
-one basis vector at a time and never materialised as matrices: traces only
-need per-column results and columns are independent.
+sparse vectors and never materialised as matrices.  A trace applies its
+word once per weight space (the set of tuples with the same multiset of
+indices, which every operator preserves), to the generating vector
+``sum_j c^j e_j`` of the space's columns, ``c`` a formal scalar no operator
+touches: by linearity the part of the image tagged ``c^j`` is column j's
+image, so each image entry names its source column and no symmetry between
+columns is assumed.
 
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
@@ -64,9 +69,12 @@ class TensorContext:
         self.q_inv = block.q_inv
         self.q_minus_q_inv = block.q_minus_q_inv
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
-        self._Q_powers: dict[tuple[int, int], tuple[Poly, EncodedTerms]] = {}
+        self._omega_scales: dict[int, tuple] = {}
         self._d_eigenvalues: dict[tuple[int, ...], tuple[Poly, EncodedTerms]] = {}
+        # the D kernel's table: each tuple's eigenvalue terms, read without a sort
+        self._d_terms: dict[tuple[int, ...], EncodedTerms] = {}
         self._T1_rows: dict[tuple[int, ...], tuple] = {}
+        self._weight_spaces: tuple | None = None
         # equal-index action of T_a per parity (q even, -q^-1 odd) and of
         # T_a^-1 (q^-1 even, -q odd), checked once against the unsimplified
         # three-case formula and T_a^-1 = T_a - (q - q^-1): q and q^-1 are fixed here
@@ -88,14 +96,17 @@ class TensorContext:
         self.t_inv_diagonal_terms = tuple(tuple(c.terms.items()) for c in self.t_inv_diagonal)
         self.q_minus_q_inv_terms = tuple(self.q_minus_q_inv.terms.items())
 
-    def Q_power(self, color: int, power: int) -> tuple[Poly, EncodedTerms]:
-        """Q_color^power and its encoded terms, computed on first use and then read from a table."""
-        key = (color, power)
-        entry = self._Q_powers.get(key)
-        if entry is None:
-            value = self.Q[color] ** power
-            entry = self._Q_powers[key] = (value, tuple(value.terms.items()))
-        return entry
+    def omega_scales(self, power: int) -> tuple:
+        """Per index i, the one encoded term (shift, scalar) of Q_{color(i)}^power,
+        computed once per power and then read from a table."""
+        scales = self._omega_scales.get(power)
+        if scales is None:
+            by_color = [None]
+            for color in range(1, self.profile.m + 1):
+                ((shift, scalar),) = (self.Q[color] ** power).terms.items()
+                by_color.append((shift, scalar))
+            scales = self._omega_scales[power] = tuple(by_color[c] for c in self.color)
+        return scales
 
     def d_eigenvalue(self, tup: Sequence[int]) -> tuple[Poly, EncodedTerms]:
         """The D eigenvalue of tup's weight (the product of its x / -y weights) and
@@ -125,6 +136,19 @@ class TensorContext:
 
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
+
+    def weight_spaces(self) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+        """The basis split into weight spaces, computed once: per weight, its
+        sorted tuple (the canonical representative) and its columns in basis
+        order."""
+        if self._weight_spaces is None:
+            spaces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for tup in self.basis():
+                spaces.setdefault(tuple(sorted(tup)), []).append(tup)
+            self._weight_spaces = tuple(
+                (weight, tuple(columns)) for weight, columns in spaces.items()
+            )
+        return self._weight_spaces
 
     def basis_vector(self, tup: Sequence[int]) -> TensorVector:
         return {tuple(tup): self.one}
@@ -183,30 +207,25 @@ def _polys(ctx: TensorContext, flat: FlatVector) -> TensorVector:
     return {tup: Poly._raw(ctx.registry, terms) for tup, terms in grouped.items()}
 
 
-def _add_scaled(out: FlatVector, tup: tuple[int, ...], key: int, coeff, terms: EncodedTerms):
-    """out += coeff * constant at tup: each encoded term shifts key and scales coeff."""
-    for shift, scalar in terms:
-        _accumulate(out, (tup, key + shift), coeff * scalar)
-
-
 # -- kernels: one per operator, on the flat form -----------------------------------
-
-
-def _phi_s_on_tuple(ctx: TensorContext, a: int, tup: tuple[int, ...]):
-    """(new tuple, integer sign) for the signed place permutation at positions a-1, a."""
-    left, right = tup[a - 2], tup[a - 1]
-    if left == right:
-        return tup, (-1 if ctx.parity[left] else 1)
-    sign = -1 if ctx.parity[left] and ctx.parity[right] else 1
-    swapped = tup[: a - 2] + (right, left) + tup[a:]
-    return swapped, sign
+#
+# Each kernel reads its per-call constants once, before the entry loop, and
+# accumulates in place; a sum that cancels is dropped once, on return.
 
 
 def _phi_s_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
+    """The signed place permutation at positions a-1, a: a bijection on tuples,
+    so no two entries meet."""
+    parity = ctx.parity
+    i, j = a - 2, a - 1
     out: FlatVector = {}
     for (tup, key), coeff in vec.items():
-        new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
+        left, right = tup[i], tup[j]
+        if left == right:
+            out[tup, key] = -coeff if parity[left] else coeff
+        else:
+            swapped = tup[:i] + (right, left) + tup[a:]
+            out[swapped, key] = -coeff if parity[left] and parity[right] else coeff
     return out
 
 
@@ -216,17 +235,25 @@ def _T_kernel(ctx: TensorContext, a: int, vec: FlatVector, by_color: bool = Fals
     With ``by_color`` this is S_a, which acts as T_a on same-color neighbours
     and as the signed swap phi(s_a) across colors.
     """
+    parity, color = ctx.parity, ctx.color
+    diagonal, mixed = ctx.t_diagonal_terms, ctx.q_minus_q_inv_terms
+    i, j = a - 2, a - 1
     out: FlatVector = {}
+    get = out.get
     for (tup, key), coeff in vec.items():
-        left, right = tup[a - 2], tup[a - 1]
+        left, right = tup[i], tup[j]
         if left == right:
-            _add_scaled(out, tup, key, coeff, ctx.t_diagonal_terms[ctx.parity[left]])
+            for shift, scalar in diagonal[parity[left]]:
+                entry = (tup, key + shift)
+                out[entry] = get(entry, 0) + coeff * scalar
             continue
-        new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
-        if left < right and not (by_color and ctx.color[left] != ctx.color[right]):
-            _add_scaled(out, tup, key, coeff, ctx.q_minus_q_inv_terms)
-    return out
+        entry = (tup[:i] + (right, left) + tup[a:], key)
+        out[entry] = get(entry, 0) + (-coeff if parity[left] and parity[right] else coeff)
+        if left < right and not (by_color and color[left] != color[right]):
+            for shift, scalar in mixed:
+                entry = (tup, key + shift)
+                out[entry] = get(entry, 0) + coeff * scalar
+    return {entry: value for entry, value in out.items() if value}
 
 
 def _S_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
@@ -237,46 +264,69 @@ def _T_inv_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
     """T_a^-1 = T_a - (q - q^-1) in three cases: q^-1 or -q on equal indices,
     the signed swap on an increasing pair, and the signed swap minus
     (q - q^-1) on a decreasing one."""
+    parity = ctx.parity
+    diagonal, mixed = ctx.t_inv_diagonal_terms, ctx.q_minus_q_inv_terms
+    i, j = a - 2, a - 1
     out: FlatVector = {}
+    get = out.get
     for (tup, key), coeff in vec.items():
-        left, right = tup[a - 2], tup[a - 1]
+        left, right = tup[i], tup[j]
         if left == right:
-            _add_scaled(out, tup, key, coeff, ctx.t_inv_diagonal_terms[ctx.parity[left]])
+            for shift, scalar in diagonal[parity[left]]:
+                entry = (tup, key + shift)
+                out[entry] = get(entry, 0) + coeff * scalar
             continue
-        new, sign = _phi_s_on_tuple(ctx, a, tup)
-        _accumulate(out, (new, key), coeff if sign == 1 else -coeff)
+        entry = (tup[:i] + (right, left) + tup[a:], key)
+        out[entry] = get(entry, 0) + (-coeff if parity[left] and parity[right] else coeff)
         if left > right:
-            _add_scaled(out, tup, key, -coeff, ctx.q_minus_q_inv_terms)
-    return out
+            for shift, scalar in mixed:
+                entry = (tup, key + shift)
+                out[entry] = get(entry, 0) - coeff * scalar
+    return {entry: value for entry, value in out.items() if value}
 
 
 def _Omega_kernel(ctx: TensorContext, j: int, power: int, vec: FlatVector) -> FlatVector:
-    """Omega_j^power scales each basis tuple by Q_{c_j}^power."""
+    """Omega_j^power scales each basis tuple by Q_{c_j}^power, a monomial, so no
+    two entries meet."""
     if power == 0:
         return vec
+    scales = ctx.omega_scales(power)
+    position = j - 1
     out: FlatVector = {}
     for (tup, key), coeff in vec.items():
-        # a monomial: the shift is injective, so no two entries meet
-        ((shift, scalar),) = ctx.Q_power(ctx.color[tup[j - 1]], power)[1]
+        shift, scalar = scales[tup[position]]
         out[tup, key + shift] = coeff * scalar
     return out
 
 
 def _T1_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     """T_1, applied atomically: each entry reads its tuple's row and shifts it."""
+    rows = ctx._T1_rows
     out: FlatVector = {}
+    get = out.get
     for (tup, key), coeff in vec.items():
-        for (image, shift), scalar in ctx.T1_row(tup):
-            _accumulate(out, (image, key + shift), coeff * scalar)
-    return out
+        row = rows.get(tup)
+        if row is None:
+            row = ctx.T1_row(tup)
+        for (image, shift), scalar in row:
+            entry = (image, key + shift)
+            out[entry] = get(entry, 0) + coeff * scalar
+    return {entry: value for entry, value in out.items() if value}
 
 
 def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     """Diagonal operator: tuple bi is scaled by the product of x / -y weights."""
+    d_terms = ctx._d_terms
     out: FlatVector = {}
+    get = out.get
     for (tup, key), coeff in vec.items():
-        _add_scaled(out, tup, key, coeff, ctx.d_eigenvalue(tup)[1])
-    return out
+        terms = d_terms.get(tup)
+        if terms is None:
+            terms = d_terms[tup] = ctx.d_eigenvalue(tup)[1]
+        for shift, scalar in terms:
+            entry = (tup, key + shift)
+            out[entry] = get(entry, 0) + coeff * scalar
+    return {entry: value for entry, value in out.items() if value}
 
 
 _GENERATORS = {
@@ -366,22 +416,30 @@ def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
 
 
 def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
-    """Trace of D composed with an operator, summed column by column.
+    """Trace of D composed with an operator, one weight space at a time.
 
-    The D eigenvalue of a basis tuple depends only on its weight, so diagonal
-    coefficients are summed per weight space, keyed by the sorted tuple (the
-    weight's canonical representative), and D is applied once per weight
-    space.  Only the column loop is shared: each caller brings its own flat
-    action, so the T-operator oracle and the classical signed-permutation
-    oracle stay independent.
+    Column j of a weight space is tagged with c^j, c held as one int digit
+    above the registry's last (:meth:`VariableRegistry.tag_codec`), which no
+    kernel shift reaches.  The action runs once on the space's generating
+    vector sum_j c^j e_j; of its image only the entries that sit on their own
+    column (tuple equal to column j, tag j) are kept, untagged, and summed per
+    weight.  The D eigenvalue of a tuple depends only on its weight, so D is
+    applied once per weight space, to that sum.  Only this loop is shared:
+    each caller brings its own flat action, so the T-operator oracle and the
+    classical signed-permutation oracle stay independent.
     """
+    shift, bias = ctx.registry.tag_codec()
     by_weight: FlatVector = {}
-    for tup in ctx.basis():
-        weight = tuple(sorted(tup))
-        # the monomial 1 has key 0
-        for (image, key), coeff in action({(tup, 0): 1}).items():
-            if image == tup:
-                _accumulate(by_weight, (weight, key), coeff)
+    get = by_weight.get
+    for weight, columns in ctx.weight_spaces():
+        # the monomial 1 has key 0, so column j enters with key j << shift
+        generating = {(tup, j << shift): 1 for j, tup in enumerate(columns)}
+        for (image, tagged), coeff in action(generating).items():
+            j = (tagged + bias) >> shift
+            if image == columns[j]:
+                entry = (weight, tagged - (j << shift))
+                by_weight[entry] = get(entry, 0) + coeff
+    # a diagonal sum that cancels is dropped by the D kernel
     total: dict[int, object] = {}
     for (_, key), coeff in _D_kernel(ctx, by_weight).items():
         _accumulate(total, key, coeff)
@@ -389,7 +447,7 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
-    """Trace of D composed with the word, summed column by column."""
+    """Trace of D composed with the word, the word applied once per weight space."""
     return _trace_D(ctx, _word_kernel(ctx, word))
 
 

@@ -6,6 +6,8 @@ import superfrob.suites
 from superfrob.characters import hecke_character_table
 from superfrob.combinat import multipartitions
 from superfrob.suites import SuiteConfig, run_suite, suite_frobenius, suite_relations
+from superfrob.symfunc import BlockVariables
+from superfrob.tensorrep import TensorContext, vec_add, vec_equal, vec_scale
 
 
 def test_run_all_small():
@@ -67,3 +69,97 @@ def test_frobenius_suite_computes_each_trace_once(monkeypatch):
     )
     results = suite_frobenius(config)
     assert [r.passed for r in results] == [False, False]
+
+
+# -- relation failures name the first failing basis tuple -------------------------
+
+
+def _corrupt(monkeypatch, atom, target):
+    """Make the suite's operator word act with atom X replaced by X + X P, P the
+    projection onto the basis tuple target: X scales that tuple's image by 2."""
+    true_apply = superfrob.suites.apply_word
+
+    def corrupted(ctx, word, vec):
+        for step in reversed(word):
+            image = true_apply(ctx, (step,), vec)
+            if step == atom and target in vec:
+                image = vec_add(image, true_apply(ctx, (step,), {target: vec[target]}))
+            vec = image
+        return vec
+
+    monkeypatch.setattr(superfrob.suites, "apply_word", corrupted)
+
+
+def _per_basis_failures(config):
+    """Each relation check as a loop over the basis vectors in ctx.basis() order:
+    the detail naming the first failing tuple, or None, by check name."""
+    ctx = TensorContext(BlockVariables(config.profile), config.n)
+    apply, n = superfrob.suites.apply_word, config.n
+
+    def agree(word_a, word_b):
+        return lambda v: (apply(ctx, word_a, v), apply(ctx, word_b, v))
+
+    def quadratic(a):
+        def sides(v):
+            Tv = apply(ctx, (("T", a),), v)
+            return apply(ctx, (("T", a),), Tv), vec_add(vec_scale(Tv, ctx.q_minus_q_inv), v)
+
+        return sides
+
+    def cyclotomic(v):
+        for i in range(1, config.m + 1):
+            v = vec_add(apply(ctx, (("T1",),), v), vec_scale(v, -ctx.Q[i]))
+        return v, {}
+
+    T, T1, D = (lambda a: ("T", a)), ("T1",), ("D",)
+    mismatch = "mismatch on basis vector {}"
+    cases = {
+        "quadratic": [
+            (f"T_{a}^2 != (q-q^-1)T_{a} + 1 on {{}}", quadratic(a)) for a in range(2, n + 1)
+        ],
+        "braid": [
+            (f"braid T_{a} T_{a + 1}: {mismatch}", agree((T(a), T(a + 1), T(a)), (T(a + 1), T(a), T(a + 1))))
+            for a in range(2, n)
+        ],
+        "commutation": [
+            (f"[T_{a}, T_{b}] != 0: {mismatch}", agree((T(a), T(b)), (T(b), T(a))))
+            for a in range(2, n + 1)
+            for b in range(a + 2, n + 1)
+        ],
+        "type-b-braid": [(mismatch, agree((T1, T(2), T1, T(2)), (T(2), T1, T(2), T1)))],
+        "cyclotomic": [("prod (T_1 - Q_i) nonzero on {}", cyclotomic)],
+        "d-commutation": [(f"[D, T_1] != 0: {mismatch}", agree((D, T1), (T1, D)))]
+        + [(f"[D, T_{a}] != 0: {mismatch}", agree((D, T(a)), (T(a), D))) for a in range(2, n + 1)],
+    }
+    failures = {}
+    for name, relations in cases.items():
+        failures[name] = None
+        for template, sides in relations:
+            tup = next((t for t in ctx.basis() if not vec_equal(*sides(ctx.basis_vector(t)))), None)
+            if tup is not None:
+                failures[name] = template.format(tup)
+                break
+    return failures
+
+
+@pytest.mark.parametrize(
+    "atom,affected",
+    [
+        (("T", 2), {"quadratic", "braid", "commutation", "type-b-braid"}),
+        (("T1",), {"type-b-braid", "cyclotomic"}),
+    ],
+)
+def test_relation_failures_name_the_first_failing_basis_tuple(monkeypatch, atom, affected):
+    # P commutes with D, so d-commutation still holds; target sits mid-basis,
+    # and for T_2 the tuple (1, 2, 3, 1) swapped onto it fails before it
+    config = SuiteConfig(m=2, n=4, bk=(1, 1), bl=(1, 0))
+    _corrupt(monkeypatch, atom, (2, 1, 3, 1))
+    expected = _per_basis_failures(config)
+    assert {name for name, detail in expected.items() if detail} == affected
+    results = suite_relations(config)
+    assert [r.name for r in results] == list(expected)
+    for result in results:
+        if expected[result.name] is None:
+            assert result.passed, (result.name, result.detail)
+        else:
+            assert (result.passed, result.detail) == (False, expected[result.name])

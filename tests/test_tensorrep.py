@@ -304,12 +304,14 @@ def test_type_a_relations_at_n4():
 
 
 def column_by_column_trace(ctx, action):
-    # the definition: sum over basis tuples of the tuple's coefficient in D(action(e_tup))
+    # the definition: for every basis tuple in ctx.basis() order, the e_tup
+    # coefficient of action(e_tup), weighted by the tuple's D eigenvalue (the
+    # test-local _ref_D below)
     total = Poly.zero(ctx.registry)
     for tup in ctx.basis():
-        coeff = apply_word(ctx, (("D",),), action(ctx.basis_vector(tup))).get(tup)
+        coeff = action(ctx.basis_vector(tup)).get(tup)
         if coeff is not None:
-            total = total + coeff
+            total = total + _ref_D(ctx, {tup: coeff})[tup]
     return total
 
 
@@ -479,3 +481,61 @@ def _words_on_vectors(draw):
 def test_kernels_match_the_per_poly_three_case_reference(case):
     ctx, word, vec = case
     assert vec_equal(apply_word(ctx, word, vec), _ref_apply_word(ctx, word, vec))
+
+
+# -- the weight-space traces against column_by_column_trace, on random input ------
+
+
+@st.composite
+def _small_contexts(draw):
+    # m <= 2 colors, k + l <= 3 variables in all, n <= 3
+    m = draw(st.integers(1, 2))
+    counts = []
+    for _ in range(2 * m):
+        counts.append(draw(st.integers(0, 3 - sum(counts))))
+    if not sum(counts):
+        counts[draw(st.integers(0, 2 * m - 1))] = 1
+    n = draw(st.integers(1, 3))
+    return make_ctx(tuple(counts[:m]), tuple(counts[m:]), n)
+
+
+@st.composite
+def _traced_words(draw):
+    ctx = draw(_small_contexts())
+    m, n = ctx.profile.m, ctx.n
+    atoms = [
+        st.tuples(st.just("omega"), st.integers(1, n), st.integers(0, m + 1)),
+        st.just(("T1",)),
+        st.just(("D",)),
+    ]
+    if n >= 2:
+        kinds = st.sampled_from(["T", "Tinv", "S", "phis"])
+        atoms.append(st.tuples(kinds, st.integers(2, n)))
+    word = tuple(draw(st.lists(st.one_of(atoms), max_size=6)))
+    return ctx, word
+
+
+@settings(max_examples=60, deadline=None)
+@given(_traced_words())
+def test_trace_D_word_equals_the_per_column_reference(case):
+    ctx, word = case
+    expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+    assert trace_D_word(ctx, word) == expected, word
+
+
+@st.composite
+def _wreath_elements(draw):
+    ctx = draw(_small_contexts())
+    m, n = ctx.profile.m, ctx.n
+    colors = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    perm = tuple(draw(st.permutations(range(n))))
+    return ctx, (colors, perm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wreath_elements())
+def test_classical_trace_D_equals_the_per_column_reference(case):
+    ctx, element = case
+    m = ctx.profile.m
+    expected = column_by_column_trace(ctx, lambda vec: classical_apply(ctx, element, vec, m))
+    assert classical_trace_D(ctx, element, m) == expected, element
