@@ -428,14 +428,18 @@ def super_schur(
 
 
 def colored_power_sum(a: int, i: int, block: BlockVariables) -> Poly:
-    """P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)/y^(j)), with exact cyclotomic coefficients."""
+    """P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)/y^(j)), with exact cyclotomic coefficients.
+
+    At m <= 2 every zeta_m^k is +-1, so the roots and coefficients are ints.
+    """
     m = block.m
     if not 1 <= i <= m:
         raise ValueError(f"color {i} out of range 1..{m}")
     registry = block.registry
     total = Poly.zero(registry)
     for j in range(1, m + 1):
-        root = CyclotomicNumber.zeta(m, (-i * j) % m)
+        power = (-i * j) % m
+        root = (-1) ** power if m <= 2 else CyclotomicNumber.zeta(m, power)
         total = total + root * super_power_sum(
             a, block.x_polys(j), block.y_polys(j), registry
         )

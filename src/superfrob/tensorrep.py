@@ -9,7 +9,11 @@ indices, which every operator preserves), to the generating vector
 ``sum_j c^j e_j`` of the space's columns, ``c`` a formal scalar no operator
 touches: by linearity the part of the image tagged ``c^j`` is column j's
 image, so each image entry names its source column and no symmetry between
-columns is assumed.
+columns is assumed.  A trace reads only the entries that end on their own
+column, so its T and S steps drop, as they make it, every entry that differs
+from its column at a position no later atom of the word moves: each operator
+maps a tuple only to itself or to its swap at the positions its atom moves,
+so such an entry can never return.  ``apply_word`` never prunes.
 
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
@@ -75,6 +79,7 @@ class TensorContext:
         self._d_terms: dict[tuple[int, ...], EncodedTerms] = {}
         self._T1_rows: dict[tuple[int, ...], tuple] = {}
         self._weight_spaces: tuple | None = None
+        self._tagged_spaces: tuple | None = None
         # equal-index action of T_a per parity (q even, -q^-1 odd) and of
         # T_a^-1 (q^-1 even, -q odd), checked once against the unsimplified
         # three-case formula and T_a^-1 = T_a - (q - q^-1): q and q^-1 are fixed here
@@ -149,6 +154,26 @@ class TensorContext:
                 (weight, tuple(columns)) for weight, columns in spaces.items()
             )
         return self._weight_spaces
+
+    def tagged_spaces(self) -> tuple[tuple, tuple]:
+        """The inputs of a trace, built once: the home table, which holds each
+        column's tuple at its tag (its index in weight-space order), and per
+        weight space its sorted tuple and its generating vector sum_j c^j e_j,
+        c^j held as a tag digit above the registry's last
+        (:meth:`VariableRegistry.tag_codec`)."""
+        if self._tagged_spaces is None:
+            shift, _ = self.registry.tag_codec()
+            homes: list[tuple[int, ...]] = []
+            spaces = []
+            for weight, columns in self.weight_spaces():
+                generating: FlatVector = {}
+                for tup in columns:
+                    # the monomial 1 has key 0, so the column enters with key tag << shift
+                    generating[tup, len(homes) << shift] = 1
+                    homes.append(tup)
+                spaces.append((weight, generating))
+            self._tagged_spaces = (tuple(homes), tuple(spaces))
+        return self._tagged_spaces
 
     def basis_vector(self, tup: Sequence[int]) -> TensorVector:
         return {tuple(tup): self.one}
@@ -229,35 +254,62 @@ def _phi_s_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
     return out
 
 
-def _T_kernel(ctx: TensorContext, a: int, vec: FlatVector, by_color: bool = False) -> FlatVector:
+def _T_kernel(
+    ctx: TensorContext,
+    a: int,
+    vec: FlatVector,
+    by_color: bool = False,
+    last: tuple[bool, bool] = (False, False),
+) -> FlatVector:
     """The three-case action of T_a; equal indices collapse to q or -q^-1.
 
     With ``by_color`` this is S_a, which acts as T_a on same-color neighbours
     and as the signed swap phi(s_a) across colors.
+
+    Inside a trace, ``last`` flags which of positions a-1, a no later atom of
+    the word moves.  An output entry whose tuple differs from its home column
+    (read from its tag, :meth:`TensorContext.tagged_spaces`) at such a
+    position can never reach the diagonal, so it is not emitted.
     """
     parity, color = ctx.parity, ctx.color
     diagonal, mixed = ctx.t_diagonal_terms, ctx.q_minus_q_inv_terms
     i, j = a - 2, a - 1
+    last_left, last_right = last
+    pruning = last_left or last_right
+    if pruning:
+        homes = ctx.tagged_spaces()[0]
+        tag_shift, tag_bias = ctx.registry.tag_codec()
     out: FlatVector = {}
     get = out.get
     for (tup, key), coeff in vec.items():
         left, right = tup[i], tup[j]
+        stays = swaps = True
+        if pruning:
+            home = homes[(key + tag_bias) >> tag_shift]
+            if last_left:
+                stays, swaps = left == home[i], right == home[i]
+            if last_right:
+                stays, swaps = stays and right == home[j], swaps and left == home[j]
         if left == right:
-            for shift, scalar in diagonal[parity[left]]:
-                entry = (tup, key + shift)
-                out[entry] = get(entry, 0) + coeff * scalar
+            if stays:
+                for shift, scalar in diagonal[parity[left]]:
+                    entry = (tup, key + shift)
+                    out[entry] = get(entry, 0) + coeff * scalar
             continue
-        entry = (tup[:i] + (right, left) + tup[a:], key)
-        out[entry] = get(entry, 0) + (-coeff if parity[left] and parity[right] else coeff)
-        if left < right and not (by_color and color[left] != color[right]):
+        if swaps:
+            entry = (tup[:i] + (right, left) + tup[a:], key)
+            out[entry] = get(entry, 0) + (-coeff if parity[left] and parity[right] else coeff)
+        if stays and left < right and not (by_color and color[left] != color[right]):
             for shift, scalar in mixed:
                 entry = (tup, key + shift)
                 out[entry] = get(entry, 0) + coeff * scalar
     return {entry: value for entry, value in out.items() if value}
 
 
-def _S_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
-    return _T_kernel(ctx, a, vec, by_color=True)
+def _S_kernel(
+    ctx: TensorContext, a: int, vec: FlatVector, last: tuple[bool, bool] = (False, False)
+) -> FlatVector:
+    return _T_kernel(ctx, a, vec, True, last)
 
 
 def _T_inv_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
@@ -337,14 +389,23 @@ _GENERATORS = {
 }
 
 
-def _kernel(ctx: TensorContext, atom: OperatorAtom) -> Kernel:
-    """The flat kernel of one atom, with its indices checked once."""
+def _kernel(ctx: TensorContext, atom: OperatorAtom, later: set[int] | None = None) -> Kernel:
+    """The flat kernel of one atom, with its indices checked once.
+
+    Inside a trace, ``later`` holds the 0-based positions that the atoms
+    acting after this one move; a T or S kernel prunes at the positions it
+    moves for the last time (see :func:`_T_kernel`).
+    """
     kind = atom[0]
     if kind in _GENERATORS:
         label, kernel = _GENERATORS[kind]
         a = atom[1]
         if not 2 <= a <= ctx.n:
             raise IndexError(f"{label} index {a} out of range 2..{ctx.n}")
+        if later is not None and kind in ("T", "S"):
+            last = (a - 2 not in later, a - 1 not in later)
+            if any(last):
+                return partial(kernel, ctx, a, last=last)
         return partial(kernel, ctx, a)
     if kind == "omega":
         _, j, power = atom
@@ -360,9 +421,24 @@ def _kernel(ctx: TensorContext, atom: OperatorAtom) -> Kernel:
     raise ValueError(f"unknown operator atom {atom!r}")
 
 
-def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Kernel:
-    """The word's action right-to-left (the rightmost atom acts first)."""
-    steps = [_kernel(ctx, atom) for atom in reversed(word)]
+def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool = False) -> Kernel:
+    """The word's action right-to-left (the rightmost atom acts first).
+
+    ``traced`` builds the action a trace runs on tagged generating vectors:
+    each T and S step prunes at the positions that no atom acting after it
+    moves.  T, T^-1, S and phi(s_a) at a move positions a-1 and a, T_1 moves
+    every position, and Omega and D move none.
+    """
+    steps = []
+    # the atoms left of an atom act after it
+    later: set[int] = set()
+    for atom in word:
+        steps.append(_kernel(ctx, atom, later if traced else None))
+        if atom[0] in _GENERATORS:
+            later.update((atom[1] - 2, atom[1] - 1))
+        elif atom[0] == "T1":
+            later.update(range(ctx.n))
+    steps.reverse()
 
     def run(vec: FlatVector) -> FlatVector:
         for step in steps:
@@ -418,25 +494,36 @@ def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
 def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     """Trace of D composed with an operator, one weight space at a time.
 
-    Column j of a weight space is tagged with c^j, c held as one int digit
-    above the registry's last (:meth:`VariableRegistry.tag_codec`), which no
-    kernel shift reaches.  The action runs once on the space's generating
-    vector sum_j c^j e_j; of its image only the entries that sit on their own
-    column (tuple equal to column j, tag j) are kept, untagged, and summed per
-    weight.  The D eigenvalue of a tuple depends only on its weight, so D is
-    applied once per weight space, to that sum.  Only this loop is shared:
-    each caller brings its own flat action, so the T-operator oracle and the
-    classical signed-permutation oracle stay independent.
+    Column j is tagged with c^j, c held as one int digit above the registry's
+    last (:meth:`VariableRegistry.tag_codec`), which no kernel shift reaches;
+    j is the column's index in weight-space order, so the context's home
+    table reads any entry's column from its tag.  The action runs once on
+    each space's generating vector sum_j c^j e_j, built once per context
+    (:meth:`TensorContext.tagged_spaces`); of its image only the entries that
+    sit on their own column (tuple equal to the home of tag j) are kept,
+    untagged, and summed per weight.  The D eigenvalue of a tuple depends only
+    on its weight, so D is applied once per weight space, to that sum.
+
+    The T-operator action prunes on the way (``_word_kernel(traced=True)``):
+    a T or S step drops an output entry whose tuple differs from its home at
+    a position that no later atom moves.  This is exact because every kernel
+    maps a tuple only to itself or to its swap at the positions its atom
+    moves, so such an entry never returns to its column; every kept column's
+    diagonal entry is still computed by the same kernel arithmetic, and no
+    symmetry between columns is assumed.
+
+    Only this loop is shared: each caller brings its own flat action, so the
+    T-operator oracle and the classical signed-permutation oracle stay
+    independent.
     """
     shift, bias = ctx.registry.tag_codec()
+    homes, spaces = ctx.tagged_spaces()
     by_weight: FlatVector = {}
     get = by_weight.get
-    for weight, columns in ctx.weight_spaces():
-        # the monomial 1 has key 0, so column j enters with key j << shift
-        generating = {(tup, j << shift): 1 for j, tup in enumerate(columns)}
+    for weight, generating in spaces:
         for (image, tagged), coeff in action(generating).items():
             j = (tagged + bias) >> shift
-            if image == columns[j]:
+            if image == homes[j]:
                 entry = (weight, tagged - (j << shift))
                 by_weight[entry] = get(entry, 0) + coeff
     # a diagonal sum that cancels is dropped by the D kernel
@@ -447,8 +534,9 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
-    """Trace of D composed with the word, the word applied once per weight space."""
-    return _trace_D(ctx, _word_kernel(ctx, word))
+    """Trace of D composed with the word, the word applied once per weight
+    space and only to the entries that can still return to their column."""
+    return _trace_D(ctx, _word_kernel(ctx, word, traced=True))
 
 
 # -- classical (q = 1) oracle ---------------------------------------------------

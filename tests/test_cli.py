@@ -192,6 +192,23 @@ def test_printer_characterization_expand_ptilde(capsys):
     assert _sha256(out) == "be7fcf2e2283ec76f1f0cb8b34358091c2ffb7280f4d24640efd8dc0a1a73c5d"
 
 
+# sha256 of the whole `expand ptilde` JSON payload at m <= 2, as computed when
+# these coefficients were built from cyclotomic roots
+PTILDE_PAYLOAD_SHA256 = {
+    ("[[2,1]]", "2", "1"): "0b927629999df87abb9d0ba28ab414c9510620ff32c23d68b8794c2163bc5bf6",
+    ("[[2],[1,1]]", "1,1", "1,1"): (
+        "5a135fc0de89ff4cbd6ca5c1a723062967898aaf9ca7570c6b4dd65e38167dba"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape,k,l", sorted(PTILDE_PAYLOAD_SHA256))
+def test_expand_ptilde_payload_is_pinned_at_m_le_2(capsys, shape, k, l):
+    code, out, _ = run_cli(capsys, ["expand", "ptilde", "--shape", shape, "--k", k, "--l", l])
+    assert code == 0
+    assert _sha256(out) == PTILDE_PAYLOAD_SHA256[shape, k, l]
+
+
 def test_verify_relations_example(capsys):
     code, out, _ = run_cli(
         capsys,

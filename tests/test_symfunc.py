@@ -13,7 +13,7 @@ from superfrob.combinat import (
     multipartitions,
     partitions,
 )
-from superfrob.exact import Poly
+from superfrob.exact import CyclotomicNumber, Poly
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
@@ -300,6 +300,27 @@ def test_colored_power_sum_degenerations():
     # m = 2: zeta = -1, so P_a^(2) has both signs positive, P_a^(1) alternates
     assert colored_power_sum(1, 2, block2) == x1 + x2
     assert colored_power_sum(1, 1, block2) == x2 - x1
+
+
+@pytest.mark.parametrize("bk,bl", [((2,), (1,)), ((1, 1), (1, 1)), ((2, 1), (0, 1))])
+def test_colored_power_sums_have_int_coefficients_at_m_le_2(bk, bl):
+    # every zeta_m^k is +-1 at m <= 2; the sums equal the ones built with
+    # cyclotomic roots, as in the definition
+    block = make_block(bk, bl)
+    m = block.m
+    for bmu in multipartitions(m, 3):
+        value = colored_power_sum_product(bmu, block)
+        assert {type(c) for c in value.terms.values()} == {int}
+        expected = Poly.one(block.registry)
+        for i, component in enumerate(bmu, start=1):
+            for part in component:
+                factor = Poly.zero(block.registry)
+                for j in range(1, m + 1):
+                    factor = factor + CyclotomicNumber.zeta(m, -i * j) * super_power_sum(
+                        part, block.x_polys(j), block.y_polys(j), block.registry
+                    )
+                expected = expected * factor
+        assert value == expected, bmu
 
 
 def test_q_tilde_examples():

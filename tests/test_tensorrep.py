@@ -333,6 +333,43 @@ def test_weight_space_trace_equals_column_by_column_sum(bk, bl, n):
         assert trace_D_word(ctx, word) == expected, word
 
 
+@pytest.mark.parametrize("bk,bl", [((1, 1), (1, 1)), ((1, 0, 1), (0, 1, 1))])
+def test_pruned_trace_follows_entries_that_move_back(bk, bl):
+    # a later atom moves a swapped position back, so no step before that
+    # atom may drop the entry; the movers are T, Tinv, phis, S and T1
+    ctx = make_ctx(bk, bl, 3)
+    words = [
+        (("T", 2), ("T", 2)),
+        (("T", 2), ("T", 3), ("T", 2)),
+        (("Tinv", 2), ("T", 2)),
+        (("T", 2), ("T1",), ("T", 2)),
+        (("T1",), ("T", 2)),
+        (("phis", 2), ("T", 2)),
+        (("S", 3), ("omega", 3, 1), ("T", 3)),
+    ]
+    for word in words:
+        expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+        assert trace_D_word(ctx, word) == expected, word
+
+
+@pytest.mark.parametrize(
+    "bk,bl,bmu",
+    [
+        ((2,), (1,), ((4,),)),
+        ((1,), (1,), ((5,),)),
+        ((1, 1), (1, 0), ((1,), (4,))),
+        ((0, 1), (1, 1), ((4,), (1,))),
+    ],
+)
+def test_pruned_trace_of_a_long_cycle_equals_column_by_column_sum(bk, bl, bmu):
+    # one long part: every T step of its cycle prunes
+    n = sum(sum(component) for component in bmu)
+    ctx = make_ctx(bk, bl, n)
+    word = standard_word(bmu, n)
+    expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+    assert trace_D_word(ctx, word) == expected
+
+
 @pytest.mark.parametrize("bk,bl,n", [((1, 0, 1), (0, 1, 1), 2), ((1, 1, 0), (0, 1, 1), 3)])
 def test_weight_space_classical_trace_equals_column_by_column_sum(bk, bl, n):
     ctx = make_ctx(bk, bl, n)
