@@ -18,7 +18,6 @@ the package's cross-checks.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +35,10 @@ from superfrob.exact import (
     DomainError,
     Poly,
     _coefficient_vector,
+    _cyclo_galois,
     _cyclo_reduce,
+    _product_slots,
+    _product_sum,
     euler_phi,
     solve_linear_exact,
     transport,
@@ -368,18 +370,16 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
     checked and no symmetry within colors is assumed.  As in the solve, both
     sides are multiplied by ``common = lcm(Z_bmu)``, so the weights
     ``common // Z_bmu`` are integers.  The sums run per monomial key on
-    Z[zeta_m] coefficient vectors, the solver's representation: slot s of a
-    product u * w collects u_a * w_b over a + b = s, so each key keeps one
-    flat vector of weighted power-sum coefficients per slot, a slot of the
-    row sum is one dot product with the row's flat coefficients, and the
-    slots are reduced modulo Phi_m once per key before the comparison.
+    Z[zeta_m] coefficient vectors, the solver's representation: each key's
+    column of weighted power-sum coefficients is laid out once by
+    :func:`_product_slots`, and each row's sum is one :func:`_product_sum`
+    of the row's flat coefficients with it.
     """
     m = table.m
-    phi = euler_phi(m)
     block = solve_block(m, table.n)
     orders = [centralizer_order_wreath(bmu, m) for bmu in table.cols]
     common = math.lcm(*orders)
-    zero = (0,) * phi
+    zero = (0,) * euler_phi(m)
     # per monomial key, the coefficient vector of (common // Z_bmu) P_bmu per column
     weighted: dict[int, list] = {}
     for k, (bmu, order) in enumerate(zip(table.cols, orders)):
@@ -389,13 +389,7 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
             if column is None:
                 column = weighted[key] = [zero] * len(orders)
             column[k] = tuple(weight * c for c in _coefficient_vector(coeff, m))
-    slots = {
-        key: [
-            [w[s - a] if 0 <= s - a < phi else 0 for w in column for a in range(phi)]
-            for s in range(2 * phi - 1)
-        ]
-        for key, column in weighted.items()
-    }
+    slots = {key: _product_slots(m, column) for key, column in weighted.items()}
     violations = []
     for bshape, row in zip(table.rows, table.entries):
         flat = [c for value in row for c in _coefficient_vector(value, m)]
@@ -404,9 +398,8 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
             for key, coeff in super_schur(bshape, block).terms.items()
         }
         if not expected.keys() <= slots.keys() or any(
-            _cyclo_reduce(m, [sum(map(operator.mul, flat, bar)) for bar in bars])
-            != expected.get(key, zero)
-            for key, bars in slots.items()
+            _product_sum(m, flat, layout) != expected.get(key, zero)
+            for key, layout in slots.items()
         ):
             violations.append(bshape)
     return violations
@@ -441,33 +434,30 @@ def _audit_pairs(
 ) -> OrthogonalityReport:
     """Check sum_k weights[k] * u[k] * conj(v[k]) == delta(u, v) * diagonal[u] for all pairs.
 
-    Each pair's sum is taken in Z[x]/(x^m - 1) on coefficient vectors and
-    reduced modulo Phi_m once before it is compared.  For a coefficient
-    vector u_k and conj(v_k) = sum_b v_{k,b} zeta^(-b), slot s of the sum
-    collects u_{k,a} * weights[k] * v_{k,(a-s) mod m}; so each v is
-    conjugated and weighted once, as one flat vector per slot s, and a slot
-    is one dot product with u's flat coefficients.  ``scale`` is a nonzero
-    integer the caller multiplied into the weights and the diagonal; a
-    violating total is reported divided by it.
+    Each v is conjugated (zeta -> zeta^(m-1)) and weighted once, and its
+    column of weights[k] * conj(v[k]) is laid out once by
+    :func:`_product_slots`; a pair's sum is then one :func:`_product_sum`
+    of u's flat coefficients with that layout, compared exactly.  ``scale``
+    is a nonzero integer the caller multiplied into the weights and the
+    diagonal; a violating total is reported divided by it.
     """
-    phi = euler_phi(m)
-    flats = [[c for value in vector for c in _coefficient_vector(value, m)] for vector in vectors]
-    bars = [
-        [
+    columns = [[_coefficient_vector(value, m) for value in vector] for vector in vectors]
+    flats = [[c for w in column for c in w] for column in columns]
+    layouts = [
+        _product_slots(
+            m,
             [
-                weight * flat[k * phi + b] if b < phi else 0
-                for k, weight in enumerate(weights)
-                for b in ((a - s) % m for a in range(phi))
-            ]
-            for s in range(m)
-        ]
-        for flat in flats
+                tuple(weight * c for c in _cyclo_galois(m, w, m - 1))
+                for w, weight in zip(column, weights)
+            ],
+        )
+        for column in columns
     ]
-    zeros = (0,) * (phi - 1)
+    zeros = (0,) * (euler_phi(m) - 1)
     violations = []
     for i, flat in enumerate(flats):
-        for j, slots in enumerate(bars):
-            total = _cyclo_reduce(m, [sum(map(operator.mul, flat, bar)) for bar in slots])
+        for j, layout in enumerate(layouts):
+            total = _product_sum(m, flat, layout)
             if total != ((diagonal[i] if i == j else 0),) + zeros:
                 value = CyclotomicNumber._raw(m, total)
                 if scale != 1:

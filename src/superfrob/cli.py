@@ -218,6 +218,14 @@ def _poly_payload(f: Poly, zeta_order: int | None, label: str) -> dict:
     }
 
 
+def _expand_profile(parser, args, m: int) -> HookProfile:
+    """The --k/--l profile on m colors, refused unless it has a variable to expand in."""
+    bk, bl = _resolve_profile(parser, args, m)
+    if sum(bk) + sum(bl) == 0:
+        parser.error("--k/--l must give the profile at least one variable")
+    return HookProfile(bk, bl)
+
+
 def cmd_expand(args, parser) -> int:
     target = args.target
     if target == "hl":
@@ -239,8 +247,8 @@ def cmd_expand(args, parser) -> int:
     elif target == "qtilde":
         if args.alpha is None and args.beta is None:
             parser.error("expand qtilde needs --alpha and/or --beta")
-        bk, bl = _resolve_profile(parser, args, len(args.k) if args.k else 1)
-        profile = HookProfile(bk, bl)
+        # the color count is the longer of --k and --l; a one-entry list broadcasts
+        profile = _expand_profile(parser, args, max(len(args.k or ()), len(args.l or ()), 1))
         alpha = args.alpha if args.alpha is not None else (0,) * profile.k
         beta = args.beta if args.beta is not None else (0,) * profile.l
         if len(alpha) != profile.k or len(beta) != profile.l:
@@ -254,10 +262,11 @@ def cmd_expand(args, parser) -> int:
         if args.shape is None:
             parser.error(f"expand {target} needs --shape")
         bshape = _parse_shape(parser, args.shape)
+        if not bshape:
+            parser.error("--shape must list at least one color")
         m = len(bshape)
         n = sum(sum(c) for c in bshape)
-        bk, bl = _resolve_profile(parser, args, m)
-        profile = HookProfile(bk, bl)
+        profile = _expand_profile(parser, args, m)
         _guard(parser, args, m, max(n, 1), "(k+l)^n", (profile.k + profile.l) ** max(n, 1))
         block = BlockVariables(profile)
         if target == "superschur":

@@ -20,12 +20,14 @@ have all exponents in the signed 32-bit range [-2^31, 2^31), checked once per
 factor; outside it the operation raises :class:`DomainError` instead of
 letting a digit wrap into its neighbour.
 
+Phi_m is z^m - 1 divided exactly by each monic Phi_d, d | m, d < m.
 Cyclotomic numbers multiply through one tuple-level kernel on their
-coefficient vectors, which :func:`solve_linear_exact` also uses: the solve
-takes scalar right-hand sides only, clears each row of its denominators,
-holds every entry as an integer or an integer coefficient vector over
-Z[zeta_m], and runs a fraction-free elimination in which every division is
-checked exact.
+coefficient vectors; beside it, one product-sum kernel gives the reduced
+sum_k u_k * w_k for the character audits.  :func:`solve_linear_exact` also
+multiplies through the kernel: it takes scalar right-hand sides only,
+clears each row of its denominators, holds every entry as an integer or an
+integer coefficient vector over Z[zeta_m], and runs a fraction-free
+elimination in which every division is checked exact.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -586,60 +588,27 @@ class Poly:
         return poly_to_string(self)
 
 
-# -- dense univariate helpers (internal) ------------------------------------
-
-
-def _dense_trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _dense_mul(a: Sequence, b: Sequence) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _dense_trim(out)
-
-
-def _dense_divmod(num: Sequence, den: Sequence):
-    num = list(num)
-    den = _dense_trim(list(den))
-    if not den:
-        raise DomainError("dense division by zero")
-    quot = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        c = _quotient(num[shift + len(den) - 1], lead)
-        if c:
-            quot[shift] = c
-            for i, d in enumerate(den):
-                num[shift + i] -= c * d
-    return _dense_trim(quot), _dense_trim(num)
-
-
 @lru_cache(maxsize=None)
 def _phi_dense(m: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the m-th cyclotomic polynomial."""
+    """Coefficients (low to high) of Phi_m: z^m - 1 divided by each monic Phi_d,
+    d | m, d < m, every division checked to leave no remainder."""
     if m < 1:
         raise DomainError("cyclotomic order must be positive")
-    if m == 1:
-        return (-1, 1)
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    den = [1]
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _dense_mul(den, list(_phi_dense(d)))
-    quot, rem = _dense_divmod(num, den)
-    if rem:
-        raise DomainError(f"cyclotomic recursion left a remainder at m={m}")
-    return tuple(quot)
+            den = _phi_dense(d)
+            deg = len(den) - 1
+            quot = [0] * (len(num) - deg)
+            for shift in range(len(quot) - 1, -1, -1):
+                c = quot[shift] = num[shift + deg]
+                if c:
+                    for i, x in enumerate(den):
+                        num[shift + i] -= c * x
+            if any(num[:deg]):
+                raise DomainError(f"cyclotomic recursion left a remainder at m={m}")
+            num = quot
+    return tuple(num)
 
 
 Z_REGISTRY = VariableRegistry([Variable("z")])
@@ -700,6 +669,25 @@ def _cyclo_mul(m: int, a: Sequence, b: Sequence) -> tuple:
             for j, y in enumerate(b, i):
                 acc[j] += x * y
     return _cyclo_reduce(m, acc)
+
+
+def _product_slots(m: int, column: Sequence[Sequence]) -> list[list]:
+    """The slot layout of a column of coefficient vectors w_k, for sum_k u_k * w_k.
+
+    Slot s of the unreduced product u_k * w_k collects u_{k,a} * w_{k,s-a},
+    so slot s of the sum is one dot product of u's flat coefficients with
+    this layout's flat vector s; :func:`_product_sum` takes those dot products.
+    """
+    phi = euler_phi(m)
+    return [
+        [w[s - a] if 0 <= s - a < phi else 0 for w in column for a in range(phi)]
+        for s in range(2 * phi - 1)
+    ]
+
+
+def _product_sum(m: int, flat: Sequence, slots: Sequence[Sequence]) -> tuple:
+    """sum_k u_k * w_k reduced modulo Phi_m, for u given flat and w by :func:`_product_slots`."""
+    return _cyclo_reduce(m, [sum(map(operator.mul, flat, bar)) for bar in slots])
 
 
 def _cyclo_galois(m: int, a: Sequence, k: int) -> tuple:

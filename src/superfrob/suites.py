@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
 
 from superfrob.combinat import (
@@ -112,101 +112,79 @@ def _first_failure(ctx: TensorContext, sides) -> tuple[int, ...] | None:
     return next(tup for tup in ctx.basis() if tup in failing)
 
 
-def _words_agree(ctx: TensorContext, word_a, word_b) -> tuple[bool, str]:
-    tup = _first_failure(
-        ctx, lambda v: (apply_word(ctx, word_a, v), apply_word(ctx, word_b, v))
-    )
-    if tup is not None:
-        return False, f"mismatch on basis vector {tup}"
-    return True, "all basis vectors"
-
-
 def suite_relations(config: SuiteConfig) -> list[CheckResult]:
     """Every relation is checked on each basis vector, through the generating
-    vector of its weight space (one word application per weight space)."""
+    vector of its weight space (one word application per weight space).
+
+    Each check lists its relations as (failure template, sides) pairs; the
+    first failing relation names its first failing basis tuple in the
+    template, and a check with no failure reports its pass detail.
+    """
     ctx = TensorContext(BlockVariables(config.profile, extra=("c",)), config.n)
     n = config.n
-    checks: list[CheckResult] = []
+    # T[1] is the type-B generator T_1, T[a] for a >= 2 the Hecke generator T_a
+    T = [None, ("T1",)] + [("T", a) for a in range(2, n + 1)]
+    D = ("D",)
 
-    def quadratic():
-        for a in range(2, n + 1):
-            def sides(v):
-                Tv = apply_word(ctx, (("T", a),), v)
-                lhs = apply_word(ctx, (("T", a),), Tv)
-                return lhs, vec_add(vec_scale(Tv, ctx.q_minus_q_inv), v)
+    def agree(label, word_a, word_b):
+        def sides(v):
+            return apply_word(ctx, word_a, v), apply_word(ctx, word_b, v)
 
+        return label + "mismatch on basis vector {}", sides
+
+    def quadratic(a):
+        def sides(v):
+            Tv = apply_word(ctx, (T[a],), v)
+            return apply_word(ctx, (T[a],), Tv), vec_add(vec_scale(Tv, ctx.q_minus_q_inv), v)
+
+        return f"T_{a}^2 != (q-q^-1)T_{a} + 1 on {{}}", sides
+
+    def cyclotomic(acc):
+        for i in range(1, config.m + 1):
+            acc = vec_add(apply_word(ctx, (T[1],), acc), vec_scale(acc, -ctx.Q[i]))
+        return acc, {}
+
+    checks = {
+        "quadratic": ([quadratic(a) for a in range(2, n + 1)], f"T_a quadratic for a=2..{n}"),
+        "braid": (
+            [
+                agree(f"braid T_{a} T_{b}: ", (T[a], T[b], T[a]), (T[b], T[a], T[b]))
+                for a, b in zip(range(2, n), range(3, n + 1))
+            ],
+            f"braid relations for a=2..{n - 1}",
+        ),
+        "commutation": (
+            [
+                agree(f"[T_{a}, T_{b}] != 0: ", (T[a], T[b]), (T[b], T[a]))
+                for a in range(2, n + 1)
+                for b in range(a + 2, n + 1)
+            ],
+            "distant generators commute",
+        ),
+        "type-b-braid": (
+            [agree("", (T[1], T[2], T[1], T[2]), (T[2], T[1], T[2], T[1]))],
+            "T_1 T_2 T_1 T_2 = T_2 T_1 T_2 T_1",
+        )
+        if n >= 2
+        else ([], "skipped for n < 2"),
+        "cyclotomic": (
+            [("prod (T_1 - Q_i) nonzero on {}", cyclotomic)],
+            f"prod_(i=1..{config.m}) (T_1 - Q_i) = 0",
+        ),
+        "d-commutation": (
+            [agree(f"[D, T_{a}] != 0: ", (D, T[a]), (T[a], D)) for a in range(1, n + 1)],
+            "D commutes with T_1 and all T_a",
+        ),
+    }
+
+    def check(relations, passed):
+        for template, sides in relations:
             tup = _first_failure(ctx, sides)
             if tup is not None:
-                return False, f"T_{a}^2 != (q-q^-1)T_{a} + 1 on {tup}"
-        return True, f"T_a quadratic for a=2..{n}"
+                return False, template.format(tup)
+        return True, passed
 
-    checks.append(_timed("quadratic", quadratic))
-
-    def braid():
-        for a in range(2, n):
-            ok, detail = _words_agree(
-                ctx,
-                (("T", a), ("T", a + 1), ("T", a)),
-                (("T", a + 1), ("T", a), ("T", a + 1)),
-            )
-            if not ok:
-                return False, f"braid T_{a} T_{a + 1}: {detail}"
-        return True, f"braid relations for a=2..{n - 1}"
-
-    checks.append(_timed("braid", braid))
-
-    def commutation():
-        for a in range(2, n + 1):
-            for b in range(a + 2, n + 1):
-                ok, detail = _words_agree(
-                    ctx, (("T", a), ("T", b)), (("T", b), ("T", a))
-                )
-                if not ok:
-                    return False, f"[T_{a}, T_{b}] != 0: {detail}"
-        return True, "distant generators commute"
-
-    checks.append(_timed("commutation", commutation))
-
-    def type_b_braid():
-        if n < 2:
-            return True, "skipped for n < 2"
-        ok, detail = _words_agree(
-            ctx,
-            (("T1",), ("T", 2), ("T1",), ("T", 2)),
-            (("T", 2), ("T1",), ("T", 2), ("T1",)),
-        )
-        return ok, detail if not ok else "T_1 T_2 T_1 T_2 = T_2 T_1 T_2 T_1"
-
-    checks.append(_timed("type-b-braid", type_b_braid))
-
-    def cyclotomic():
-        def sides(acc):
-            for i in range(1, config.m + 1):
-                acc = vec_add(apply_word(ctx, (("T1",),), acc), vec_scale(acc, -ctx.Q[i]))
-            return acc, {}
-
-        tup = _first_failure(ctx, sides)
-        if tup is not None:
-            return False, f"prod (T_1 - Q_i) nonzero on {tup}"
-        return True, f"prod_(i=1..{config.m}) (T_1 - Q_i) = 0"
-
-    checks.append(_timed("cyclotomic", cyclotomic))
-
-    def d_commutes():
-        words = [(("D",), ("T1",)), (("T1",), ("D",))]
-        ok, detail = _words_agree(ctx, words[0], words[1])
-        if not ok:
-            return False, f"[D, T_1] != 0: {detail}"
-        for a in range(2, n + 1):
-            ok, detail = _words_agree(
-                ctx, (("D",), ("T", a)), (("T", a), ("D",))
-            )
-            if not ok:
-                return False, f"[D, T_{a}] != 0: {detail}"
-        return True, "D commutes with T_1 and all T_a"
-
-    checks.append(_timed("d-commutation", d_commutes))
-    return checks
+    return [_timed(name, partial(check, *entry)) for name, entry in checks.items()]
 
 
 # -- frobenius -----------------------------------------------------------------

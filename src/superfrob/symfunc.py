@@ -114,12 +114,6 @@ class BlockVariables:
         var = Poly.var(self.registry, f"{kind}{color}_{pos}")
         return var if kind == "x" else -var
 
-    def zero(self) -> Poly:
-        return Poly.zero(self.registry)
-
-    def one(self) -> Poly:
-        return Poly.one(self.registry)
-
 
 # -- classical bases ----------------------------------------------------------
 

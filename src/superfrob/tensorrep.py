@@ -74,7 +74,6 @@ class TensorContext:
         self.q_minus_q_inv = block.q_minus_q_inv
         self.Q = [None] + [block.Q(i) for i in range(1, self.profile.m + 1)]
         self._omega_scales: dict[int, tuple] = {}
-        self._d_eigenvalues: dict[tuple[int, ...], tuple[Poly, EncodedTerms]] = {}
         # the D kernel's table: each tuple's eigenvalue terms, read without a sort
         self._d_terms: dict[tuple[int, ...], EncodedTerms] = {}
         self._T1_rows: dict[tuple[int, ...], tuple] = {}
@@ -113,17 +112,19 @@ class TensorContext:
             scales = self._omega_scales[power] = tuple(by_color[c] for c in self.color)
         return scales
 
-    def d_eigenvalue(self, tup: Sequence[int]) -> tuple[Poly, EncodedTerms]:
-        """The D eigenvalue of tup's weight (the product of its x / -y weights) and
-        its encoded terms, computed once per weight."""
-        key = tuple(sorted(tup))
-        entry = self._d_eigenvalues.get(key)
-        if entry is None:
+    def d_terms(self, tup: tuple[int, ...]) -> EncodedTerms:
+        """The encoded terms of tup's D eigenvalue (the product of its x / -y
+        weights), computed once per weight, under its sorted tuple, and then
+        read per tuple from the D kernel's table."""
+        weight = tuple(sorted(tup))
+        terms = self._d_terms.get(weight)
+        if terms is None:
             value = self.one
-            for i in key:
+            for i in weight:
                 value = value * self.diag[i]
-            entry = self._d_eigenvalues[key] = (value, tuple(value.terms.items()))
-        return entry
+            terms = self._d_terms[weight] = tuple(value.terms.items())
+        self._d_terms[tup] = terms
+        return terms
 
     def T1_row(self, tup: tuple[int, ...]) -> tuple:
         """The flat image of the basis pair (tup, 1) under T_1 = T_2^-1 ... T_n^-1
@@ -374,7 +375,7 @@ def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
     for (tup, key), coeff in vec.items():
         terms = d_terms.get(tup)
         if terms is None:
-            terms = d_terms[tup] = ctx.d_eigenvalue(tup)[1]
+            terms = ctx.d_terms(tup)
         for shift, scalar in terms:
             entry = (tup, key + shift)
             out[entry] = get(entry, 0) + coeff * scalar

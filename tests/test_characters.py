@@ -144,7 +144,9 @@ def _bump_one_entry(table: CharacterTable, row: int, col: int, by=1) -> Characte
     return dataclasses.replace(table, entries=entries)
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize(
+    "m,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2), (5, 1), (6, 1)]
+)
 def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
     # each route's table satisfies the identity it was solved from on every
     # monomial row, and one wrong entry fails it at that entry's label
@@ -299,12 +301,14 @@ def _violations_in_rationals(m, labels, vectors, weights, diagonal):
     return violations
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (5, 1)])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (5, 1), (6, 1), (8, 1), (12, 1)])
 def test_orthogonality_audits_name_a_bumped_entry(m, n):
     # one wrong entry breaks row and column orthogonality, on and off the
     # diagonal; each audit names exactly the pairs that a sum in rational
-    # weights 1/Z_bmu names, and reports that unscaled sum; at (4,2) and
-    # (5,1) phi(m) > 1 and conjugation permutes the coefficient slots
+    # weights 1/Z_bmu names, and reports that unscaled sum; from m = 3 on
+    # phi(m) > 1 and conjugation permutes the coefficient slots, and at the
+    # composite orders 6, 8 and 12 the product's 2*phi(m) - 1 slots are
+    # fewer than m
     table = wreath_character_table(m, n)
     row, col = len(table.rows) - 1, len(table.cols) // 2
     bumped = _bump_one_entry(table, row, col)

@@ -333,6 +333,14 @@ def test_expand_qtilde(capsys):
     assert payload["string"] == "q*x1_1*x1_2 - q^-1*x1_1*x1_2"
 
 
+def test_expand_qtilde_takes_the_color_count_from_l(capsys):
+    # --l alone may name the colors; --k's default broadcasts to match
+    code, out, _ = run_cli(capsys, ["expand", "qtilde", "--l", "1,1", "--beta", "1,0"])
+    assert code == 0
+    registry = json.loads(out)["registry"]
+    assert {"Q1", "Q2", "x2_1", "y2_1"} <= set(registry) and "Q3" not in registry
+
+
 def test_expand_usage_errors(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["expand", "superschur", "--shape", "not-json", "--k", "1", "--l", "1"])
@@ -352,11 +360,15 @@ def test_expand_usage_errors(capsys):
         ["expand", "qtilde", "--alpha=0,0", "--k", "2", "--l", "0"],
         ["expand", "superschur", "--shape", "[[1.5]]", "--k", "1", "--l", "1"],
         ["expand", "superschur", "--shape", '"11"', "--k", "1", "--l", "1"],
+        ["expand", "superschur", "--shape", "[]"],
+        ["expand", "ptilde", "--shape", "[[],[]]", "--k", "0", "--l", "0"],
+        ["expand", "qtilde", "--k", "0", "--l", "0", "--alpha", "1"],
     ],
 )
 def test_expand_refuses_malformed_shapes_and_weights(capsys, argv):
     # a shape part must be a positive integer, each part list weakly
-    # decreasing, and a qtilde weight nonnegative with a positive total
+    # decreasing, and a qtilde weight nonnegative with a positive total; a
+    # shape needs a color and a profile needs a variable
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2

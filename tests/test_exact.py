@@ -117,12 +117,23 @@ def test_cyclotomic_phi_against_floating_roots():
 
 def test_phi_divisor_product_identity():
     z = Poly.var(Z_REGISTRY, "z")
-    for m in range(1, 25):
+    for m in range(1, 61):
         product = Poly.one(Z_REGISTRY)
         for d in range(1, m + 1):
             if m % d == 0:
                 product = product * cyclotomic_phi(d)
         assert product == z**m - 1
+
+
+def test_phi_refuses_a_divisor_that_leaves_a_remainder(monkeypatch):
+    # each division of z^m - 1 by a Phi_d is checked exact: a wrong monic
+    # Phi_2 = z + 2 stops Phi_6 instead of giving a polynomial
+    from superfrob import exact
+
+    original = exact._phi_dense
+    monkeypatch.setattr(exact, "_phi_dense", lambda d: (2, 1) if d == 2 else original(d))
+    with pytest.raises(DomainError, match="remainder at m=6"):
+        original.__wrapped__(6)
 
 
 def test_solve_identity():
