@@ -18,9 +18,9 @@ the package's cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from superfrob.combinat import (
     HookProfile,
@@ -95,8 +95,7 @@ def mn_table(n: int) -> list[list[int]]:
 # -- character tables -----------------------------------------------------------
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Square table of character values, rows bl and columns bmu in canonical order.
 
     Generic entries are Laurent polynomials in q with coefficients polynomial
@@ -422,8 +421,7 @@ def wreath_character(bshape: Multipartition, bmu: Multipartition, m: int) -> Cyc
 # -- orthogonality audits --------------------------------------------------------
 
 
-@dataclass
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     passed: bool
     pairs_checked: int
     violations: list

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -93,25 +92,30 @@ def is_hook(shape: Partition, k: int, ell: int) -> bool:
     return shape[k] <= ell
 
 
-@dataclass(frozen=True)
-class HookProfile:
+class _HookBlocks(NamedTuple):
+    bk: tuple[int, ...]
+    bl: tuple[int, ...]
+
+
+class HookProfile(_HookBlocks):
     """Block sizes (k_1..k_m), (l_1..l_m) of the variable sets, with derived layout data.
 
     The global basis index 1..k+l runs color-major: for color i first the k_i
     even slots, then the l_i odd slots, so block i occupies (d_{i-1}, d_i]
-    with d_i the running total of k_j + l_j.
+    with d_i the running total of k_j + l_j.  An immutable record, validated
+    on construction; equal profiles hash alike, so a profile can key a cache.
     """
 
-    bk: tuple[int, ...]
-    bl: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.bk) != len(self.bl):
+    def __new__(cls, bk: tuple[int, ...], bl: tuple[int, ...]):
+        if len(bk) != len(bl):
             raise ValueError("bk and bl must have one entry per color")
-        if any(v < 0 for v in self.bk + self.bl):
+        if any(v < 0 for v in bk + bl):
             raise ValueError("block sizes must be nonnegative")
-        if self.k + self.l == 0:
+        if sum(bk) + sum(bl) == 0:
             raise ValueError("profile must have at least one variable")
+        return super().__new__(cls, bk, bl)
 
     @property
     def m(self) -> int:
@@ -299,8 +303,7 @@ def conjugate_semistandard_skew(
     yield from fill(0)
 
 
-@dataclass(frozen=True)
-class SuperTableau:
+class SuperTableau(NamedTuple):
     """A single-component super semistandard filling.
 
     ``x_shape`` is the straight sub-shape holding x symbols, ``x_filling`` its

@@ -10,9 +10,9 @@ profile.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
+from typing import NamedTuple
 
 from superfrob.combinat import (
     HookProfile,
@@ -60,16 +60,14 @@ from superfrob.tensorrep import (
 SUITE_NAMES = ("relations", "frobenius", "orthogonality", "identities", "all")
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
     seconds: float
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     m: int
     n: int
     bk: tuple[int, ...]
@@ -427,8 +425,6 @@ def run_suite(name: str, config: SuiteConfig) -> list[CheckResult]:
     if name == "all":
         results = []
         for sub in ("relations", "frobenius", "orthogonality", "identities"):
-            for result in run_suite(sub, config):
-                result.name = f"{sub}/{result.name}"
-                results.append(result)
+            results += [r._replace(name=f"{sub}/{r.name}") for r in run_suite(sub, config)]
         return results
     raise ValueError(f"unknown suite {name!r}")

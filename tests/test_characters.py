@@ -1,6 +1,5 @@
 """Tests for character computations and consistency checks."""
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -141,7 +140,7 @@ def _bump_one_entry(table: CharacterTable, row: int, col: int, by=1) -> Characte
     """A copy of the table with entry (row, col) increased by `by`."""
     entries = [list(values) for values in table.entries]
     entries[row][col] = entries[row][col] + by
-    return dataclasses.replace(table, entries=entries)
+    return table._replace(entries=entries)
 
 
 @pytest.mark.parametrize(
