@@ -54,8 +54,9 @@ class BlockVariables:
     then any extra names (e.g. the Hall-Littlewood parameter ``t``).
 
     The block also keeps the closed-form pieces of ``q_n_i`` once built: one
-    Hall-Littlewood series in ``t = q^-2`` per color, and per degree n the
-    sums ``R_{n,L}`` that ``q_n_i`` combines (see :func:`_q_n_pieces`).
+    Hall-Littlewood series in ``t = q^-2`` per color, each of its coefficients
+    divided by ``q - q^-1`` as needed, per degree n the sums ``R_{n,L}`` that
+    ``q_n_i`` combines (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
     """
 
     def __init__(self, profile: HookProfile, extra: tuple[str, ...] = ()):
@@ -73,7 +74,9 @@ class BlockVariables:
         self.q_inv = Poly.var(self.registry, "q", -1)
         self.q_minus_q_inv = self.q - self.q_inv
         self._hl_by_color: dict[int, list[Poly]] = {}
+        self._hl_quotients: dict[tuple[int, int], Poly] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
+        self._q_n_i: dict[tuple[int, int], Poly] = {}
 
     @property
     def m(self) -> int:
@@ -118,27 +121,50 @@ class BlockVariables:
 # -- classical bases ----------------------------------------------------------
 
 
+def _variable_key(v: Poly, registry: VariableRegistry) -> int:
+    """The int key of v, which must be one registered variable to the first power."""
+    if isinstance(v, Poly) and (v.registry is registry or v.registry == registry):
+        if len(v.terms) == 1:
+            ((key, coeff),) = v.terms.items()
+            # x_p itself has key 2^(64 p): one set bit, at the bottom of a digit
+            if coeff == 1 and key > 0 and not key & (key - 1) and key.bit_length() % 64 == 1:
+                return key
+    raise StructuralError(f"schur needs single variables with coefficient 1, got {v!r}")
+
+
 def schur(shape: Partition, variables: list[Poly]) -> Poly:
-    """Schur polynomial as a semistandard-tableau sum; zero when the shape is too tall."""
+    """Schur polynomial by the branching rule; zero when the shape is too tall.
+
+    s_lam(x_1..x_j) = sum_mu s_mu(x_1..x_{j-1}) x_j^(|lam| - |mu|) over the
+    mu that leave a horizontal strip lam/mu (lam_{i+1} <= mu_i <= lam_i),
+    memoised per (mu, j) within the call.  Each entry of ``variables`` must
+    be one registered variable to the first power with coefficient 1.
+    """
     if not variables:
         raise StructuralError("schur needs at least one variable; use _schur_in for empty blocks")
     registry = variables[0].registry
-    if len(shape) > len(variables):
-        return Poly.zero(registry)
-    positions = []
-    for v in variables:
-        (exps,) = v.decoded_terms()
-        positions.append(max(range(len(exps)), key=lambda p: exps[p]))
-    width = len(registry)
-    terms: dict[tuple[int, ...], int] = {}
-    for tab in semistandard_tableaux(shape, len(variables)):
-        exps = [0] * width
-        for row in tab:
-            for value in row:
-                exps[positions[value - 1]] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(registry, terms)
+    keys = [_variable_key(v, registry) for v in variables]
+    memo: dict[tuple[Partition, int], dict[int, int]] = {}
+
+    def expand(lam: Partition, j: int) -> dict[int, int]:
+        if not lam:
+            return {0: 1}
+        if len(lam) > j:
+            return {}
+        terms = memo.get((lam, j))
+        if terms is None:
+            terms = {}
+            key, size = keys[j - 1], sum(lam)
+            below = lam[1:] + (0,)
+            for mu in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(below, lam))):
+                mu = tuple(p for p in mu if p)
+                shift = (size - sum(mu)) * key
+                for k, c in expand(mu, j - 1).items():
+                    terms[k + shift] = terms.get(k + shift, 0) + c
+            memo[lam, j] = terms
+        return terms
+
+    return Poly._raw(registry, expand(tuple(shape), len(keys)))
 
 
 def _schur_in(registry: VariableRegistry, shape: Partition, variables: list[Poly]) -> Poly:
@@ -278,23 +304,25 @@ def _series_mul(a: list[Poly], b: list[Poly], order: int, registry) -> list[Poly
 def hl_series(
     x_vars: list[Poly], y_vars: list[Poly], t: Poly, order: int, registry
 ) -> list[Poly]:
-    """Coefficients of u^0..u^order of prod (1-x t u)/(1-x u) * prod (1-y u)/(1-y t u)."""
+    """Coefficients of u^0..u^order of prod (1-x t u)/(1-x u) * prod (1-y u)/(1-y t u).
+
+    Each variable's factor is expanded first, (1-txu)/(1-xu) = 1 + sum_k
+    (1-t) x^k u^k and (1-yu)/(1-ytu) = 1 + sum_k (t-1) t^(k-1) y^k u^k, so
+    the series takes one product per variable.
+    """
     one = Poly.one(registry)
-    zero = Poly.zero(registry)
-    series = [one] + [zero] * order
+    series = [one] + [Poly.zero(registry)] * order
     for x in x_vars:
-        series = _series_mul(series, [one, -(x * t)], order, registry)
-        geo = [one]
-        for _ in range(order):
-            geo.append(geo[-1] * x)
-        series = _series_mul(series, geo, order, registry)
+        factor = [one, (1 - t) * x]
+        while len(factor) <= order:
+            factor.append(factor[-1] * x)
+        series = _series_mul(series, factor, order, registry)
     for y in y_vars:
-        series = _series_mul(series, [one, -y], order, registry)
+        factor = [one, (t - 1) * y]
         yt = y * t
-        geo = [one]
-        for _ in range(order):
-            geo.append(geo[-1] * yt)
-        series = _series_mul(series, geo, order, registry)
+        while len(factor) <= order:
+            factor.append(factor[-1] * yt)
+        series = _series_mul(series, factor, order, registry)
     return series
 
 
@@ -486,39 +514,46 @@ def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
 
     R_{n,L} = q^n/(q-q^-1) sum_c prod_j q_{c_j}(x^(j)/y^(j); q^-2) over the
     compositions c in C(n;m) whose largest color with a positive part is L.
-    Each composition term is divided exactly by (q - q^-1); a nonzero
-    remainder is an internal consistency error.  The q_a(x^(j)/y^(j); q^-2)
-    are read off one Hall-Littlewood series per color, rebuilt only when a
-    higher order is needed; truncations agree on every coefficient they share.
+    The q_a(x^(j)/y^(j); q^-2) are read off one Hall-Littlewood series per
+    color, rebuilt only when a higher order is needed; truncations agree on
+    every coefficient they share.  The (q - q^-1) is cancelled in the factor
+    of color L: each coefficient of positive degree vanishes at t = 1, so it
+    has the factor 1 - q^-2 = q^-1 (q - q^-1), and the block divides it out
+    exactly once per (color, degree).  A nonzero remainder is an internal
+    consistency error.
     """
     sums = block._q_n_by_degree.get(n)
     if sums is not None:
         return sums
-    m = block.m
     registry = block.registry
     t = Poly.var(registry, "q", -2)
     series = []
-    for color in range(1, m + 1):
+    for color in range(1, block.m + 1):
         kept = block._hl_by_color.get(color)
         if kept is None or len(kept) <= n:
             kept = hl_series(block.x_polys(color), block.y_polys(color), t, n, registry)
             block._hl_by_color[color] = kept
         series.append(kept)
+    quotients = block._hl_quotients
     q_power = Poly.var(registry, "q", n)
     sums = {}
-    for bc in compositions(n, m):
+    for bc in compositions(n, block.m):
+        largest = max(j for j, c in enumerate(bc, start=1) if c)
+        a = bc[largest - 1]
+        quotient = quotients.get((largest, a))
+        if quotient is None:
+            try:
+                quotient = series[largest - 1][a].exact_div(block.q_minus_q_inv)
+            except DomainError as err:
+                raise ConsistencyError(
+                    f"(q - q^-1) failed to divide q_{a} of color {largest}"
+                ) from err
+            quotients[largest, a] = quotient
         term = q_power
-        largest = 0
-        for j, c in enumerate(bc, start=1):
+        for j, c in enumerate(bc[: largest - 1], start=1):
             if c:
                 term = term * series[j - 1][c]
-                largest = j
-        try:
-            term = term.exact_div(block.q_minus_q_inv)
-        except DomainError as err:
-            raise ConsistencyError(
-                f"(q - q^-1) prefactor failed to cancel for composition {bc}"
-            ) from err
+        term = term * quotient
         sums[largest] = sums[largest] + term if largest in sums else term
     block._q_n_by_degree[n] = sums
     return sums
@@ -530,13 +565,17 @@ def q_n_i(n: int, i: int, block: BlockVariables) -> Poly:
     q_n^(i) = q^n/(q-q^-1) sum_{c in C(n;m)} Q_c^i prod_j q_{c_j}(x^(j)/y^(j); q^-2),
     where Q_c is the Q of the largest color with a positive part.  The terms
     depend on i only through Q_c^i, so they are summed once per largest color
-    (:func:`_q_n_pieces`) and each sum is weighted by Q_L^i here.
+    (:func:`_q_n_pieces`) and each sum is weighted by Q_L^i here.  The block
+    keeps each q_n^(i) once built.
     """
     if n < 1:
         raise ValueError("q_n_i needs n >= 1")
-    total = Poly.zero(block.registry)
-    for largest, piece in _q_n_pieces(n, block).items():
-        total = total + block.Q(largest, i) * piece
+    total = block._q_n_i.get((n, i))
+    if total is None:
+        total = Poly.zero(block.registry)
+        for largest, piece in _q_n_pieces(n, block).items():
+            total = total + block.Q(largest, i) * piece
+        block._q_n_i[n, i] = total
     return total
 
 

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,25 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_start_up_imports_no_dataclasses():
+    # the record classes are NamedTuples, so building the parser imports
+    # neither dataclasses nor inspect, which dataclasses pulls in; -S keeps
+    # site hooks of the environment out of the measured import graph
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys; from superfrob.cli import build_parser; build_parser(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_chartable_m1_n2_json(capsys):

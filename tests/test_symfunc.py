@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superfrob import symfunc
 from superfrob.combinat import (
@@ -12,8 +13,9 @@ from superfrob.combinat import (
     is_hook_multi,
     multipartitions,
     partitions,
+    semistandard_tableaux,
 )
-from superfrob.exact import CyclotomicNumber, Poly
+from superfrob.exact import CyclotomicNumber, Poly, StructuralError
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
@@ -55,6 +57,41 @@ def test_schur_examples():
     assert schur((2, 1), [x1, x2]) == x1**2 * x2 + x1 * x2**2
     assert schur((1, 1, 1), [x1, x2]).is_zero()
     assert schur((), [x1]) == Poly.one(block.registry)
+
+
+def test_schur_rejects_entries_that_are_not_single_variables():
+    block = make_block((2,), (0,))
+    x1, x2 = block.x_polys(1)
+    for variables in ([2 * x1, x2], [x1 * x2, x2], [x1 + x2]):
+        with pytest.raises(StructuralError):
+            schur((1,), variables)
+
+
+def _schur_by_tableaux(shape, variables):
+    """The semistandard-tableau sum, the reference for the branching rule."""
+    registry = variables[0].registry
+    total = Poly.zero(registry)
+    for tableau in semistandard_tableaux(shape, len(variables)):
+        term = Poly.one(registry)
+        for row in tableau:
+            for value in row:
+                term = term * variables[value - 1]
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda size: st.sampled_from(partitions(size))),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+)
+def test_branching_schur_equals_the_tableau_sum(shape, picks):
+    # any order of the variables, repeats allowed: the rule must not rely on
+    # them being distinct or in registry order
+    block = make_block((6,), (0,))
+    xs = block.x_polys(1)
+    variables = [xs[i] for i in picks]
+    assert schur(shape, variables) == _schur_by_tableaux(shape, variables)
 
 
 def test_lr_coefficient_examples():
@@ -321,6 +358,40 @@ def test_colored_power_sums_have_int_coefficients_at_m_le_2(bk, bl):
                     )
                 expected = expected * factor
         assert value == expected, bmu
+
+
+def _hl_series_two_products(x_vars, y_vars, t, order, registry):
+    """prod (1-x t u)/(1-x u) * prod (1-y u)/(1-y t u) with two series
+    products per variable, a binomial and a geometric series: the reference
+    for hl_series."""
+
+    def times(a, b):
+        out = [Poly.zero(registry)] * (order + 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b[: order + 1 - i]):
+                out[i + j] = out[i + j] + ai * bj
+        return out
+
+    one = Poly.one(registry)
+    series = [one] + [Poly.zero(registry)] * order
+    for x in x_vars:
+        series = times(series, [one, -(x * t)])
+        series = times(series, [x**k for k in range(order + 1)])
+    for y in y_vars:
+        series = times(series, [one, -y])
+        series = times(series, [(y * t) ** k for k in range(order + 1)])
+    return series
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5), st.booleans())
+def test_hl_series_equals_the_two_product_expansion(k, l, order, symbolic):
+    block = make_block((max(k, 1),), (l,), extra=("t",))
+    registry = block.registry
+    x_vars = block.x_polys(1)[:k]
+    t = Poly.var(registry, "t") if symbolic else Poly.var(registry, "q", -2)
+    expected = _hl_series_two_products(x_vars, block.y_polys(1), t, order, registry)
+    assert symfunc.hl_series(x_vars, block.y_polys(1), t, order, registry) == expected
 
 
 def test_q_tilde_examples():
