@@ -5,11 +5,15 @@ registry: per color i there are k_i even variables x{i}_a and l_i odd
 variables y{i}_b, plus the Hecke parameters q (invertible) and Q_1..Q_m.
 Colored power sums carry cyclotomic coefficients.
 
-Hall-Littlewood functions are computed by one mechanism only: truncated power
-series in an auxiliary expansion variable u (represented as coefficient
-lists, never as a registered variable), exactly following their generating
-functions.  The deformation parameter t is passed in as a first-class
-polynomial, so callers can keep it symbolic or set it to q^-2.
+Schur polynomials are built by the branching rule, one horizontal strip per
+variable.  Hall-Littlewood functions are computed by one mechanism only:
+truncated power series in an auxiliary expansion variable u (represented as
+coefficient lists, never as a registered variable), exactly following their
+generating functions, with one series product per variable.  The
+deformation parameter t is passed in as a first-class polynomial, so callers
+can keep it symbolic or set it to q^-2.  A block keeps what ``q_n_i`` builds
+from them: each color's series, its coefficients divided once by q - q^-1,
+and each q_n^(i).
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from superfrob.combinat import (
     partitions,
     sub_partitions,
     super_tableaux,
-    semistandard_tableaux,
 )
 from superfrob.exact import (
     CyclotomicNumber,
