@@ -240,6 +240,22 @@ def test_hook_tableau_equivalence():
                 assert nonzero == is_hook_multi(bshape, profile)
 
 
+def test_hook_profile_validates_and_keys_by_value():
+    for bk, bl, message in [
+        ((1,), (1, 1), "one entry per color"),
+        ((1, -1), (0, 1), "nonnegative"),
+        ((0, 0), (0, 0), "at least one variable"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            HookProfile(bk, bl)
+        with pytest.raises(ValueError, match=message):
+            HookProfile(bk=bk, bl=bl)
+    profile = HookProfile(bk=(1, 2), bl=(0, 1))
+    assert profile == HookProfile((1, 2), (0, 1))
+    assert {profile: "kept"}[HookProfile((1, 2), (0, 1))] == "kept"
+    assert (profile.bk, profile.bl) == ((1, 2), (0, 1))
+
+
 def test_hook_profile_layout():
     profile = HookProfile((1, 2), (1, 1))
     # block 1: x1, y1 -> indices 1, 2; block 2: x2 x2, y2 -> indices 3, 4, 5
