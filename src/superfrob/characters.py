@@ -5,10 +5,13 @@ functions on the solve profile k_i = n, l_i = 0: there every multipartition is
 a hook, the super Schur functions degenerate to products of ordinary Schur
 polynomials with integer monomial coordinates, and the character values drop
 out of one exact linear solve.  Both sides are symmetric within each color, so
-the solve keeps one row per multipartition (its dominant monomial) after
-certifying that symmetry; the matrix is then square, a product of Kostka
-matrices.  Specializing q -> 1, Q_i -> zeta^i turns the result into the
-character table of the wreath product W_{m,n}.
+the solve keeps one row per multipartition (its dominant monomial); the matrix
+is then square, a product of Kostka matrices.  The symmetry is certified in
+the same pass over an expansion's terms that reads those rows: every term
+must carry the coefficient of its per-color-sorted term, and the sorted terms'
+orbit sizes must add up to the number of terms, so no orbit member is missing.
+Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
+of the wreath product W_{m,n}.
 
 The same wreath table is recomputed independently from the colored power sum
 expansion of the super Schur functions; agreement of the two routes is one of
@@ -49,6 +52,7 @@ from superfrob.symfunc import (
     colored_power_sum_product,
     coordinates_on_degree,
     degree_monomials,
+    monomial_orbits,
     q_bmu,
     super_schur,
 )
@@ -134,46 +138,39 @@ def solve_block(m: int, n: int) -> BlockVariables:
 
 
 @lru_cache(maxsize=None)
-def _symmetry_index(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row indices into ``degree_monomials(m * n, n)`` for the solve block.
+def _symmetry_index(m: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The :func:`monomial_orbits` table of the solve block's x-monomials of degree n.
 
-    ``canonical[r]`` is the row of monomial r with each color's exponent block
-    sorted decreasingly; ``dominant[j]`` is the row of the dominant monomial of
-    the j-th multipartition (each color's partition padded to n), in
-    ``multipartitions`` order.  The canonical rows are exactly the dominant ones.
+    Each orbit is the set of monomials with one per-color-sorted monomial
+    (each color's exponent block sorted decreasingly).  Those representatives
+    are exactly the dominant monomials, one per multipartition (each color's
+    partition padded to n), and the table lists them in ``multipartitions``
+    order, the row order of the solve.
     """
-    monomials = degree_monomials(m * n, n)
-    row_of = {mono: r for r, mono in enumerate(monomials)}
-
-    def color_sorted(mono: tuple[int, ...]) -> tuple[int, ...]:
-        return sum(
+    block = solve_block(m, n)
+    orbits: dict[tuple[int, ...], list] = {
+        sum((part + (0,) * (n - len(part)) for part in bl), ()): []
+        for bl in multipartitions(m, n)
+    }
+    for mono in degree_monomials(m * n, n):
+        color_sorted = sum(
             (tuple(sorted(mono[i * n : (i + 1) * n], reverse=True)) for i in range(m)), ()
         )
-
-    canonical = tuple(row_of[color_sorted(mono)] for mono in monomials)
-    dominant = tuple(
-        row_of[sum((part + (0,) * (n - len(part)) for part in bl), ())]
-        for bl in multipartitions(m, n)
-    )
-    return canonical, dominant
+        orbits[color_sorted].append(mono)
+    return monomial_orbits(block.registry, block.x_names(), orbits)
 
 
 def _dominant_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
     """Coordinates of f at the dominant monomials, certified symmetric in each color.
 
-    f must be homogeneous of x-degree n in the solve block.  Every monomial
-    coordinate is checked to equal the coordinate of its per-color-sorted
-    monomial, so the dominant rows determine every row: two certified
+    f must be homogeneous of x-degree n in the solve block.  One pass of
+    :func:`coordinates_on_degree` over f's terms checks that every monomial
+    has the coefficient of its per-color-sorted monomial, and that every
+    per-color permutation of a present sorted monomial is present (by
+    counting), so the dominant rows determine every row: two certified
     expansions that agree on them agree on all monomials.
     """
-    coords = coordinates_on_degree(f, block.x_names(), n)
-    canonical, dominant = _symmetry_index(block.m, n)
-    for r, c in enumerate(canonical):
-        if r != c and coords[r] != coords[c]:
-            raise ConsistencyError(
-                f"expansion is not symmetric within each color at monomial row {r}"
-            )
-    return [coords[r] for r in dominant]
+    return coordinates_on_degree(f, block.x_names(), n, _symmetry_index(block.m, n))
 
 
 @lru_cache(maxsize=None)

@@ -354,7 +354,8 @@ def count_super_tableaux_multi(bshape: Multipartition, profile: HookProfile) -> 
 
 # -- W_{m,n} as pairs (color vector, permutation) ------------------------------
 #
-# Needed only for brute-force oracles, never on hot paths.  An element
+# Needed only for class representatives and the brute-force oracles of the
+# tests, never on hot paths.  An element
 # t_1^{c_1}...t_n^{c_n} sigma is stored as (c, sigma) with sigma a tuple of
 # 0-based images; the product rule comes from sigma t_j sigma^{-1} = t_{sigma(j)}.
 
@@ -377,15 +378,6 @@ def wreath_mul(m: int, a: WreathElement, b: WreathElement) -> WreathElement:
     return (colors, perm)
 
 
-def wreath_inverse(m: int, a: WreathElement) -> WreathElement:
-    ca, sa = a
-    inv = [0] * len(sa)
-    for i, image in enumerate(sa):
-        inv[image] = i
-    colors = tuple((-ca[sa[i]]) % m for i in range(len(ca)))
-    return (colors, tuple(inv))
-
-
 def wreath_t(n: int, j: int, power: int, m: int) -> WreathElement:
     colors = [0] * n
     colors[j - 1] = power % m
@@ -397,20 +389,6 @@ def wreath_s(n: int, a: int) -> WreathElement:
     perm = list(range(n))
     perm[a - 2], perm[a - 1] = perm[a - 1], perm[a - 2]
     return ((0,) * n, tuple(perm))
-
-
-def all_wreath_elements(m: int, n: int) -> Iterator[WreathElement]:
-    for colors in itertools.product(range(m), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            yield (colors, perm)
-
-
-def wreath_centralizer_brute(w: WreathElement, m: int, n: int) -> int:
-    return sum(
-        1
-        for g in all_wreath_elements(m, n)
-        if wreath_mul(m, g, w) == wreath_mul(m, w, g)
-    )
 
 
 def standard_representative(bmu: Multipartition, m: int, n: int) -> WreathElement:

@@ -144,6 +144,25 @@ class VariableRegistry:
         """
         return 64 * len(self.variables), self._bias63
 
+    def range_digits(self, names: Sequence[str]) -> tuple[int, int, int, int]:
+        """``(bias, shift, mask, restore)``: how keys split on a contiguous run of names.
+
+        ``names`` must be one contiguous range of the registry, in registry
+        order; StructuralError otherwise.  ``part = ((key + bias) >> shift) &
+        mask`` holds the range's digits of ``key``, each biased by 2^63 (the
+        bias of :meth:`decode` makes every digit nonnegative with no borrow),
+        and ``key + restore - (part << shift)`` is ``key`` with those digits
+        set to 0.
+        """
+        positions = [self.index(n) for n in names]
+        lo = positions[0] if positions else 0
+        if positions != list(range(lo, lo + len(positions))):
+            raise StructuralError(f"needs a contiguous registry range, got {list(names)}")
+        bias = self._bias63
+        shift = 64 * lo
+        mask = (1 << (64 * len(positions))) - 1
+        return bias, shift, mask, ((bias >> shift) & mask) << shift
+
     def __len__(self) -> int:
         return len(self.variables)
 
@@ -478,30 +497,18 @@ class Poly:
         order (e.g. all x variables of a block), so each group is read off a
         key by one shift and mask; only the group keys are decoded to tuples.
         """
-        positions = [self.registry.index(n) for n in names]
-        lo = positions[0] if positions else 0
-        hi = lo + len(positions)
-        if positions != list(range(lo, hi)):
-            raise StructuralError(
-                f"coefficients_by needs a contiguous registry range, got {list(names)}"
-            )
         registry = self.registry
-        shift, width = 64 * lo, 64 * (hi - lo)
-        bias = registry._bias63
-        # bias makes every digit of a key nonnegative with no borrow, so the
-        # range's digits are one shift and mask away, each still biased by 2^63
-        mask = (1 << width) - 1
-        inner = (bias >> shift) & mask
-        restore = inner << shift
+        bias, shift, mask, restore = registry.range_digits(names)
         out: dict[int, dict] = {}
         for key, coeff in self.terms.items():
             part = ((key + bias) >> shift) & mask
             # the rest: key with the range's digits set to 0
             out.setdefault(part, {})[key + restore - (part << shift)] = coeff
         # flipping bit 63 of each biased digit leaves its two's complement
-        unpack = struct.Struct("<" + "q" * (hi - lo)).unpack
+        inner = restore >> shift
+        unpack = struct.Struct("<" + "q" * len(names)).unpack
         return {
-            unpack((part ^ inner).to_bytes(width // 8, "little")): Poly._raw(
+            unpack((part ^ inner).to_bytes(8 * len(names), "little")): Poly._raw(
                 registry, rest, self._in_int32
             )
             for part, rest in out.items()

@@ -601,18 +601,94 @@ def degree_monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return compositions(degree, num_vars)
 
 
-def coordinates_on_degree(f: Poly, names: list[str], degree: int) -> list[Poly]:
-    """Coefficient of each degree-`degree` monomial in `names`, canonical order.
+def monomial_orbits(
+    registry: VariableRegistry, names: list[str], orbits: dict[tuple, list[tuple]]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The orbit table of :func:`coordinates_on_degree`, keyed by digits on ``names``.
 
-    Entries are polynomials in the remaining variables.  Terms of f whose
-    degree in `names` differs from `degree` are rejected: the solver operates
-    on homogeneous expansions only.
+    ``orbits`` maps each representative exponent vector on ``names`` (a
+    contiguous registry range) to its orbit, the vectors it stands for,
+    itself included; the orbits must partition the monomials of one degree.
+    Returns ``(to_rep, size)``: ``to_rep`` maps the digits of every orbit
+    member, as :meth:`VariableRegistry.range_digits` cuts them off a key, to
+    the key difference that takes it to its representative (0 for a
+    representative; adding it changes no other digit); ``size`` maps each
+    representative's digits to its orbit size, in the order of ``orbits``.
     """
-    grouped = f.coefficients_by(names)
-    for key in grouped:
-        if sum(key) != degree:
+    bias, shift, mask, _ = registry.range_digits(names)
+    lo = shift // 64
+    padded = [0] * len(registry)
+
+    def key(mono: tuple) -> int:
+        padded[lo : lo + len(mono)] = mono
+        return registry.encode(padded)
+
+    to_rep: dict[int, int] = {}
+    size: dict[int, int] = {}
+    for rep, members in orbits.items():
+        rep_key = key(rep)
+        size[((rep_key + bias) >> shift) & mask] = len(members)
+        for mono in members:
+            member_key = key(mono)
+            to_rep[((member_key + bias) >> shift) & mask] = rep_key - member_key
+    return to_rep, size
+
+
+def coordinates_on_degree(
+    f: Poly, names: list[str], degree: int, orbits: tuple[dict[int, int], dict[int, int]]
+) -> list[Poly]:
+    """Coefficient of each orbit representative on ``names``, certified constant on its orbit.
+
+    ``orbits`` is a :func:`monomial_orbits` table of the degree-``degree``
+    monomials in ``names``; entries are polynomials in the remaining
+    variables, one per representative, in the table's order.  With the
+    identity table (every monomial its own orbit) that is every monomial
+    row.  One pass over ``f.terms`` reads and certifies them: a term whose
+    digits on ``names`` are not in the table is not homogeneous of degree
+    ``degree`` (the solver operates on homogeneous expansions only); any
+    other term must have the coefficient of its representative's term, and
+    each representative term counts its orbit size.  The lookups send the
+    support into the representative terms with equal coefficients, so the
+    count equals ``len(f.terms)`` exactly when every orbit member of every
+    representative term is present too (stored coefficients are nonzero):
+    exactly when f is constant on every orbit, zeros included.  Otherwise
+    ConsistencyError names a monomial whose coefficient differs from its
+    representative's; the orbits in use are those of the permutations within
+    each color, and the message says so.
+    """
+    to_rep, size = orbits
+    registry = f.registry
+    terms = f.terms
+    bias, shift, mask, restore = registry.range_digits(names)
+    rows: dict[int, dict] = {}
+    count = 0
+    for key, coeff in terms.items():
+        part = ((key + bias) >> shift) & mask
+        delta = to_rep.get(part)
+        if delta is None:
+            exps = registry.decode(key)[shift // 64 :][: len(names)]
             raise ConsistencyError(
-                f"non-homogeneous term of degree {sum(key)} (expected {degree})"
+                f"non-homogeneous term with exponents {exps} (expected degree {degree})"
             )
-    zero = Poly.zero(f.registry)
-    return [grouped.get(mono, zero) for mono in degree_monomials(len(names), degree)]
+        if delta:
+            if terms.get(key + delta) != coeff:
+                raise _asymmetric_at(registry, key)
+        else:
+            count += size[part]
+            # the rest: key with the range's digits set to 0
+            rows.setdefault(part, {})[key + restore - (part << shift)] = coeff
+    if count != len(terms):
+        # the count exceeds the support: some representative term lacks an orbit member
+        members = (
+            rest - restore + (part << shift)
+            for part, delta in to_rep.items()
+            if delta
+            for rest in rows.get(part + (delta >> shift), ())
+        )
+        raise _asymmetric_at(registry, next(key for key in members if key not in terms))
+    return [Poly._raw(registry, rows.get(part, {}), f._in_int32) for part in size]
+
+
+def _asymmetric_at(registry: VariableRegistry, key: int) -> ConsistencyError:
+    monomial = Poly._raw(registry, {key: 1})
+    return ConsistencyError(f"expansion is not symmetric within each color at monomial {monomial}")

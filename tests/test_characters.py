@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superfrob.combinat import (
     HookProfile,
@@ -17,12 +18,14 @@ from superfrob.combinat import (
 from superfrob.exact import CyclotomicNumber, DomainError, Poly, transport
 from superfrob.characters import (
     CharacterTable,
+    _dominant_coordinates,
     character_degrees,
     degrees_match_counts,
     hecke_character_table,
     hecke_identity_violations,
     mn_character,
     mn_table,
+    solve_block,
     specialize_table,
     verify_column_orthogonality,
     verify_orthogonality,
@@ -34,6 +37,7 @@ from superfrob.serialize import json_text, table_payload
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
+    degree_monomials,
     super_power_sum_product,
     super_schur,
 )
@@ -171,25 +175,50 @@ def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
         ]
 
 
-def _break_color_symmetry(monkeypatch, name):
-    """Add x1_1^n, without its permutations, to every expansion `name` returns."""
+def _break_color_symmetry(monkeypatch, name, variable):
+    """Add variable^n, without its permutations, to every expansion `name` returns."""
     from superfrob import characters
 
     original = getattr(characters, name)
 
     def asymmetric(label, block):
         n = sum(sum(part) for part in label)
-        return original(label, block) + Poly.var(block.registry, "x1_1", n)
+        return original(label, block) + Poly.var(block.registry, variable, n)
 
     monkeypatch.setattr(characters, name, asymmetric)
 
 
+def _assert_certificate_rejects(monkeypatch, table, name, m, n):
+    """Both failure branches of the one-pass certificate stop `table` when `name` is broken.
+
+    x1_1^n is dominant: its term joins a row, and only the orbit count sees
+    that x1_2^n .. x1_n^n do not follow it.  x1_2^n is not: its lookup finds
+    a different coefficient at x1_1^n.  Either way the message names a
+    monomial whose coefficient differs from its per-color-sorted monomial's.
+    """
+    for variable, named in (("x1_1", rf"x1_[2-{n}]\^{n}"), ("x1_2", rf"x1_2\^{n}")):
+        table.cache_clear()
+        # a table the broken expansion slipped through must not reach later tests
+        try:
+            with monkeypatch.context() as patch:
+                _break_color_symmetry(patch, name, variable)
+                with pytest.raises(
+                    ConsistencyError,
+                    match=rf"not symmetric within each color at monomial {named}$",
+                ):
+                    table(m, n)
+        finally:
+            table.cache_clear()
+
+
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
 def test_hecke_certificate_rejects_asymmetric_q_bmu(monkeypatch, m, n):
-    hecke_character_table.cache_clear()
-    _break_color_symmetry(monkeypatch, "q_bmu")
-    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
-        hecke_character_table(m, n)
+    _assert_certificate_rejects(monkeypatch, hecke_character_table, "q_bmu", m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_hecke_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
+    _assert_certificate_rejects(monkeypatch, hecke_character_table, "super_schur", m, n)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
@@ -214,10 +243,159 @@ def test_hecke_table_rejects_non_integer_character_values(monkeypatch, m, n):
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
 def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
-    wreath_character_table.cache_clear()
-    _break_color_symmetry(monkeypatch, "super_schur")
-    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
-        wreath_character_table(m, n)
+    _assert_certificate_rejects(monkeypatch, wreath_character_table, "super_schur", m, n)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_wreath_certificate_rejects_asymmetric_power_sums(monkeypatch, m, n):
+    _assert_certificate_rejects(
+        monkeypatch, wreath_character_table, "colored_power_sum_product", m, n
+    )
+
+
+# -- the one-pass symmetry certificate against the all-row check ------------
+
+CERTIFIED_BLOCKS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def _color_sorted(mono, m, n):
+    return sum((tuple(sorted(mono[i * n : (i + 1) * n], reverse=True)) for i in range(m)), ())
+
+
+def _color_orbits(m, n):
+    """Per-color-sorted x-monomial of degree n -> the monomials it stands for."""
+    orbits = {}
+    for mono in degree_monomials(m * n, n):
+        orbits.setdefault(_color_sorted(mono, m, n), []).append(mono)
+    return orbits
+
+
+def _all_row_coordinates(f, block, n):
+    """The all-row certificate that the one-pass certificate replaced, kept as a reference.
+
+    Every group of f's terms on the x variables must be a monomial of degree
+    n, and every monomial row must equal the row of its per-color-sorted
+    monomial; the dominant rows are then returned in multipartitions order.
+    """
+    m = block.m
+    monomials = degree_monomials(m * n, n)
+    grouped = f.coefficients_by(block.x_names())
+    if not grouped.keys() <= set(monomials):
+        raise ConsistencyError("non-homogeneous term")
+    zero = Poly.zero(block.registry)
+    for mono in monomials:
+        if grouped.get(mono, zero) != grouped.get(_color_sorted(mono, m, n), zero):
+            raise ConsistencyError(f"not symmetric within each color at {mono}")
+    return [
+        grouped.get(sum((part + (0,) * (n - len(part)) for part in bl), ()), zero)
+        for bl in multipartitions(m, n)
+    ]
+
+
+def _failing_monomials(f, block, n):
+    """Printed monomials whose coefficient differs from their per-color-sorted monomial's."""
+    m, lo = block.m, 1 + block.m  # solve-block layout: q, Q_1..Q_m, then the x variables
+    orbits = _color_orbits(m, n)
+    terms = f.decoded_terms()
+    candidates = set(terms)
+    for exps in terms:
+        for member in orbits.get(_color_sorted(exps[lo:], m, n), ()):
+            candidates.add(exps[:lo] + member)
+    return {
+        str(Poly(block.registry, {exps: 1}))
+        for exps in candidates
+        if terms.get(exps, 0) != terms.get(exps[:lo] + _color_sorted(exps[lo:], m, n), 0)
+    }
+
+
+@st.composite
+def perturbed_symmetric_expansions(draw):
+    """A random per-color-symmetric expansion on a solve block, perhaps perturbed once."""
+    m, n = draw(st.sampled_from(CERTIFIED_BLOCKS))
+    block = solve_block(m, n)
+    lo = 1 + m
+    kind = draw(st.sampled_from(["int", "fraction", "cyclotomic"]))
+    small = st.integers(min_value=-4, max_value=4)
+
+    def coefficient():
+        a = draw(small)
+        if kind == "int":
+            return a
+        if kind == "fraction":
+            return Fraction(a, draw(st.integers(min_value=1, max_value=4)))
+        return CyclotomicNumber(3, [a, draw(small)])
+
+    def q_part():
+        return (draw(st.integers(min_value=-2, max_value=2)),) + tuple(
+            draw(st.integers(min_value=0, max_value=2)) for _ in range(m)
+        )
+
+    orbits = _color_orbits(m, n)
+    terms = {}
+    reps = draw(st.lists(st.sampled_from(sorted(orbits)), min_size=1, max_size=4, unique=True))
+    for rep in reps:
+        for _ in range(draw(st.integers(min_value=1, max_value=2))):
+            front, value = q_part(), coefficient()
+            for member in orbits[rep]:
+                terms[front + member] = terms.get(front + member, 0) + value
+    terms = {exps: c for exps, c in terms.items() if c}
+
+    def x_part(exps):
+        return exps[lo:]
+
+    perturbation = draw(
+        st.sampled_from(["none", "change", "drop", "dominant", "degree", "negative"])
+    )
+    if perturbation == "change":
+        # a term off the dominant monomials gets another coefficient
+        choices = sorted(e for e in terms if x_part(e) != _color_sorted(x_part(e), m, n))
+        if choices:
+            exps = draw(st.sampled_from(choices))
+            terms[exps] = terms[exps] + draw(small.filter(bool))
+    elif perturbation == "drop":
+        # one member of an orbit of more than one monomial goes missing
+        choices = sorted(
+            e for e in terms if len(orbits[_color_sorted(x_part(e), m, n)]) > 1
+        )
+        if choices:
+            del terms[draw(st.sampled_from(choices))]
+    elif perturbation == "dominant":
+        exps = q_part() + draw(st.sampled_from(sorted(orbits)))
+        terms[exps] = terms.get(exps, 0) + draw(small.filter(bool))
+    elif perturbation == "degree":
+        x = [0] * (m * n)
+        x[draw(st.integers(min_value=0, max_value=m * n - 1))] = n + draw(
+            st.sampled_from([-1, 1])
+        )
+        terms[q_part() + tuple(x)] = 1
+    elif perturbation == "negative":
+        # total degree n, but one exponent is negative
+        x = [0] * (m * n)
+        x[0] = -1
+        x[-1] += n + 1
+        terms[q_part() + tuple(x)] = 1
+    encode = block.registry.encode
+    return Poly._raw(block.registry, {encode(e): c for e, c in terms.items() if c}), block, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_symmetric_expansions())
+def test_one_pass_certificate_agrees_with_the_all_row_check(case):
+    f, block, n = case
+    try:
+        expected = _all_row_coordinates(f, block, n)
+    except ConsistencyError as error:
+        with pytest.raises(ConsistencyError) as raised:
+            _dominant_coordinates(f, block, n)
+        message = str(raised.value)
+        if str(error).startswith("non-homogeneous"):
+            assert message.startswith("non-homogeneous")
+        else:
+            head, _, monomial = message.partition(" at monomial ")
+            assert head == "expansion is not symmetric within each color"
+            assert monomial in _failing_monomials(f, block, n)
+    else:
+        assert _dominant_coordinates(f, block, n) == expected
 
 
 def test_specialization_matches_substitution():
@@ -383,6 +561,8 @@ WREATH_PAYLOAD_SHA256 = {
     (2, 3): "4152af93120250301db84c647b76d0e2d141bd31d711d0f83201ffc857319bae",
     (3, 3): "fa4dba953766176d068e2a016fb63986b90db95953a18c35cdc793d88d94087e",
     (5, 2): "5aadf38020e58cd331d771aa272adaae07cdd31178c3546707302182145fe9de",
+    # taken with the all-row symmetry certificate that preceded the one-pass one
+    (2, 5): "ee8b4c6d9bfd9a43f61bcde4c0ee1e421b267e682bc51314ef24b7f3a58b8840",
 }
 
 
@@ -400,6 +580,8 @@ HECKE_PAYLOAD_SHA256 = {
     (2, 4): "bc59d306821c6dd6d485a6ed23da440a05d54d29c60a1a8a68a7955a8b77fae6",
     (3, 3): "8cbfd0ee38df732ea1d0331fcfd95032613ca9309cb7a12a04e472669c7d261a",
     (4, 2): "a17c8ac72dc55a61307736d2181ed56b57b74fe914433869417a27f65180a6ea",
+    # taken with the all-row symmetry certificate that preceded the one-pass one
+    (1, 7): "e9a570a9967dd2c58acf9a6d7e4d69bccc7e69e04a481fa1ff0d7e4b05d52915",
 }
 
 

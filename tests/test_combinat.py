@@ -8,7 +8,7 @@ import pytest
 
 from superfrob.combinat import (
     HookProfile,
-    all_wreath_elements,
+    WreathElement,
     centralizer_order_sym,
     centralizer_order_wreath,
     compositions,
@@ -25,9 +25,7 @@ from superfrob.combinat import (
     sub_partitions,
     super_tableaux,
     super_tableaux_multi,
-    wreath_centralizer_brute,
     wreath_identity,
-    wreath_inverse,
     wreath_mul,
     wreath_s,
     wreath_t,
@@ -158,6 +156,32 @@ def test_centralizer_order_wreath_examples():
     assert centralizer_order_wreath(((1,), ()), 2) == 2
     assert centralizer_order_wreath(((1, 1), ()), 2) == 8
     assert centralizer_order_wreath(((1,), (1,)), 2) == 4
+
+
+# -- brute-force wreath references ---------------------------------------------
+
+
+def all_wreath_elements(m: int, n: int):
+    for colors in itertools.product(range(m), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            yield (colors, perm)
+
+
+def wreath_inverse(m: int, a: WreathElement) -> WreathElement:
+    ca, sa = a
+    inv = [0] * len(sa)
+    for i, image in enumerate(sa):
+        inv[image] = i
+    colors = tuple((-ca[sa[i]]) % m for i in range(len(ca)))
+    return (colors, tuple(inv))
+
+
+def wreath_centralizer_brute(w: WreathElement, m: int, n: int) -> int:
+    return sum(
+        1
+        for g in all_wreath_elements(m, n)
+        if wreath_mul(m, g, w) == wreath_mul(m, w, g)
+    )
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])

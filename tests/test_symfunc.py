@@ -26,6 +26,7 @@ from superfrob.symfunc import (
     coordinates_on_degree,
     degree_monomials,
     lr_coefficient,
+    monomial_orbits,
     power_sum,
     q_bmu,
     q_n_i,
@@ -495,11 +496,16 @@ def test_q_bmu_builds_one_series_per_color(monkeypatch):
 def test_coordinates_on_degree():
     block = make_block((2,), (0,))
     x1, x2 = block.x_polys(1)
+    names = ["x1_1", "x1_2"]
+    # the identity table: every monomial its own orbit, so every row is kept
+    identity = monomial_orbits(
+        block.registry, names, {mono: [mono] for mono in degree_monomials(2, 2)}
+    )
     f = block.q * x1**2 + 3 * x1 * x2
-    coords = coordinates_on_degree(f, ["x1_1", "x1_2"], 2)
+    coords = coordinates_on_degree(f, names, 2, identity)
     assert degree_monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert coords[0] == block.q
     assert coords[1] == Poly.const(block.registry, 3)
     assert coords[2].is_zero()
-    with pytest.raises(ConsistencyError):
-        coordinates_on_degree(x1 + x2**2, ["x1_1", "x1_2"], 2)
+    with pytest.raises(ConsistencyError, match="non-homogeneous"):
+        coordinates_on_degree(x1 + x2**2, names, 2, identity)
