@@ -231,6 +231,9 @@ def cmd_expand(args, parser) -> int:
     if target == "hl":
         if args.a is None or args.a < 0:
             parser.error("expand hl needs --a >= 0")
+        # checked per entry: a negative entry would cancel a positive one in the sums
+        if any(v < 0 for v in (args.k or ()) + (args.l or ())):
+            parser.error("--k/--l entries must be nonnegative")
         k = sum(args.k) if args.k else 0
         l = sum(args.l) if args.l else 0
         if k + l == 0:

@@ -5,15 +5,15 @@ registry: per color i there are k_i even variables x{i}_a and l_i odd
 variables y{i}_b, plus the Hecke parameters q (invertible) and Q_1..Q_m.
 Colored power sums carry cyclotomic coefficients.
 
-Schur polynomials are built by the branching rule, one horizontal strip per
-variable.  Hall-Littlewood functions are computed by one mechanism only:
-truncated power series in an auxiliary expansion variable u (represented as
-coefficient lists, never as a registered variable), exactly following their
-generating functions, with one series product per variable.  The
-deformation parameter t is passed in as a first-class polynomial, so callers
-can keep it symbolic or set it to q^-2.  A block keeps what ``q_n_i`` builds
-from them: each color's series, its coefficients divided once by q - q^-1,
-and each q_n^(i).
+Straight and skew Schur polynomials come from one branching recursion, one
+horizontal strip per variable (:func:`skew_schur`).  Hall-Littlewood
+functions are computed by one mechanism only: truncated power series in an
+auxiliary expansion variable u (represented as coefficient lists, never as a
+registered variable), exactly following their generating functions, with one
+series product per variable.  The deformation parameter t is passed in as a
+first-class polynomial, so callers can keep it symbolic or set it to q^-2.
+A block keeps what ``q_n_i`` builds from them: each color's series, its
+coefficients divided once by q - q^-1, and each q_n^(i).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from superfrob.combinat import (
     compositions,
     conjugate,
     contains,
-    partitions,
     sub_partitions,
     super_tableaux,
 )
@@ -136,30 +135,54 @@ def _variable_key(v: Poly, registry: VariableRegistry) -> int:
 
 
 def schur(shape: Partition, variables: list[Poly]) -> Poly:
-    """Schur polynomial by the branching rule; zero when the shape is too tall.
+    """Schur polynomial s_shape(variables), the straight case of :func:`skew_schur`.
 
-    s_lam(x_1..x_j) = sum_mu s_mu(x_1..x_{j-1}) x_j^(|lam| - |mu|) over the
-    mu that leave a horizontal strip lam/mu (lam_{i+1} <= mu_i <= lam_i),
-    memoised per (mu, j) within the call.  Each entry of ``variables`` must
-    be one registered variable to the first power with coefficient 1.
+    Each entry of ``variables`` must be one registered variable to the first
+    power with coefficient 1.
     """
     if not variables:
-        raise StructuralError("schur needs at least one variable; use _schur_in for empty blocks")
-    registry = variables[0].registry
+        raise StructuralError(
+            "schur needs at least one variable; pass a registry to skew_schur for an empty block"
+        )
+    return skew_schur(shape, (), variables)
+
+
+def skew_schur(eta: Partition, theta: Partition, variables: list[Poly], registry=None) -> Poly:
+    """Skew Schur polynomial s_{eta/theta} by the branching rule; zero when too tall.
+
+    s_{lam/theta}(x_1..x_j) = sum_mu s_{mu/theta}(x_1..x_{j-1}) x_j^(|lam| - |mu|)
+    over the mu containing theta that leave a horizontal strip lam/mu
+    (max(lam_{i+1}, theta_i) <= mu_i <= lam_i), memoised per (mu, j) within
+    the call.  Each entry of ``variables`` must be one registered variable to
+    the first power with coefficient 1; with none, ``registry`` is required.
+    """
+    if not contains(eta, theta):
+        raise ShapeError(f"{theta} is not contained in {eta}")
+    if registry is None:
+        if not variables:
+            raise StructuralError("skew_schur with no variables needs an explicit registry")
+        registry = variables[0].registry
     keys = [_variable_key(v, registry) for v in variables]
+    theta = tuple(theta)
+    inner_size = sum(theta)
     memo: dict[tuple[Partition, int], dict[int, int]] = {}
 
     def expand(lam: Partition, j: int) -> dict[int, int]:
-        if not lam:
+        # every lam reached contains theta, so equal sizes mean lam == theta
+        size = sum(lam)
+        if size == inner_size:
             return {0: 1}
-        if len(lam) > j:
+        # the first column of lam/theta needs a distinct variable per box
+        if j == 0 or len(lam) - len(theta) > j:
             return {}
         terms = memo.get((lam, j))
         if terms is None:
             terms = {}
-            key, size = keys[j - 1], sum(lam)
+            key = keys[j - 1]
             below = lam[1:] + (0,)
-            for mu in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(below, lam))):
+            floor = theta + (0,) * (len(lam) - len(theta))
+            ranges = (range(max(b, t), p + 1) for b, t, p in zip(below, floor, lam))
+            for mu in itertools.product(*ranges):
                 mu = tuple(p for p in mu if p)
                 shift = (size - sum(mu)) * key
                 for k, c in expand(mu, j - 1).items():
@@ -167,84 +190,7 @@ def schur(shape: Partition, variables: list[Poly]) -> Poly:
             memo[lam, j] = terms
         return terms
 
-    return Poly._raw(registry, expand(tuple(shape), len(keys)))
-
-
-def _schur_in(registry: VariableRegistry, shape: Partition, variables: list[Poly]) -> Poly:
-    if not variables:
-        return Poly.one(registry) if not shape else Poly.zero(registry)
-    return schur(shape, variables)
-
-
-def lr_coefficient(theta: Partition, nu: Partition, eta: Partition) -> int:
-    """Littlewood-Richardson coefficient c^eta_{theta,nu} by lattice-word enumeration."""
-    if not contains(eta, theta):
-        return 0
-    if sum(theta) + sum(nu) != sum(eta):
-        return 0
-    inner = tuple(theta) + (0,) * (len(eta) - len(theta))
-    boxes = [(i, j) for i, row in enumerate(eta) for j in range(inner[i], row)]
-    if not boxes:
-        return 1 if not nu else 0
-    nu_counts = list(nu)
-
-    grid: dict[tuple[int, int], int] = {}
-    remaining = list(nu_counts)
-
-    count = 0
-
-    def lattice_ok() -> bool:
-        seen = [0] * len(nu_counts)
-        for i in range(len(eta)):
-            for j in range(eta[i] - 1, inner[i] - 1, -1):
-                v = grid[(i, j)] - 1
-                seen[v] += 1
-                if v > 0 and seen[v] > seen[v - 1]:
-                    return False
-        return True
-
-    def fill(cell: int):
-        nonlocal count
-        if cell == len(boxes):
-            if lattice_ok():
-                count += 1
-            return
-        i, j = boxes[cell]
-        lo = 1
-        if (i, j - 1) in grid:
-            lo = max(lo, grid[(i, j - 1)])
-        if (i - 1, j) in grid:
-            lo = max(lo, grid[(i - 1, j)] + 1)
-        for v in range(lo, len(nu_counts) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            grid[(i, j)] = v
-            remaining[v - 1] -= 1
-            fill(cell + 1)
-            remaining[v - 1] += 1
-            del grid[(i, j)]
-
-    fill(0)
-    return count
-
-
-def skew_schur(eta: Partition, theta: Partition, variables: list[Poly], registry=None) -> Poly:
-    """S_{eta/theta} = sum_nu c^eta_{theta,nu} S_nu, per the Littlewood-Richardson rule."""
-    if not contains(eta, theta):
-        raise ShapeError(f"{theta} is not contained in {eta}")
-    if registry is None:
-        if not variables:
-            raise StructuralError("skew_schur with no variables needs an explicit registry")
-        registry = variables[0].registry
-    total = Poly.zero(registry)
-    size = sum(eta) - sum(theta)
-    for nu in partitions(size):
-        if len(nu) > len(variables):
-            continue
-        c = lr_coefficient(theta, nu, eta)
-        if c:
-            total = total + c * _schur_in(registry, nu, variables)
-    return total
+    return Poly._raw(registry, expand(tuple(eta), len(keys)))
 
 
 def power_sum(a: int, variables: list[Poly], registry=None) -> Poly:
@@ -388,9 +334,11 @@ def super_schur_component(
 ) -> Poly:
     """S_shape(x^(color)/y^(color)) by one of the two independent algorithms.
 
-    "alternating": sum over mu inside shape of (-1)^(boxes left) S_mu(x)
-    S_{shape'/mu'}(y).  "tableau": sum of super-tableau weights with -y for
-    odd boxes.  Both vanish exactly off the (k_color, l_color) hook.
+    "alternating": sum over mu inside shape of (-1)^(boxes left) s_mu(x)
+    s_{shape'/mu'}(y), both factors from the branching recursion of
+    :func:`skew_schur`.  "tableau": sum of super-tableau weights with -y for
+    odd boxes, sharing no code with it.  Both vanish exactly off the
+    (k_color, l_color) hook.
     """
     registry = block.registry
     x_vars = block.x_polys(color)
@@ -405,7 +353,7 @@ def super_schur_component(
             sy = skew_schur(shape_conj, conjugate(mu), y_vars, registry)
             if sy.is_zero():
                 continue
-            sx = _schur_in(registry, mu, x_vars)
+            sx = skew_schur(mu, (), x_vars, registry)
             if sx.is_zero():
                 continue
             sign = -1 if (sum(shape) - sum(mu)) % 2 else 1

@@ -385,12 +385,15 @@ def test_expand_usage_errors(capsys):
         ["expand", "superschur", "--shape", "[]"],
         ["expand", "ptilde", "--shape", "[[],[]]", "--k", "0", "--l", "0"],
         ["expand", "qtilde", "--k", "0", "--l", "0", "--alpha", "1"],
+        ["expand", "hl", "--a", "2", "--k", "-1", "--l", "2"],
+        ["expand", "hl", "--a", "1", "--k", "1,-1", "--l", "1"],
     ],
 )
 def test_expand_refuses_malformed_shapes_and_weights(capsys, argv):
     # a shape part must be a positive integer, each part list weakly
-    # decreasing, and a qtilde weight nonnegative with a positive total; a
-    # shape needs a color and a profile needs a variable
+    # decreasing, a qtilde weight nonnegative with a positive total, and each
+    # --k/--l entry nonnegative; a shape needs a color and a profile needs a
+    # variable
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2

@@ -9,11 +9,11 @@ from superfrob import symfunc
 from superfrob.combinat import (
     HookProfile,
     compositions,
-    contains,
     is_hook_multi,
     multipartitions,
     partitions,
     semistandard_tableaux,
+    sub_partitions,
 )
 from superfrob.exact import CyclotomicNumber, Poly, StructuralError
 from superfrob.symfunc import (
@@ -25,7 +25,6 @@ from superfrob.symfunc import (
     complete_homogeneous,
     coordinates_on_degree,
     degree_monomials,
-    lr_coefficient,
     monomial_orbits,
     power_sum,
     q_bmu,
@@ -61,11 +60,16 @@ def test_schur_examples():
 
 
 def test_schur_rejects_entries_that_are_not_single_variables():
-    block = make_block((2,), (0,))
+    block = make_block((2,), (1,))
     x1, x2 = block.x_polys(1)
+    (y1,) = block.y_polys(1)
     for variables in ([2 * x1, x2], [x1 * x2, x2], [x1 + x2]):
         with pytest.raises(StructuralError):
             schur((1,), variables)
+    with pytest.raises(StructuralError):
+        skew_schur((2, 1), (1,), [2 * y1])
+    with pytest.raises(StructuralError):
+        skew_schur((1,), (), [])
 
 
 def _schur_by_tableaux(shape, variables):
@@ -95,18 +99,6 @@ def test_branching_schur_equals_the_tableau_sum(shape, picks):
     assert schur(shape, variables) == _schur_by_tableaux(shape, variables)
 
 
-def test_lr_coefficient_examples():
-    for n in range(6):
-        for lam in partitions(n):
-            assert lr_coefficient(lam, (), lam) == 1
-    assert lr_coefficient((1,), (1, 1), (2, 1)) == 1
-    assert lr_coefficient((1,), (1,), (2,)) == 1
-    assert lr_coefficient((1,), (1,), (1, 1)) == 1
-    assert lr_coefficient((2,), (2,), (3, 1)) == 1
-    assert lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
-    assert lr_coefficient((1,), (3,), (2, 1)) == 0
-
-
 def test_skew_schur_example():
     block = make_block((0,), (2,))
     y1, y2 = block.y_polys(1)
@@ -118,25 +110,37 @@ def test_skew_schur_shape_error():
     block = make_block((2,), (0,))
     with pytest.raises(ShapeError):
         skew_schur((1,), (2,), block.x_polys(1))
+    with pytest.raises(ShapeError):
+        skew_schur((1,), (2,), [], block.registry)
 
 
-def test_skew_schur_against_direct_skew_ssyt():
-    # independent oracle: enumerate skew semistandard fillings directly
-    block = make_block((3,), (0,))
-    xs = block.x_polys(1)
-    for outer_n in range(5):
-        for eta in partitions(outer_n):
-            for theta in partitions(2):
-                if not contains(eta, theta):
-                    continue
-                expected = Poly.zero(block.registry)
-                inner = tuple(theta) + (0,) * (len(eta) - len(theta))
-                for filling in _skew_ssyt(eta, inner, 3):
-                    term = Poly.one(block.registry)
-                    for value in filling:
-                        term = term * xs[value - 1]
-                    expected = expected + term
-                assert skew_schur(eta, theta, xs) == expected
+@st.composite
+def _skew_shapes(draw):
+    eta = draw(st.integers(0, 6).flatmap(lambda size: st.sampled_from(partitions(size))))
+    theta = draw(st.sampled_from(list(sub_partitions(eta))))
+    return eta, theta
+
+
+@settings(max_examples=80, deadline=None)
+@given(_skew_shapes(), st.lists(st.integers(0, 3), max_size=4))
+def test_skew_schur_against_direct_skew_ssyt(shapes, picks):
+    # independent oracle: enumerate skew semistandard fillings directly, in
+    # x and y variables of one block, any order, repeats allowed
+    eta, theta = shapes
+    block = make_block((2,), (2,))
+    pool = block.x_polys(1) + block.y_polys(1)
+    variables = [pool[i] for i in picks]
+    expected = Poly.zero(block.registry)
+    inner = tuple(theta) + (0,) * (len(eta) - len(theta))
+    for filling in _skew_ssyt(eta, inner, len(variables)):
+        term = Poly.one(block.registry)
+        for value in filling:
+            term = term * variables[value - 1]
+        expected = expected + term
+    value = skew_schur(eta, theta, variables, block.registry)
+    assert value == expected
+    if not variables:
+        assert value == (Poly.one(block.registry) if eta == theta else Poly.zero(block.registry))
 
 
 def _skew_ssyt(eta, inner, n_values):
