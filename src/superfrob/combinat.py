@@ -332,19 +332,6 @@ def count_super_tableaux(shape: Partition, k: int, ell: int) -> int:
     return sum(1 for _ in super_tableaux(shape, k, ell))
 
 
-def super_tableaux_multi(
-    bshape: Multipartition, profile: HookProfile
-) -> Iterator[tuple[SuperTableau, ...]]:
-    """All multi-component fillings; empty iff bshape is not a hook multipartition."""
-    if len(bshape) != profile.m:
-        raise ValueError("component count does not match profile")
-    per_component = [
-        tuple(super_tableaux(shape, profile.bk[i], profile.bl[i]))
-        for i, shape in enumerate(bshape)
-    ]
-    return itertools.product(*per_component)
-
-
 def count_super_tableaux_multi(bshape: Multipartition, profile: HookProfile) -> int:
     total = 1
     for i, shape in enumerate(bshape):

@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from fractions import Fraction
 
 from superfrob.combinat import Multipartition
-from superfrob.exact import CyclotomicNumber, Poly, StructuralError, VariableRegistry
+from superfrob.exact import CyclotomicNumber, Poly, VariableRegistry
 
 
 # Cyclotomic table entries print as constants over a registry with no variables.
@@ -50,29 +49,6 @@ def _flat_terms(f: Poly):
 def poly_to_terms(f: Poly) -> list:
     """JSON-ready term list [[coeff-string, {name: exp}], ...]."""
     return [[str(coeff), powers] for coeff, powers in _flat_terms(f)]
-
-
-def terms_to_poly(registry: VariableRegistry, terms: list, zeta_order: int | None = None) -> Poly:
-    """Inverse of :func:`poly_to_terms` (with the zeta order of the coefficient field)."""
-    total = Poly.zero(registry)
-    for coeff_str, powers in terms:
-        value = Fraction(coeff_str)
-        coeff = value.numerator if value.denominator == 1 else value
-        zeta_power = 0
-        cleaned = {}
-        for name, e in powers.items():
-            if name == "zeta":
-                zeta_power = e
-            else:
-                cleaned[name] = e
-        if zeta_power:
-            if zeta_order is None:
-                raise StructuralError("zeta power present but no zeta order given")
-            scalar = coeff * CyclotomicNumber.zeta(zeta_order, zeta_power)
-        else:
-            scalar = coeff
-        total = total + Poly.monomial(registry, cleaned, scalar)
-    return total
 
 
 def poly_to_string(f: Poly) -> str:

@@ -1,10 +1,9 @@
 """Brute-force trace oracle: the explicit Hecke-algebra action on tensor superspace.
 
 Basis vectors of V^(tensor n) are index tuples (i_1..i_n) with entries in the
-color-major global layout of a :class:`HookProfile`; a sparse vector is a
-dict from tuples to polynomial coefficients.  Operators are applied lazily to
-sparse vectors and never materialised as matrices.  A trace applies its
-word once per weight space (the set of tuples with the same multiset of
+color-major global layout of a :class:`HookProfile`.  Operators are applied
+lazily to sparse vectors and never materialised as matrices.  A trace applies
+its word once per weight space (the set of tuples with the same multiset of
 indices, which every operator preserves), to the generating vector
 ``sum_j c^j e_j`` of the space's columns, ``c`` a formal scalar no operator
 touches: by linearity the part of the image tagged ``c^j`` is column j's
@@ -19,14 +18,11 @@ Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
 monomial), where the monomial is the int key of its exponent vector under the
 block registry's linear codec (:meth:`VariableRegistry.encode`), the same key
-under which :class:`Poly` stores its terms.  Moving between the two forms
-regroups terms and never encodes or decodes a monomial; a coefficient
-entering the flat form is held to the int32 factor rule of a product, since
-the kernels add keys.  Each scalar an operator applies is a term of a
-:class:`TensorContext` constant, kept encoded next to the constant, so it
-acts on a pair as one int addition times an integer.
-Polynomials are formed only at the boundary: when a public function returns,
-and once per trace.
+under which :class:`Poly` stores its terms.  Each scalar an operator applies
+is a term of a :class:`TensorContext` constant, kept encoded next to the
+constant, so it acts on a pair as one int addition times an integer.
+``apply_word`` takes and returns this form too, so there is no public
+``{tuple: Poly}`` boundary: a ``Poly`` is formed only once per trace.
 
 The classical (q = 1) oracle is a separate tiny code path acting by signed
 permutations and root-of-unity scalings, deliberately independent of the
@@ -41,10 +37,9 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 from superfrob.combinat import Multipartition, WreathElement
-from superfrob.exact import CyclotomicNumber, Poly, StructuralError
+from superfrob.exact import CyclotomicNumber, Poly
 from superfrob.symfunc import BlockVariables
 
-TensorVector = dict[tuple[int, ...], Poly]
 # flat form: (index tuple, monomial key) -> nonzero int or cyclotomic coefficient
 FlatVector = dict[tuple[tuple[int, ...], int], object]
 # a constant's terms as (monomial key, coefficient) pairs
@@ -176,9 +171,6 @@ class TensorContext:
             self._tagged_spaces = (tuple(homes), tuple(spaces))
         return self._tagged_spaces
 
-    def basis_vector(self, tup: Sequence[int]) -> TensorVector:
-        return {tuple(tup): self.one}
-
 
 def _accumulate(acc: dict, key, value):
     """acc[key] += value, dropping the entry when the sum vanishes."""
@@ -188,49 +180,6 @@ def _accumulate(acc: dict, key, value):
         acc[key] = total
     else:
         acc.pop(key, None)
-
-
-def vec_add(a: TensorVector, b: TensorVector) -> TensorVector:
-    out = dict(a)
-    for key, value in b.items():
-        _accumulate(out, key, value)
-    return out
-
-
-def vec_scale(vec: TensorVector, scale: Poly) -> TensorVector:
-    out: TensorVector = {}
-    for key, value in vec.items():
-        product = value * scale
-        if not product.is_zero():
-            out[key] = product
-    return out
-
-
-def vec_equal(a: TensorVector, b: TensorVector) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[key] == b[key] for key in a)
-
-
-# -- flat form and the boundary --------------------------------------------------
-
-
-def _flat(ctx: TensorContext, vec: TensorVector) -> FlatVector:
-    flat: FlatVector = {}
-    for tup, coeff in vec.items():
-        if coeff.registry is not ctx.registry and coeff.registry != ctx.registry:
-            raise StructuralError("vector coefficient lives in another registry")
-        coeff._check_int32()
-        for key, value in coeff.terms.items():
-            flat[tup, key] = value
-    return flat
-
-
-def _polys(ctx: TensorContext, flat: FlatVector) -> TensorVector:
-    grouped: dict[tuple[int, ...], dict] = {}
-    for (tup, key), value in flat.items():
-        grouped.setdefault(tup, {})[key] = value
-    return {tup: Poly._raw(ctx.registry, terms) for tup, terms in grouped.items()}
 
 
 # -- kernels: one per operator, on the flat form -----------------------------------
@@ -451,16 +400,10 @@ def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool 
     return run
 
 
-# -- the public operator on {tuple: Poly} vectors ------------------------------------
-#
-# It converts its vector to the flat form once, runs the kernels of the word's
-# atoms, and forms one Poly per tuple of the result.  One atom is a one-atom
-# word, e.g. (("T", 2),).
-
-
-def apply_word(ctx: TensorContext, word: Sequence[OperatorAtom], vec: TensorVector) -> TensorVector:
-    """Apply a word of atoms right-to-left (the rightmost atom acts first)."""
-    return _polys(ctx, _word_kernel(ctx, word)(_flat(ctx, vec)))
+def apply_word(ctx: TensorContext, word: Sequence[OperatorAtom], vec: FlatVector) -> FlatVector:
+    """Apply a word of atoms to a flat vector, right-to-left (the rightmost atom
+    acts first); one atom is a one-atom word, e.g. (("T", 2),)."""
+    return _word_kernel(ctx, word)(vec)
 
 
 def standard_word(bmu: Multipartition, n: int) -> OperatorWord:
@@ -480,15 +423,6 @@ def standard_word(bmu: Multipartition, n: int) -> OperatorWord:
             for a in range(offset + part, offset + 1, -1):
                 word.append(("T", a))
             offset += part
-    return tuple(word)
-
-
-def omega_t_word(exponents: Sequence[int], n: int) -> OperatorWord:
-    """The word Omega_1^{c_1} ... Omega_n^{c_n} T_n ... T_2 of the trace lemma."""
-    word: list[OperatorAtom] = [
-        ("omega", j, e) for j, e in enumerate(exponents, start=1) if e
-    ]
-    word += [("T", a) for a in range(n, 1, -1)]
     return tuple(word)
 
 
@@ -570,12 +504,6 @@ def _classical_kernel(
         scale = CyclotomicNumber.zeta(m, power) * coeff
         _accumulate(out, (tuple(permuted), key), scale if sign == 1 else -scale)
     return out
-
-
-def classical_apply(
-    ctx: TensorContext, element: WreathElement, vec: TensorVector, m: int
-) -> TensorVector:
-    return _polys(ctx, _classical_kernel(ctx, element, m, _flat(ctx, vec)))
 
 
 def classical_trace_D(ctx: TensorContext, element: WreathElement, m: int) -> Poly:

@@ -6,13 +6,15 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from superfrob import cli
 from superfrob.combinat import HookProfile
-from superfrob.serialize import poly_to_terms, terms_to_poly
+from superfrob.exact import CyclotomicNumber, Poly, StructuralError
+from superfrob.serialize import poly_to_terms
 from superfrob.symfunc import BlockVariables, q_bmu
 
 
@@ -264,6 +266,19 @@ def test_verify_identities_example(capsys):
     assert {"eq-qq", "all-monomial-rows"} <= names
 
 
+@pytest.mark.parametrize("suite,prefix", [("identities", ""), ("all", "identities/")])
+def test_verify_skips_the_checks_of_an_empty_leading_color(capsys, suite, prefix):
+    # k_1 = l_1 = 0: the checks on color 1 alone have no variable to run on
+    argv = ["verify", "--suite", suite, "--m", "2", "--n", "2", "--k", "0,1", "--l", "0,1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["passed"] is True
+    details = {check["name"]: check["detail"] for check in report["checks"]}
+    for name in ("king", "hl-decomposition"):
+        assert details[prefix + name] == "skipped: empty leading color block"
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     from superfrob.suites import CheckResult
 
@@ -400,6 +415,29 @@ def test_expand_refuses_malformed_shapes_and_weights(capsys, argv):
     assert "internal failure" not in capsys.readouterr().err
 
 
+def terms_to_poly(registry, terms, zeta_order=None):
+    """Inverse of poly_to_terms (with the zeta order of the coefficient field)."""
+    total = Poly.zero(registry)
+    for coeff_str, powers in terms:
+        value = Fraction(coeff_str)
+        coeff = value.numerator if value.denominator == 1 else value
+        zeta_power = 0
+        cleaned = {}
+        for name, e in powers.items():
+            if name == "zeta":
+                zeta_power = e
+            else:
+                cleaned[name] = e
+        if zeta_power:
+            if zeta_order is None:
+                raise StructuralError("zeta power present but no zeta order given")
+            scalar = coeff * CyclotomicNumber.zeta(zeta_order, zeta_power)
+        else:
+            scalar = coeff
+        total = total + Poly.monomial(registry, cleaned, scalar)
+    return total
+
+
 def test_poly_json_round_trip():
     block = BlockVariables(HookProfile((1, 1), (1, 1)))
     f = q_bmu(((2,), (1,)), block)
@@ -424,7 +462,6 @@ def test_internal_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cyclotomic_poly_round_trip():
-    from superfrob.exact import CyclotomicNumber
     from superfrob.symfunc import colored_power_sum
 
     block = BlockVariables(HookProfile((1, 1, 1), (0, 0, 0)))

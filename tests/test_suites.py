@@ -7,7 +7,8 @@ from superfrob.characters import hecke_character_table
 from superfrob.combinat import multipartitions
 from superfrob.suites import SuiteConfig, run_suite, suite_frobenius, suite_relations
 from superfrob.symfunc import BlockVariables
-from superfrob.tensorrep import TensorContext, vec_add, vec_equal, vec_scale
+from superfrob.tensorrep import TensorContext
+from tensor_vectors import basis_vector, to_flat, to_polys, vec_add, vec_equal, vec_scale
 
 
 def test_run_all_small():
@@ -76,14 +77,18 @@ def test_frobenius_suite_computes_each_trace_once(monkeypatch):
 
 def _corrupt(monkeypatch, atom, target):
     """Make the suite's operator word act with atom X replaced by X + X P, P the
-    projection onto the basis tuple target: X scales that tuple's image by 2."""
+    projection onto the basis tuple target: X scales that tuple's image by 2.
+    The suite's words act on flat vectors, so P keeps the entries on target."""
     true_apply = superfrob.suites.apply_word
 
     def corrupted(ctx, word, vec):
         for step in reversed(word):
             image = true_apply(ctx, (step,), vec)
-            if step == atom and target in vec:
-                image = vec_add(image, true_apply(ctx, (step,), {target: vec[target]}))
+            if step == atom:
+                projected = {entry: coeff for entry, coeff in vec.items() if entry[0] == target}
+                for entry, coeff in true_apply(ctx, (step,), projected).items():
+                    image[entry] = image.get(entry, 0) + coeff
+                image = {entry: coeff for entry, coeff in image.items() if coeff}
             vec = image
         return vec
 
@@ -94,7 +99,10 @@ def _per_basis_failures(config):
     """Each relation check as a loop over the basis vectors in ctx.basis() order:
     the detail naming the first failing tuple, or None, by check name."""
     ctx = TensorContext(BlockVariables(config.profile), config.n)
-    apply, n = superfrob.suites.apply_word, config.n
+    n = config.n
+
+    def apply(ctx, word, v):
+        return to_polys(ctx, superfrob.suites.apply_word(ctx, word, to_flat(ctx, v)))
 
     def agree(word_a, word_b):
         return lambda v: (apply(ctx, word_a, v), apply(ctx, word_b, v))
@@ -135,7 +143,7 @@ def _per_basis_failures(config):
     for name, relations in cases.items():
         failures[name] = None
         for template, sides in relations:
-            tup = next((t for t in ctx.basis() if not vec_equal(*sides(ctx.basis_vector(t)))), None)
+            tup = next((t for t in ctx.basis() if not vec_equal(*sides(basis_vector(ctx, t)))), None)
             if tup is not None:
                 failures[name] = template.format(tup)
                 break
@@ -147,11 +155,13 @@ def _per_basis_failures(config):
     [
         (("T", 2), {"quadratic", "braid", "commutation", "type-b-braid"}),
         (("T1",), {"type-b-braid", "cyclotomic"}),
+        (("D",), {"d-commutation"}),
     ],
 )
 def test_relation_failures_name_the_first_failing_basis_tuple(monkeypatch, atom, affected):
-    # P commutes with D, so d-commutation still holds; target sits mid-basis,
-    # and for T_2 the tuple (1, 2, 3, 1) swapped onto it fails before it
+    # P commutes with D, so d-commutation fails only when D itself is
+    # corrupted (D + DP does not commute with T_1 or T_a); target sits
+    # mid-basis, and for T_2 the tuple (1, 2, 3, 1) swapped onto it fails before it
     config = SuiteConfig(m=2, n=4, bk=(1, 1), bl=(1, 0))
     _corrupt(monkeypatch, atom, (2, 1, 3, 1))
     expected = _per_basis_failures(config)

@@ -15,6 +15,7 @@ from superfrob.combinat import (
     wreath_s,
     wreath_t,
 )
+from superfrob import tensorrep
 from superfrob.exact import Poly
 from superfrob.symfunc import (
     BlockVariables,
@@ -24,15 +25,8 @@ from superfrob.symfunc import (
     q_tilde,
     super_power_sum,
 )
-from superfrob.tensorrep import (
-    TensorContext,
-    apply_word,
-    classical_apply,
-    classical_trace_D,
-    omega_t_word,
-    standard_word,
-    trace_D_word,
-)
+from superfrob.tensorrep import TensorContext, classical_trace_D, standard_word, trace_D_word
+from tensor_vectors import apply_word, basis_vector, classical_apply
 
 
 def make_ctx(bk, bl, n):
@@ -98,7 +92,7 @@ def test_T_diagonal_check_rejects_corrupted_q_inv():
 def test_T_inv_is_inverse():
     ctx = make_ctx((1, 1), (1, 1), 2)
     for tup in ctx.basis():
-        v = ctx.basis_vector(tup)
+        v = basis_vector(ctx, tup)
         assert vec_equal(apply_word(ctx, (("Tinv", 2),), apply_word(ctx, (("T", 2),), v)), v)
         assert vec_equal(apply_word(ctx, (("T", 2),), apply_word(ctx, (("Tinv", 2),), v)), v)
 
@@ -106,7 +100,7 @@ def test_T_inv_is_inverse():
 def test_S_matches_T_for_single_color():
     ctx = make_ctx((1,), (1,), 2)
     for tup in ctx.basis():
-        v = ctx.basis_vector(tup)
+        v = basis_vector(ctx, tup)
         assert vec_equal(apply_word(ctx, (("S", 2),), v), apply_word(ctx, (("T", 2),), v))
 
 
@@ -133,14 +127,14 @@ def test_T1_collapses_for_single_color():
     # m = 1: every S_a is T_a, so the word contracts to Omega_1 = Q_1
     ctx = make_ctx((1,), (1,), 3)
     for tup in ctx.basis():
-        v = ctx.basis_vector(tup)
+        v = basis_vector(ctx, tup)
         assert vec_equal(apply_word(ctx, (("T1",),), v), {tup: ctx.Q[1]})
 
 
 def test_T1_n1_equals_Omega1():
     ctx = make_ctx((1, 1), (1, 1), 1)
     for tup in ctx.basis():
-        v = ctx.basis_vector(tup)
+        v = basis_vector(ctx, tup)
         assert vec_equal(apply_word(ctx, (("T1",),), v), apply_word(ctx, (("omega", 1, 1),), v))
 
 
@@ -148,7 +142,7 @@ def test_cyclotomic_relation_annihilates():
     # (T_1 - Q_1)(T_1 - Q_2) = 0 on every basis vector, m = 2, n = 2
     ctx = make_ctx((1, 1), (1, 1), 2)
     for tup in ctx.basis():
-        acc = ctx.basis_vector(tup)
+        acc = basis_vector(ctx, tup)
         for i in (1, 2):
             image = apply_word(ctx, (("T1",),), acc)
             for key, value in acc.items():
@@ -170,7 +164,7 @@ def test_D_diagonal_weights():
 def test_D_commutes_with_T():
     ctx = make_ctx((1, 1), (1, 1), 2)
     for tup in ctx.basis():
-        v = ctx.basis_vector(tup)
+        v = basis_vector(ctx, tup)
         assert vec_equal(
             apply_word(ctx, (("D",),), apply_word(ctx, (("T", 2),), v)),
             apply_word(ctx, (("T", 2),), apply_word(ctx, (("D",),), v)),
@@ -208,6 +202,13 @@ def test_trace_lemma_coxeter_word_m1():
         alpha, beta = profile.alpha_beta(weight)
         total = total + q_tilde(alpha, beta, block)
     assert trace_D_word(ctx, (("T", 2),)) == total
+
+
+def omega_t_word(exponents, n):
+    """The word Omega_1^{c_1} ... Omega_n^{c_n} T_n ... T_2 of the trace lemma."""
+    word = [("omega", j, e) for j, e in enumerate(exponents, start=1) if e]
+    word += [("T", a) for a in range(n, 1, -1)]
+    return tuple(word)
 
 
 @pytest.mark.parametrize(
@@ -275,20 +276,29 @@ def test_classical_trace_equals_colored_power_sum(m, n):
 
 def test_apply_word_composition_order():
     ctx = make_ctx((1,), (1,), 2)
-    v = ctx.basis_vector((1, 2))
+    v = basis_vector(ctx, (1, 2))
     # word (D, T2) applies T2 first, then D
     direct = apply_word(ctx, (("D",),), apply_word(ctx, (("T", 2),), v))
     assert vec_equal(apply_word(ctx, (("D",), ("T", 2)), v), direct)
 
 
+def test_apply_word_acts_on_flat_vectors():
+    # (index tuple, monomial key) -> coefficient in, the same form out
+    ctx = make_ctx((1,), (1,), 2)
+    q_key = next(iter(ctx.q.terms))
+    assert tensorrep.apply_word(ctx, (("T", 2),), {((2, 1), 0): 3}) == {((1, 2), 0): 3}
+    assert tensorrep.apply_word(ctx, (("T", 2),), {((1, 1), q_key): 1}) == {((1, 1), 2 * q_key): 1}
+    assert tensorrep.apply_word(ctx, (("D",), ("T", 2)), {}) == {}
+
+
 def test_type_a_relations_at_n4():
     # quadratic, braid and distant commutation on every basis vector at n = 4
-    from superfrob.tensorrep import vec_add, vec_equal, vec_scale
+    from tensor_vectors import vec_add, vec_equal, vec_scale
 
     for bk, bl in [((2,), (2,)), ((1, 1), (1, 0))]:
         ctx = make_ctx(bk, bl, 4)
         for tup in ctx.basis():
-            v = ctx.basis_vector(tup)
+            v = basis_vector(ctx, tup)
             for a in range(2, 5):
                 Tv = apply_word(ctx, (("T", a),), v)
                 lhs = apply_word(ctx, (("T", a),), Tv)
@@ -309,7 +319,7 @@ def column_by_column_trace(ctx, action):
     # test-local _ref_D below)
     total = Poly.zero(ctx.registry)
     for tup in ctx.basis():
-        coeff = action(ctx.basis_vector(tup)).get(tup)
+        coeff = action(basis_vector(ctx, tup)).get(tup)
         if coeff is not None:
             total = total + _ref_D(ctx, {tup: coeff})[tup]
     return total
