@@ -118,10 +118,18 @@ class CharacterTable(NamedTuple):
     trivial_row_index: int | None
 
     def row_index(self, bshape: Multipartition) -> int:
-        return self.rows.index(bshape)
+        return self._label_index(self.rows, bshape, "row")
 
     def col_index(self, bmu: Multipartition) -> int:
-        return self.cols.index(bmu)
+        return self._label_index(self.cols, bmu, "column")
+
+    def _label_index(self, labels: tuple, label: Multipartition, kind: str) -> int:
+        try:
+            return labels.index(label)
+        except ValueError:
+            raise ValueError(
+                f"{label} is not a {kind} label of the (m, n) = ({self.m}, {self.n}) table"
+            ) from None
 
     def entry(self, bshape: Multipartition, bmu: Multipartition):
         return self.entries[self.row_index(bshape)][self.col_index(bmu)]

@@ -124,11 +124,15 @@ def _common_output_flags(
         sub.add_argument("--verbose", action="store_true")
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+def _emit(parser, text: str, out: str | None):
+    """Write text to --out, or to stdout; a path that cannot be written is a usage error."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:
+        parser.error(f"cannot write --out {out!r}: {err.strerror}")
 
 
 def _guard(parser, args, m: int, n: int, charged: str, dimension: int):
@@ -172,9 +176,9 @@ def cmd_chartable(args, parser) -> int:
     if args.specialize:
         table = specialize_table(table)
     if args.format == "csv":
-        _emit(table_to_csv(table), args.out)
+        _emit(parser, table_to_csv(table), args.out)
     else:
-        _emit(json_text(table_payload(table)), args.out)
+        _emit(parser, json_text(table_payload(table)), args.out)
     return 0
 
 
@@ -204,7 +208,7 @@ def cmd_verify(args, parser) -> int:
         "timing_seconds": {r.name: round(r.seconds, 6) for r in results},
         "passed": all(r.passed for r in results),
     }
-    _emit(json_text(report), args.out)
+    _emit(parser, json_text(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -285,9 +289,9 @@ def cmd_expand(args, parser) -> int:
         else:  # pragma: no cover - argparse restricts choices
             parser.error(f"unknown target {target}")
     if args.format == "csv":
-        _emit(payload["string"] + "\n", args.out)
+        _emit(parser, payload["string"] + "\n", args.out)
     else:
-        _emit(json_text(payload), args.out)
+        _emit(parser, json_text(payload), args.out)
     return 0
 
 

@@ -10,15 +10,14 @@ registry's linear codec (one 64-bit digit per variable, so a product of
 monomials is one int addition).  Exponent tuples are formed only at the
 boundary: by :meth:`Poly.decoded_terms`, which the term order of
 :meth:`Poly.sorted_terms` and printing, ``substitute`` and ``transport``
-read, and for the group keys of ``coefficients_by``.  Negative exponents
-are permitted only at registry positions flagged invertible (in practice:
-the Hecke parameter q).
+read.  Negative exponents are permitted only at registry positions flagged
+invertible (in practice: the Hecke parameter q).
 
 The domain limits on exponents: a stored exponent must lie in the signed
-64-bit range, and the factors of every product (and of ``exact_div``) must
-have all exponents in the signed 32-bit range [-2^31, 2^31), checked once per
-factor; outside it the operation raises :class:`DomainError` instead of
-letting a digit wrap into its neighbour.
+64-bit range, and the factors of every product must have all exponents in
+the signed 32-bit range [-2^31, 2^31), checked once per factor; outside it
+the operation raises :class:`DomainError` instead of letting a digit wrap
+into its neighbour.
 
 Phi_m is z^m - 1 divided exactly by each monic Phi_d, d | m, d < m.
 Cyclotomic numbers multiply through one tuple-level kernel on their
@@ -446,6 +445,9 @@ class Poly:
         ) and self.terms == other.terms
 
     def __hash__(self):
+        # equal to its value, so a constant hashes as that value does
+        if self.is_constant():
+            return hash(self.terms.get(0, 0))
         return hash((self.registry, frozenset(self.terms.items())))
 
     # -- substitution ------------------------------------------------------
@@ -487,94 +489,6 @@ class Poly:
             rest = Poly._raw(self.registry, {self.registry._key(reduced): 1})
             result = result + factor * rest
         return result
-
-    # -- structure helpers -------------------------------------------------
-
-    def coefficients_by(self, names: Sequence[str]) -> dict[tuple[int, ...], "Poly"]:
-        """Group terms by their exponents on ``names``; values keep the remaining variables.
-
-        ``names`` must be one contiguous range of the registry, in registry
-        order (e.g. all x variables of a block), so each group is read off a
-        key by one shift and mask; only the group keys are decoded to tuples.
-        """
-        registry = self.registry
-        bias, shift, mask, restore = registry.range_digits(names)
-        out: dict[int, dict] = {}
-        for key, coeff in self.terms.items():
-            part = ((key + bias) >> shift) & mask
-            # the rest: key with the range's digits set to 0
-            out.setdefault(part, {})[key + restore - (part << shift)] = coeff
-        # flipping bit 63 of each biased digit leaves its two's complement
-        inner = restore >> shift
-        unpack = struct.Struct("<" + "q" * len(names)).unpack
-        return {
-            unpack((part ^ inner).to_bytes(8 * len(names), "little")): Poly._raw(
-                registry, rest, self._in_int32
-            )
-            for part, rest in out.items()
-        }
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact division by a polynomial involving at most one variable.
-
-        The quotient may be Laurent when that variable is invertible.  A
-        nonzero remainder is a hard error: in-scope quantities are Laurent in
-        q and polynomial elsewhere, so inexact division signals a bug.  Both
-        sides follow the factor rule of a product (int32 exponents); terms
-        are grouped by their key less the divisor variable's digit, as
-        :meth:`coefficients_by` splits it.
-        """
-        self._check_registry(divisor)
-        if divisor.is_zero():
-            raise DomainError("division by zero polynomial")
-        divisor_terms = divisor.decoded_terms()
-        support = {pos for exps in divisor_terms for pos, e in enumerate(exps) if e != 0}
-        if not support:
-            return self * _field_inverse(divisor.constant_value())
-        if len(support) > 1:
-            raise DomainError("divisor must involve a single variable")
-        pos = support.pop()
-        variable = self.registry.variables[pos]
-        self._check_int32()
-        divisor._check_int32()
-        unit = 1 << (64 * pos)
-
-        div_lo = min(e[pos] for e in divisor_terms)
-        den = {e[pos] - div_lo: c for e, c in divisor_terms.items()}
-        den_deg = max(den)
-        den_lead_inv = _field_inverse(den[den_deg])
-
-        # each group: the key with the divisor variable's digit zeroed
-        groups: dict[int, dict[int, object]] = {}
-        for (e,), rest in self.coefficients_by([variable.name]).items():
-            for key, coeff in rest.terms.items():
-                groups.setdefault(key, {})[e] = coeff
-
-        result_terms: dict[int, object] = {}
-        for rest, num in groups.items():
-            num_lo = min(num)
-            work = {e - num_lo: c for e, c in num.items()}
-            offset = num_lo - div_lo
-            while work:
-                deg = max(work)
-                if deg < den_deg:
-                    raise DomainError("inexact division: nonzero remainder")
-                lead = work[deg] * den_lead_inv
-                shift = deg - den_deg
-                final = shift + offset
-                if final < 0 and not variable.invertible:
-                    raise DomainError(
-                        "inexact division: Laurent quotient in non-invertible variable"
-                    )
-                result_terms[rest + final * unit] = lead
-                for d, c in den.items():
-                    tgt = d + shift
-                    acc = work.get(tgt, 0) - lead * c
-                    if acc:
-                        work[tgt] = acc
-                    elif tgt in work:
-                        del work[tgt]
-        return Poly._raw(self.registry, result_terms)
 
     # -- presentation ------------------------------------------------------
 

@@ -10,10 +10,12 @@ horizontal strip per variable (:func:`skew_schur`).  Hall-Littlewood
 functions are computed by one mechanism only: truncated power series in an
 auxiliary expansion variable u (represented as coefficient lists, never as a
 registered variable), exactly following their generating functions, with one
-series product per variable.  The deformation parameter t is passed in as a
-first-class polynomial, so callers can keep it symbolic or set it to q^-2.
-A block keeps what ``q_n_i`` builds from them: each color's series, its
-coefficients divided once by q - q^-1, and each q_n^(i).
+series product per variable.  The recursion builds the quotient
+G = (H - 1)/(1 - t) of the series H, so the (q - q^-1) of q_n^(i) cancels
+with no division at t = q^-2.  The deformation parameter t is passed in as
+a first-class polynomial, so callers can keep it symbolic or set it to q^-2.
+A block keeps what ``q_n_i`` builds from them: each color's G and H, and
+each q_n^(i).
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ class BlockVariables:
     q, Q_1..Q_m, all x variables color-major, all y variables color-major,
     then any extra names (e.g. the Hall-Littlewood parameter ``t``).
 
-    The block also keeps the closed-form pieces of ``q_n_i`` once built: one
-    Hall-Littlewood series in ``t = q^-2`` per color, each of its coefficients
-    divided by ``q - q^-1`` as needed, per degree n the sums ``R_{n,L}`` that
-    ``q_n_i`` combines (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
+    The block also keeps the closed-form pieces of ``q_n_i`` once built: per
+    color the Hall-Littlewood quotient series G = (H - 1)/(1 - t) in
+    ``t = q^-2`` and, below the last color, the series H = 1 + (1 - t) G
+    read off it, per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
+    (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
     """
 
     def __init__(self, profile: HookProfile, extra: tuple[str, ...] = ()):
@@ -75,8 +78,7 @@ class BlockVariables:
         self.q = Poly.var(self.registry, "q")
         self.q_inv = Poly.var(self.registry, "q", -1)
         self.q_minus_q_inv = self.q - self.q_inv
-        self._hl_by_color: dict[int, list[Poly]] = {}
-        self._hl_quotients: dict[tuple[int, int], Poly] = {}
+        self._hl_by_color: dict[int, tuple[list[Poly], list[Poly] | None]] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
 
@@ -250,29 +252,38 @@ def _series_mul(a: list[Poly], b: list[Poly], order: int, registry) -> list[Poly
     return out
 
 
+def hl_quotient_series(
+    x_vars: list[Poly], y_vars: list[Poly], t: Poly, order: int, registry
+) -> list[Poly]:
+    """Coefficients of u^0..u^order of G = (H - 1)/(1 - t), H the series of :func:`hl_series`.
+
+    Each variable's factor of H is f = 1 + (1-t) a: a = A_x = sum_k x^k u^k
+    gives (1-txu)/(1-xu), and a = -B_y, B_y = sum_k t^(k-1) y^k u^k, gives
+    (1-yu)/(1-ytu).  As H = 1 + (1-t) G, H f = 1 + (1-t) (G f + a), so G
+    starts at 0 and becomes G f + a per variable: one series product each,
+    and no division.
+    """
+    zero, one = Poly.zero(registry), Poly.one(registry)
+    s = 1 - t
+    series = [zero] * (order + 1)
+    for first, ratio in [(x, x) for x in x_vars] + [(-y, y * t) for y in y_vars]:
+        a = [zero, first]
+        while len(a) <= order:
+            a.append(a[-1] * ratio)
+        series = _series_mul(series, [one] + [s * c for c in a[1:]], order, registry)
+        series = [g + c for g, c in zip(series, a)]
+    return series
+
+
 def hl_series(
     x_vars: list[Poly], y_vars: list[Poly], t: Poly, order: int, registry
 ) -> list[Poly]:
-    """Coefficients of u^0..u^order of prod (1-x t u)/(1-x u) * prod (1-y u)/(1-y t u).
+    """Coefficients of u^0..u^order of H = prod (1-x t u)/(1-x u) * prod (1-y u)/(1-y t u).
 
-    Each variable's factor is expanded first, (1-txu)/(1-xu) = 1 + sum_k
-    (1-t) x^k u^k and (1-yu)/(1-ytu) = 1 + sum_k (t-1) t^(k-1) y^k u^k, so
-    the series takes one product per variable.
+    H = 1 + (1-t) G, with G from :func:`hl_quotient_series`.
     """
-    one = Poly.one(registry)
-    series = [one] + [Poly.zero(registry)] * order
-    for x in x_vars:
-        factor = [one, (1 - t) * x]
-        while len(factor) <= order:
-            factor.append(factor[-1] * x)
-        series = _series_mul(series, factor, order, registry)
-    for y in y_vars:
-        factor = [one, (t - 1) * y]
-        yt = y * t
-        while len(factor) <= order:
-            factor.append(factor[-1] * yt)
-        series = _series_mul(series, factor, order, registry)
-    return series
+    quotient = hl_quotient_series(x_vars, y_vars, t, order, registry)
+    return [Poly.one(registry)] + [(1 - t) * g for g in quotient[1:]]
 
 
 def super_hall_littlewood_q(
@@ -465,46 +476,37 @@ def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
 
     R_{n,L} = q^n/(q-q^-1) sum_c prod_j q_{c_j}(x^(j)/y^(j); q^-2) over the
     compositions c in C(n;m) whose largest color with a positive part is L.
-    The q_a(x^(j)/y^(j); q^-2) are read off one Hall-Littlewood series per
-    color, rebuilt only when a higher order is needed; truncations agree on
-    every coefficient they share.  The (q - q^-1) is cancelled in the factor
-    of color L: each coefficient of positive degree vanishes at t = 1, so it
-    has the factor 1 - q^-2 = q^-1 (q - q^-1), and the block divides it out
-    exactly once per (color, degree).  A nonzero remainder is an internal
-    consistency error.
+    Per color, one quotient series G = (H - 1)/(1 - t) at t = q^-2
+    (:func:`hl_quotient_series`) gives both q_a = H_a = (1 - t) G_a and,
+    since q - q^-1 = q (1 - t), q_a/(q - q^-1) = q^-1 G_a for a >= 1; it is
+    rebuilt only when a higher order is needed, and truncations agree on
+    every coefficient they share.  So color L contributes q^(n-1) G_{c_L}
+    and every other color its H_{c_j}, with no division.
     """
     sums = block._q_n_by_degree.get(n)
     if sums is not None:
         return sums
     registry = block.registry
     t = Poly.var(registry, "q", -2)
-    series = []
+    quotients, series = [], []
     for color in range(1, block.m + 1):
         kept = block._hl_by_color.get(color)
-        if kept is None or len(kept) <= n:
-            kept = hl_series(block.x_polys(color), block.y_polys(color), t, n, registry)
-            block._hl_by_color[color] = kept
-        series.append(kept)
-    quotients = block._hl_quotients
-    q_power = Poly.var(registry, "q", n)
+        if kept is None or len(kept[0]) <= n:
+            g = hl_quotient_series(block.x_polys(color), block.y_polys(color), t, n, registry)
+            # H is read only below a larger color, so the last color keeps none
+            h = [Poly.one(registry)] + [(1 - t) * c for c in g[1:]] if color < block.m else None
+            kept = block._hl_by_color[color] = g, h
+        quotients.append(kept[0])
+        series.append(kept[1])
+    q_power = Poly.var(registry, "q", n - 1)
     sums = {}
     for bc in compositions(n, block.m):
         largest = max(j for j, c in enumerate(bc, start=1) if c)
-        a = bc[largest - 1]
-        quotient = quotients.get((largest, a))
-        if quotient is None:
-            try:
-                quotient = series[largest - 1][a].exact_div(block.q_minus_q_inv)
-            except DomainError as err:
-                raise ConsistencyError(
-                    f"(q - q^-1) failed to divide q_{a} of color {largest}"
-                ) from err
-            quotients[largest, a] = quotient
         term = q_power
         for j, c in enumerate(bc[: largest - 1], start=1):
             if c:
                 term = term * series[j - 1][c]
-        term = term * quotient
+        term = term * quotients[largest - 1][bc[largest - 1]]
         sums[largest] = sums[largest] + term if largest in sums else term
     block._q_n_by_degree[n] = sums
     return sums

@@ -277,11 +277,14 @@ def _all_row_coordinates(f, block, n):
     n, and every monomial row must equal the row of its per-color-sorted
     monomial; the dominant rows are then returned in multipartitions order.
     """
-    m = block.m
+    m, lo = block.m, 1 + block.m  # solve-block layout: q, Q_1..Q_m, then the x variables
     monomials = degree_monomials(m * n, n)
-    grouped = f.coefficients_by(block.x_names())
+    grouped = {}
+    for exps, coeff in f.decoded_terms().items():
+        grouped.setdefault(exps[lo:], {})[exps[:lo] + (0,) * (m * n)] = coeff
     if not grouped.keys() <= set(monomials):
         raise ConsistencyError("non-homogeneous term")
+    grouped = {mono: Poly(block.registry, rest) for mono, rest in grouped.items()}
     zero = Poly.zero(block.registry)
     for mono in monomials:
         if grouped.get(mono, zero) != grouped.get(_color_sorted(mono, m, n), zero):
@@ -539,6 +542,15 @@ def test_wreath_character_single_values():
     for bshape in table.rows:
         for bmu in table.cols:
             assert wreath_character(bshape, bmu, 2) == table.entry(bshape, bmu)
+
+
+def test_an_unknown_label_names_itself_and_the_table():
+    with pytest.raises(ValueError) as raised:
+        wreath_character(((1,),), ((1,), ()), 2)
+    assert str(raised.value) == "((1,),) is not a row label of the (m, n) = (2, 1) table"
+    with pytest.raises(ValueError) as raised:
+        wreath_character(((1,), ()), ((), (), (1,)), 2)
+    assert str(raised.value) == "((), (), (1,)) is not a column label of the (m, n) = (2, 1) table"
 
 
 def test_wreath_degrees():

@@ -160,6 +160,17 @@ def test_chartable_deterministic_bytes(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--suite", "relations", "--m", "1", "--n", "2", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"cannot write --out {str(out)!r}" in message
+    assert "internal failure" not in message
+
+
 # Printer characterization: these bytes were produced before the term printers
 # were merged into one, and the merged printer must reproduce them exactly.
 W32_CSV = """\

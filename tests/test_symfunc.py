@@ -462,34 +462,41 @@ def test_q_n_i_matches_q_tilde_split_by_color():
 
 def test_q_n_i_pieces_survive_out_of_order_degrees():
     # the kept series must grow when a later request needs a higher order
-    block = make_block((1, 2, 1), (1, 1, 2))
-    registry = block.registry
-    t = Poly.var(registry, "q", -2)
-    for n in (3, 1, 4, 2):
-        for i in (1, 2, 3):
-            literal = Poly.zero(registry)
-            for bc in compositions(n, block.m):
-                term = Poly.var(registry, "q", n)
-                largest = 0
-                for j, c in enumerate(bc, start=1):
-                    if c:
-                        term = term * super_hall_littlewood_q(
-                            c, block.x_polys(j), block.y_polys(j), t, registry
-                        )
-                        largest = j
-                literal = literal + block.Q(largest, i) * term
-            assert q_n_i(n, i, block) * block.q_minus_q_inv == literal
+    profiles = [
+        ((2, 1), (0, 0)),  # x only
+        ((0, 0), (2, 1)),  # y only
+        ((1, 2, 1), (1, 1, 2)),  # mixed
+        ((1, 0, 2), (1, 0, 0)),  # an empty color
+    ]
+    for bk, bl in profiles:
+        block = make_block(bk, bl)
+        registry = block.registry
+        t = Poly.var(registry, "q", -2)
+        for n in (3, 1, 4, 2):
+            for i in range(1, block.m + 1):
+                literal = Poly.zero(registry)
+                for bc in compositions(n, block.m):
+                    term = Poly.var(registry, "q", n)
+                    largest = 0
+                    for j, c in enumerate(bc, start=1):
+                        if c:
+                            term = term * super_hall_littlewood_q(
+                                c, block.x_polys(j), block.y_polys(j), t, registry
+                            )
+                            largest = j
+                    literal = literal + block.Q(largest, i) * term
+                assert q_n_i(n, i, block) * block.q_minus_q_inv == literal, (bk, bl, n, i)
 
 
 def test_q_bmu_builds_one_series_per_color(monkeypatch):
-    hl_series = symfunc.hl_series
+    hl_quotient_series = symfunc.hl_quotient_series
     calls = []
 
     def counted(*args):
         calls.append(args[3])  # the order
-        return hl_series(*args)
+        return hl_quotient_series(*args)
 
-    monkeypatch.setattr(symfunc, "hl_series", counted)
+    monkeypatch.setattr(symfunc, "hl_quotient_series", counted)
     m, n = 2, 3
     block = make_block((n,) * m, (0,) * m)
     for bmu in multipartitions(m, n):
