@@ -242,7 +242,7 @@ def cmd_expand(args, parser) -> int:
         l = sum(args.l) if args.l else 0
         if k + l == 0:
             parser.error("expand hl needs --k or --l")
-        # hl_series forms up to a^2 products, however few variables there are
+        # the series recursion forms up to a^2 products, however few variables there are
         _guard_dimension(parser, args, "a^2", args.a**2)
         _guard_dimension(parser, args, "(k+l)^a", (k + l) ** args.a)
         block = BlockVariables(HookProfile((k,), (l,)), extra=("t",))

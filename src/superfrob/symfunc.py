@@ -59,8 +59,7 @@ class BlockVariables:
 
     The block also keeps the closed-form pieces of ``q_n_i`` once built: per
     color the Hall-Littlewood quotient series G = (H - 1)/(1 - t) in
-    ``t = q^-2`` and, below the last color, the series H = 1 + (1 - t) G
-    read off it, per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
+    ``t = q^-2`` and the series H = 1 + (1 - t) G read off it, per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
     (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
     """
 
@@ -78,7 +77,7 @@ class BlockVariables:
         self.q = Poly.var(self.registry, "q")
         self.q_inv = Poly.var(self.registry, "q", -1)
         self.q_minus_q_inv = self.q - self.q_inv
-        self._hl_by_color: dict[int, tuple[list[Poly], list[Poly] | None]] = {}
+        self._hl_by_color: dict[int, tuple[list[Poly], list[Poly]]] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
 
@@ -282,8 +281,12 @@ def hl_series(
 
     H = 1 + (1-t) G, with G from :func:`hl_quotient_series`.
     """
-    quotient = hl_quotient_series(x_vars, y_vars, t, order, registry)
-    return [Poly.one(registry)] + [(1 - t) * g for g in quotient[1:]]
+    return _series_from_quotient(hl_quotient_series(x_vars, y_vars, t, order, registry), t)
+
+
+def _series_from_quotient(quotient: list[Poly], t: Poly) -> list[Poly]:
+    """H = 1 + (1-t) G, coefficientwise, from the quotient G of :func:`hl_quotient_series`."""
+    return [Poly.one(t.registry)] + [(1 - t) * g for g in quotient[1:]]
 
 
 def super_hall_littlewood_q(
@@ -298,7 +301,9 @@ def super_hall_littlewood_q(
         registry = t.registry if isinstance(t, Poly) else (x_vars + y_vars)[0].registry
     if not isinstance(t, Poly):
         t = Poly.const(registry, t)
-    return hl_series(x_vars, y_vars, t, a, registry)[a]
+    if a == 0:
+        return Poly.one(registry)
+    return (1 - t) * hl_quotient_series(x_vars, y_vars, t, a, registry)[a]
 
 
 def reversed_in_variable(f: Poly, name: str, degree: int) -> Poly:
@@ -493,9 +498,7 @@ def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
         kept = block._hl_by_color.get(color)
         if kept is None or len(kept[0]) <= n:
             g = hl_quotient_series(block.x_polys(color), block.y_polys(color), t, n, registry)
-            # H is read only below a larger color, so the last color keeps none
-            h = [Poly.one(registry)] + [(1 - t) * c for c in g[1:]] if color < block.m else None
-            kept = block._hl_by_color[color] = g, h
+            kept = block._hl_by_color[color] = g, _series_from_quotient(g, t)
         quotients.append(kept[0])
         series.append(kept[1])
     q_power = Poly.var(registry, "q", n - 1)
