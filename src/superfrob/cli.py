@@ -10,7 +10,9 @@ contract.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -124,8 +126,20 @@ def _common_output_flags(
         sub.add_argument("--verbose", action="store_true")
 
 
+def _check_out(parser, out: str):
+    """Refuse an --out that is a directory or has no parent directory, before any work."""
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    parser.error(f"cannot write --out {out!r}: {os.strerror(code)}")
+
+
 def _emit(parser, text: str, out: str | None):
-    """Write text to --out, or to stdout; a path that cannot be written is a usage error."""
+    """Write text to --out, or to stdout; a path that still cannot be written is a usage error."""
     if not out:
         sys.stdout.write(text)
         return
@@ -298,6 +312,8 @@ def cmd_expand(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        _check_out(parser, args.out)
     try:
         return args.handler(args, parser)
     except SystemExit:

@@ -238,14 +238,13 @@ def standard_multitableaux_count(bshape: Multipartition) -> int:
 # -- super tableaux -----------------------------------------------------------
 
 
-def semistandard_tableaux(shape: Partition, n_values: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Fillings with 1..n_values, rows weakly increasing, columns strictly increasing."""
-    if not shape:
-        yield ()
-        return
-    if len(shape) > n_values:
-        return
+def super_tableaux(shape: Partition, k: int, ell: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All (k, ell)-semistandard super tableaux of a partition shape, as row tuples.
 
+    Values 1..k stand for x_1..x_k and k+1..k+ell for y_1..y_ell.  Rows and
+    columns weakly increase, no x repeats in a column and no y in a row: a
+    box's least value is max(left + [left > k], above + [above <= k]).
+    """
     rows: list[list[int]] = [[] for _ in shape]
     boxes = [(i, j) for i, row in enumerate(shape) for j in range(row)]
 
@@ -256,75 +255,17 @@ def semistandard_tableaux(shape: Partition, n_values: int) -> Iterator[tuple[tup
         i, j = boxes[cell]
         lo = 1
         if j > 0:
-            lo = max(lo, rows[i][j - 1])
+            left = rows[i][j - 1]
+            lo = max(lo, left + (left > k))
         if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        for v in range(lo, n_values + 1):
+            above = rows[i - 1][j]
+            lo = max(lo, above + (above <= k))
+        for v in range(lo, k + ell + 1):
             rows[i].append(v)
             yield from fill(cell + 1)
             rows[i].pop()
 
     yield from fill(0)
-
-
-def conjugate_semistandard_skew(
-    outer: Partition, inner: Partition, n_values: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Skew fillings with rows strictly increasing and columns weakly increasing.
-
-    Yields, per row of outer/inner, the tuple of values in the skew boxes.
-    """
-    inner_padded = tuple(inner) + (0,) * (len(outer) - len(inner))
-    boxes = [
-        (i, j)
-        for i, row in enumerate(outer)
-        for j in range(inner_padded[i], row)
-    ]
-    grid: dict[tuple[int, int], int] = {}
-
-    def fill(cell: int):
-        if cell == len(boxes):
-            yield tuple(
-                tuple(grid[(i, j)] for j in range(inner_padded[i], outer[i]))
-                for i in range(len(outer))
-            )
-            return
-        i, j = boxes[cell]
-        lo = 1
-        if (i, j - 1) in grid:
-            lo = max(lo, grid[(i, j - 1)] + 1)
-        if (i - 1, j) in grid:
-            lo = max(lo, grid[(i - 1, j)])
-        for v in range(lo, n_values + 1):
-            grid[(i, j)] = v
-            yield from fill(cell + 1)
-            del grid[(i, j)]
-
-    yield from fill(0)
-
-
-class SuperTableau(NamedTuple):
-    """A single-component super semistandard filling.
-
-    ``x_shape`` is the straight sub-shape holding x symbols, ``x_filling`` its
-    semistandard grid, and ``y_filling`` the row-strict/column-weak filling of
-    the skew remainder; values are positions within the color block.
-    """
-
-    shape: Partition
-    x_shape: Partition
-    x_filling: tuple[tuple[int, ...], ...]
-    y_filling: tuple[tuple[int, ...], ...]
-
-
-def super_tableaux(shape: Partition, k: int, ell: int) -> Iterator[SuperTableau]:
-    """All (k, ell)-semistandard super tableaux of a single partition shape."""
-    for mu in sub_partitions(shape):
-        if len(mu) > k:
-            continue
-        for x_fill in semistandard_tableaux(mu, k):
-            for y_fill in conjugate_semistandard_skew(shape, mu, ell):
-                yield SuperTableau(shape, mu, x_fill, y_fill)
 
 
 @lru_cache(maxsize=None)

@@ -314,11 +314,11 @@ def suite_identities(config: SuiteConfig) -> list[CheckResult]:
         cases = 0
         for size in range(config.n + 1):
             for bshape in multipartitions(config.m, size):
-                alternating = super_schur(bshape, block, "alternating")
+                branching = super_schur(bshape, block, "branching")
                 tableau = super_schur(bshape, block, "tableau")
-                if alternating != tableau:
+                if branching != tableau:
                     return False, f"algorithms disagree at {bshape}"
-                if alternating.is_zero() != (not is_hook_multi(bshape, profile)):
+                if branching.is_zero() != (not is_hook_multi(bshape, profile)):
                     return False, f"hook vanishing wrong at {bshape}"
                 cases += 1
         return True, f"{cases} multipartitions"

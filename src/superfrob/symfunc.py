@@ -5,8 +5,11 @@ registry: per color i there are k_i even variables x{i}_a and l_i odd
 variables y{i}_b, plus the Hecke parameters q (invertible) and Q_1..Q_m.
 Colored power sums carry cyclotomic coefficients.
 
-Straight and skew Schur polynomials come from one branching recursion, one
-horizontal strip per variable (:func:`skew_schur`).  Hall-Littlewood
+Straight, skew and super Schur polynomials come from one branching
+recursion, one strip per variable (:func:`_strips`): an even variable x
+removes a horizontal strip with weight x, an odd variable y a vertical strip
+with weight -y.  The super tableaux of :mod:`superfrob.combinat` give the
+independent second algorithm for super Schur functions.  Hall-Littlewood
 functions are computed by one mechanism only: truncated power series in an
 auxiliary expansion variable u (represented as coefficient lists, never as a
 registered variable), exactly following their generating functions, with one
@@ -27,9 +30,7 @@ from superfrob.combinat import (
     Multipartition,
     Partition,
     compositions,
-    conjugate,
     contains,
-    sub_partitions,
     super_tableaux,
 )
 from superfrob.exact import (
@@ -151,11 +152,9 @@ def schur(shape: Partition, variables: list[Poly]) -> Poly:
 def skew_schur(eta: Partition, theta: Partition, variables: list[Poly], registry=None) -> Poly:
     """Skew Schur polynomial s_{eta/theta} by the branching rule; zero when too tall.
 
-    s_{lam/theta}(x_1..x_j) = sum_mu s_{mu/theta}(x_1..x_{j-1}) x_j^(|lam| - |mu|)
-    over the mu containing theta that leave a horizontal strip lam/mu
-    (max(lam_{i+1}, theta_i) <= mu_i <= lam_i), memoised per (mu, j) within
-    the call.  Each entry of ``variables`` must be one registered variable to
-    the first power with coefficient 1; with none, ``registry`` is required.
+    One horizontal strip per variable (:func:`_strips` with no odd variable).
+    Each entry of ``variables`` must be one registered variable to the first
+    power with coefficient 1; with none, ``registry`` is required.
     """
     if not contains(eta, theta):
         raise ShapeError(f"{theta} is not contained in {eta}")
@@ -164,7 +163,19 @@ def skew_schur(eta: Partition, theta: Partition, variables: list[Poly], registry
             raise StructuralError("skew_schur with no variables needs an explicit registry")
         registry = variables[0].registry
     keys = [_variable_key(v, registry) for v in variables]
-    theta = tuple(theta)
+    return _strips(tuple(eta), tuple(theta), keys, len(keys), registry)
+
+
+def _strips(eta: Partition, theta: Partition, keys: list[int], even: int, registry) -> Poly:
+    """S_{eta/theta}(x/y) by peeling one strip per variable, the last variable first.
+
+    The first ``even`` keys are even variables x, the rest odd variables y.
+    S_{lam/theta} = sum_mu S_{mu/theta}(one variable fewer) w^(|lam| - |mu|)
+    over the mu containing theta that leave a strip lam/mu: an x leaves a
+    horizontal strip (max(lam_{i+1}, theta_i) <= mu_i <= lam_i) with w = x,
+    a y a vertical strip (mu_i in {lam_i - 1, lam_i}, mu a partition) with
+    w = -y.  Memoised per (mu, j) within the call.
+    """
     inner_size = sum(theta)
     memo: dict[tuple[Partition, int], dict[int, int]] = {}
 
@@ -173,25 +184,33 @@ def skew_schur(eta: Partition, theta: Partition, variables: list[Poly], registry
         size = sum(lam)
         if size == inner_size:
             return {0: 1}
-        # the first column of lam/theta needs a distinct variable per box
-        if j == 0 or len(lam) - len(theta) > j:
+        # the x's left fill the first column of what stays below theta with
+        # distinct values, so each row below len(theta) + (x's left) must go
+        # whole to the y's left, at most one box per y
+        odd = max(j - even, 0)
+        row = len(theta) + j - odd
+        if j == 0 or (row < len(lam) and lam[row] > odd):
             return {}
         terms = memo.get((lam, j))
         if terms is None:
             terms = {}
             key = keys[j - 1]
-            below = lam[1:] + (0,)
+            lows = [p - 1 for p in lam] if odd else lam[1:] + (0,)
             floor = theta + (0,) * (len(lam) - len(theta))
-            ranges = (range(max(b, t), p + 1) for b, t, p in zip(below, floor, lam))
+            ranges = (range(max(b, t), p + 1) for b, t, p in zip(lows, floor, lam))
             for mu in itertools.product(*ranges):
+                if odd and any(a < b for a, b in zip(mu, mu[1:])):
+                    continue
                 mu = tuple(p for p in mu if p)
-                shift = (size - sum(mu)) * key
+                degree = size - sum(mu)
+                shift = degree * key
+                sign = -1 if odd and degree % 2 else 1
                 for k, c in expand(mu, j - 1).items():
-                    terms[k + shift] = terms.get(k + shift, 0) + c
+                    terms[k + shift] = terms.get(k + shift, 0) + sign * c
             memo[lam, j] = terms
         return terms
 
-    return Poly._raw(registry, expand(tuple(eta), len(keys)))
+    return Poly._raw(registry, expand(eta, len(keys)))
 
 
 def power_sum(a: int, variables: list[Poly], registry=None) -> Poly:
@@ -346,61 +365,40 @@ def super_hall_littlewood_q_via_decomposition(
 
 
 def super_schur_component(
-    shape: Partition, block: BlockVariables, color: int, algorithm: str = "alternating"
+    shape: Partition, block: BlockVariables, color: int, algorithm: str = "branching"
 ) -> Poly:
     """S_shape(x^(color)/y^(color)) by one of the two independent algorithms.
 
-    "alternating": sum over mu inside shape of (-1)^(boxes left) s_mu(x)
-    s_{shape'/mu'}(y), both factors from the branching recursion of
-    :func:`skew_schur`.  "tableau": sum of super-tableau weights with -y for
-    odd boxes, sharing no code with it.  Both vanish exactly off the
-    (k_color, l_color) hook.
+    "branching": the strip recursion of :func:`skew_schur` over x^(color)
+    and then y^(color), each y peeling a vertical strip with weight -y.
+    "tableau": sum of the weights of the :func:`super_tableaux` fillings,
+    value a <= k read as x_a and k + b as -y_b, sharing no code with it.
+    Both vanish exactly off the (k_color, l_color) hook.
     """
     registry = block.registry
-    x_vars = block.x_polys(color)
-    y_vars = block.y_polys(color)
-    if algorithm == "alternating":
-        total = Poly.zero(registry)
-        shape_conj = conjugate(shape)
-        for mu in sub_partitions(shape):
-            if len(mu) > len(x_vars):
-                continue
-            # the odd factor first: with no odd variables only mu = shape survives
-            sy = skew_schur(shape_conj, conjugate(mu), y_vars, registry)
-            if sy.is_zero():
-                continue
-            sx = skew_schur(mu, (), x_vars, registry)
-            if sx.is_zero():
-                continue
-            sign = -1 if (sum(shape) - sum(mu)) % 2 else 1
-            total = total + sign * (sx * sy)
-        return total
+    k, ell = block.profile.bk[color - 1], block.profile.bl[color - 1]
+    if algorithm == "branching":
+        variables = block.x_polys(color) + block.y_polys(color)
+        keys = [_variable_key(v, registry) for v in variables]
+        return _strips(tuple(shape), (), keys, k, registry)
     if algorithm == "tableau":
-        k = len(x_vars)
-        ell = len(y_vars)
-        width = len(registry)
+        positions = [registry.index(f"x{color}_{a}") for a in range(1, k + 1)]
+        positions += [registry.index(f"y{color}_{b}") for b in range(1, ell + 1)]
         terms: dict[tuple[int, ...], int] = {}
-        x_pos = [registry.index(f"x{color}_{a}") for a in range(1, k + 1)]
-        y_pos = [registry.index(f"y{color}_{b}") for b in range(1, ell + 1)]
         for tab in super_tableaux(shape, k, ell):
-            exps = [0] * width
-            boxes_y = 0
-            for row in tab.x_filling:
+            exps = [0] * len(registry)
+            for row in tab:
                 for value in row:
-                    exps[x_pos[value - 1]] += 1
-            for row in tab.y_filling:
-                for value in row:
-                    exps[y_pos[value - 1]] += 1
-                    boxes_y += 1
+                    exps[positions[value - 1]] += 1
             key = tuple(exps)
-            sign = -1 if boxes_y % 2 else 1
+            sign = (-1) ** sum(value > k for row in tab for value in row)
             terms[key] = terms.get(key, 0) + sign
-        return Poly(block.registry, {e: c for e, c in terms.items() if c})
+        return Poly(registry, {e: c for e, c in terms.items() if c})
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def super_schur(
-    bshape: Multipartition, block: BlockVariables, algorithm: str = "alternating"
+    bshape: Multipartition, block: BlockVariables, algorithm: str = "branching"
 ) -> Poly:
     """S_bshape(x/y) as the product of per-color supersymmetric Schur functions."""
     if len(bshape) != block.m:

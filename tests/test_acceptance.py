@@ -91,7 +91,7 @@ def test_criterion_01_eq_qq_identity():
 
 
 def test_criterion_02_super_schur_dual_algorithms():
-    with Stopwatch(2, "super Schur: alternating vs tableau algorithm, hook vanishing", 30):
+    with Stopwatch(2, "super Schur: branching vs tableau algorithm, hook vanishing", 30):
         for m in (1, 2):
             per_color = [(k, l) for k in range(3) for l in range(3)]
             for combo in itertools.product(per_color, repeat=m):
@@ -102,11 +102,11 @@ def test_criterion_02_super_schur_dual_algorithms():
                 block = BlockVariables(HookProfile(bk, bl))
                 for n in range(6):
                     for bshape in multipartitions(m, n):
-                        alternating = super_schur(bshape, block, "alternating")
+                        branching = super_schur(bshape, block, "branching")
                         tableau = super_schur(bshape, block, "tableau")
-                        assert alternating == tableau, (bk, bl, bshape)
+                        assert branching == tableau, (bk, bl, bshape)
                         hook = is_hook_multi(bshape, block.profile)
-                        assert alternating.is_zero() == (not hook), (bk, bl, bshape)
+                        assert branching.is_zero() == (not hook), (bk, bl, bshape)
 
 
 def test_criterion_03_trace_oracle_vs_closed_form():

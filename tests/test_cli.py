@@ -171,6 +171,29 @@ def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert "internal failure" not in message
 
 
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["verify", "--suite", "relations", "--m", "1", "--n", "2"], "directory"),
+        (["chartable", "--m", "1", "--n", "2"], "missing parent"),
+    ],
+    ids=["verify-directory", "chartable-missing-parent"],
+)
+def test_an_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch, argv, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_work)
+    monkeypatch.setattr(cli, "hecke_character_table", no_work)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"cannot write --out {str(out)!r}" in message
+    assert "internal failure" not in message
+
+
 # Printer characterization: these bytes were produced before the term printers
 # were merged into one, and the merged printer must reproduce them exactly.
 W32_CSV = """\

@@ -347,12 +347,8 @@ def test_standard_multitableaux_count_against_corner_recursion():
 
 
 def test_super_tableaux_filling_structure():
-    fillings = list(super_tableaux((2,), 1, 1))
-    shapes = {(f.x_shape, f.x_filling, f.y_filling) for f in fillings}
-    assert shapes == {
-        ((2,), ((1, 1),), ((),)),
-        ((1,), ((1,),), ((1,),)),
-    }
+    # x_1 = 1 may repeat along the row, y_1 = 2 may not
+    assert list(super_tableaux((2,), 1, 1)) == [((1, 1),), ((1, 2),)]
 
 
 def test_schur_weyl_dimension_identity_single_color():

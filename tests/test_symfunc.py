@@ -9,11 +9,12 @@ from superfrob import symfunc
 from superfrob.combinat import (
     HookProfile,
     compositions,
+    conjugate,
     is_hook_multi,
     multipartitions,
     partitions,
-    semistandard_tableaux,
     sub_partitions,
+    super_tableaux,
 )
 from superfrob.exact import CyclotomicNumber, Poly, StructuralError
 from superfrob.symfunc import (
@@ -76,7 +77,7 @@ def _schur_by_tableaux(shape, variables):
     """The semistandard-tableau sum, the reference for the branching rule."""
     registry = variables[0].registry
     total = Poly.zero(registry)
-    for tableau in semistandard_tableaux(shape, len(variables)):
+    for tableau in super_tableaux(shape, len(variables), 0):
         term = Poly.one(registry)
         for row in tableau:
             for value in row:
@@ -265,7 +266,7 @@ def test_super_schur_single_box_is_power_sum():
         expected = super_power_sum(
             1, block.x_polys(1), block.y_polys(1), block.registry
         )
-        for algorithm in ("alternating", "tableau"):
+        for algorithm in ("branching", "tableau"):
             assert super_schur(((1,),), block, algorithm) == expected
 
 
@@ -273,14 +274,14 @@ def test_super_schur_row_two_example():
     block = make_block((1,), (1,))
     (x,) = block.x_polys(1)
     (y,) = block.y_polys(1)
-    for algorithm in ("alternating", "tableau"):
+    for algorithm in ("branching", "tableau"):
         assert super_schur(((2,),), block, algorithm) == x**2 - x * y
         assert super_schur(((1, 1),), block, algorithm) == y**2 - x * y
 
 
 def test_super_schur_vanishes_off_hook():
     block = make_block((1,), (1,))
-    for algorithm in ("alternating", "tableau"):
+    for algorithm in ("branching", "tableau"):
         assert super_schur(((2, 2),), block, algorithm).is_zero()
 
 
@@ -290,10 +291,23 @@ def test_super_schur_dual_algorithms_small_sweep():
         m = block.m
         for n in range(4):
             for bshape in multipartitions(m, n):
-                a = super_schur(bshape, block, "alternating")
+                a = super_schur(bshape, block, "branching")
                 b = super_schur(bshape, block, "tableau")
                 assert a == b
                 assert a.is_zero() == (not is_hook_multi(bshape, block.profile))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(lambda size: st.sampled_from(partitions(size))),
+    st.integers(1, 3),
+)
+def test_odd_strips_alone_are_the_omega_image(shape, ell):
+    # S_lam(/y) = (-1)^|lam| s_lam'(y): the vertical strips of the y's against
+    # the horizontal strips of the conjugate shape, with no even variable
+    block = make_block((0,), (ell,))
+    expected = (-1) ** sum(shape) * schur(conjugate(shape), block.y_polys(1))
+    assert super_schur((shape,), block) == expected
 
 
 def test_block_symmetry_under_transpositions():
