@@ -6,11 +6,13 @@ a hook, the super Schur functions degenerate to products of ordinary Schur
 polynomials with integer monomial coordinates, and the character values drop
 out of one exact linear solve.  Both sides are symmetric within each color, so
 the solve keeps one row per multipartition (its dominant monomial); the matrix
-is then square, a product of Kostka matrices.  The symmetry is certified in
-the same pass over an expansion's terms that reads those rows: every term
-must carry the coefficient of its per-color-sorted term, and the sorted terms'
-orbit sizes must add up to the number of terms, so no orbit member is missing.
-Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
+is then square, a product of Kostka matrices.  Both sides are products of
+leaves, and the symmetry is certified once per leaf, in the same pass over
+its terms that reads its dominant coordinates: every term must carry the
+coefficient of its per-color-sorted term, and the sorted terms' orbit sizes
+must add up to the number of terms, so no orbit member is missing.  The
+products then keep only the monomials that can still reach a dominant one
+(:func:`superfrob.symfunc.pruned_product`).  Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
 of the wreath product W_{m,n}.
 
 The same wreath table is recomputed independently from the colored power sum
@@ -49,10 +51,10 @@ from superfrob.exact import (
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
+    color_orbits,
     colored_power_sum_product,
     coordinates_on_degree,
-    degree_monomials,
-    monomial_orbits,
+    dominant_rows,
     q_bmu,
     super_schur,
 )
@@ -145,40 +147,37 @@ def solve_block(m: int, n: int) -> BlockVariables:
     return BlockVariables(HookProfile((n,) * m, (0,) * m))
 
 
-@lru_cache(maxsize=None)
-def _symmetry_index(m: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The :func:`monomial_orbits` table of the solve block's x-monomials of degree n.
+def _table_block(m: int, n: int) -> BlockVariables:
+    """The block the tables build on: the solve profile, with dominant degree n.
 
-    Each orbit is the set of monomials with one per-color-sorted monomial
-    (each color's exponent block sorted decreasingly).  Those representatives
-    are exactly the dominant monomials, one per multipartition (each color's
-    partition padded to n), and the table lists them in ``multipartitions``
-    order, the row order of the solve.
+    Its products keep only the monomials that can still reach a dominant
+    monomial of x-degree n, from leaves certified once each
+    (:func:`superfrob.symfunc.pruned_product`).
     """
-    block = solve_block(m, n)
-    orbits: dict[tuple[int, ...], list] = {
-        sum((part + (0,) * (n - len(part)) for part in bl), ()): []
-        for bl in multipartitions(m, n)
-    }
-    for mono in degree_monomials(m * n, n):
-        color_sorted = sum(
-            (tuple(sorted(mono[i * n : (i + 1) * n], reverse=True)) for i in range(m)), ()
-        )
-        orbits[color_sorted].append(mono)
-    return monomial_orbits(block.registry, block.x_names(), orbits)
+    return BlockVariables(HookProfile((n,) * m, (0,) * m), dominant_degree=n)
 
 
 def _dominant_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
     """Coordinates of f at the dominant monomials, certified symmetric in each color.
 
-    f must be homogeneous of x-degree n in the solve block.  One pass of
-    :func:`coordinates_on_degree` over f's terms checks that every monomial
-    has the coefficient of its per-color-sorted monomial, and that every
-    per-color permutation of a present sorted monomial is present (by
-    counting), so the dominant rows determine every row: two certified
-    expansions that agree on them agree on all monomials.
+    f must be homogeneous of x-degree n in the solve profile.  On a table
+    block (:func:`_table_block`), f is a pruned product of leaves (q_d^(i),
+    one-color Schur factors, P_a^(i)), each certified homogeneous and
+    symmetric within each color at its own degree by
+    :func:`superfrob.symfunc.certify_leaf`.  The full product of the leaves
+    is then symmetric within each color too, and f holds exactly its
+    dominant coordinates (the argument of
+    :func:`superfrob.symfunc.pruned_product`), so f is read with the
+    identity table on the dominant monomials, which refuses any other term,
+    a non-homogeneous one included.  On any other block, one pass of
+    :func:`coordinates_on_degree` over f's own terms checks that every
+    monomial has the coefficient of its per-color-sorted monomial, and that
+    every per-color permutation of a present sorted monomial is present (by
+    counting).  Either way the dominant rows determine every row: two
+    certified expansions that agree on them agree on all monomials.
     """
-    return coordinates_on_degree(f, block.x_names(), n, _symmetry_index(block.m, n))
+    table = color_orbits if block.dominant_degree is None else dominant_rows
+    return coordinates_on_degree(f, block.x_names(), n, table(block.profile, n))
 
 
 @lru_cache(maxsize=None)
@@ -188,13 +187,18 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     The expansions of all q_bmu over the super Schur basis are solved in one
     square elimination on the |P_{m,n}| dominant monomial rows, with one
     scalar right-hand side per column bmu and (q, Q) monomial of its
-    coordinates.  Every expansion entering the solve is certified symmetric
-    within each color, which makes the dominant rows equivalent to all
-    monomial rows, and entries are verified to be integer Laurent polynomials.
+    coordinates.  Both sides are products of leaves, q_d^(i) and the
+    one-color Schur factors, each certified symmetric within each color
+    once at its own degree; so are the full products, which makes the
+    dominant rows equivalent to all monomial rows.  The products are built
+    on :func:`_table_block`, keeping only the monomials that can still reach
+    a dominant one, and read on the dominant monomials alone
+    (:func:`_dominant_coordinates`).  Entries are verified to be integer
+    Laurent polynomials.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    block = solve_block(m, n)
+    block = _table_block(m, n)
     labels = multipartitions(m, n)
     schur_columns = [
         [c.constant_value() for c in _dominant_coordinates(super_schur(bshape, block), block, n)]
@@ -326,14 +330,17 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
     """W_{m,n} character table from the colored power sum expansion.
 
     Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu for all bl in one square
-    elimination on the dominant monomial rows, with every power-sum and super
-    Schur expansion certified symmetric within each color.  The centralizer
-    orders are cleared by a common multiple before the solve, so the system
-    matrix stays integral (over Z[zeta]).
+    elimination on the dominant monomial rows.  Both sides are products of
+    leaves, P_a^(i) and the one-color Schur factors, each certified
+    symmetric within each color once at its own degree; the products are
+    built on :func:`_table_block` and read on the dominant monomials alone
+    (:func:`_dominant_coordinates`).  The centralizer orders are cleared by
+    a common multiple before the solve, so the system matrix stays integral
+    (over Z[zeta]).
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    block = solve_block(m, n)
+    block = _table_block(m, n)
     labels = multipartitions(m, n)
     orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
     common = math.lcm(*orders)

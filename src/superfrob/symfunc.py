@@ -19,11 +19,20 @@ with no division at t = q^-2.  The deformation parameter t is passed in as
 a first-class polynomial, so callers can keep it symbolic or set it to q^-2.
 A block keeps what ``q_n_i`` builds from them: each color's G and H, and
 each q_n^(i).
+
+The products ``q_bmu``, ``super_schur`` and ``colored_power_sum_product``
+multiply leaves that are each symmetric within each color: q_d^(i), the
+one-color super Schur factors and P_a^(i).  On a block with a dominant
+degree (the block the character tables build on) each leaf is certified
+once at its own degree and the product keeps only the monomials that can
+still reach a dominant monomial of that degree (:func:`pruned_product`);
+on any other block the product is the full one.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, partial
 
 from superfrob.combinat import (
     HookProfile,
@@ -31,6 +40,7 @@ from superfrob.combinat import (
     Partition,
     compositions,
     contains,
+    multipartitions,
     super_tableaux,
 )
 from superfrob.exact import (
@@ -62,10 +72,23 @@ class BlockVariables:
     color the Hall-Littlewood quotient series G = (H - 1)/(1 - t) in
     ``t = q^-2`` and the series H = 1 + (1 - t) G read off it, per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
     (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
+
+    With ``dominant_degree`` n (all-even profiles only), the block's products
+    keep only the monomials that can still reach a dominant monomial of
+    x-degree n (:func:`pruned_product`); the block then also keeps each
+    certified leaf (:func:`certify_leaf`) and each x-part's verdict.
     """
 
-    def __init__(self, profile: HookProfile, extra: tuple[str, ...] = ()):
+    def __init__(
+        self,
+        profile: HookProfile,
+        extra: tuple[str, ...] = (),
+        dominant_degree: int | None = None,
+    ):
+        if dominant_degree is not None and profile.l:
+            raise StructuralError("a block with a dominant degree needs an all-even profile")
         self.profile = profile
+        self.dominant_degree = dominant_degree
         m = profile.m
         variables = [Variable("q", invertible=True)]
         variables += [Variable(f"Q{i}") for i in range(1, m + 1)]
@@ -81,6 +104,8 @@ class BlockVariables:
         self._hl_by_color: dict[int, tuple[list[Poly], list[Poly]]] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
+        self._leaves: dict[tuple, dict[int, dict[int, object]]] = {}
+        self._hull_verdicts: dict[int, bool] = {}
 
     @property
     def m(self) -> int:
@@ -403,12 +428,18 @@ def super_schur(
     """S_bshape(x/y) as the product of per-color supersymmetric Schur functions."""
     if len(bshape) != block.m:
         raise ShapeError("component count does not match the block profile")
-    total = Poly.one(block.registry)
-    for color, shape in enumerate(bshape, start=1):
-        total = total * super_schur_component(shape, block, color, algorithm)
-        if total.is_zero():
-            break
-    return total
+    return _leaf_product(
+        [
+            (
+                ("s", shape, color, algorithm),
+                sum(shape),
+                partial(super_schur_component, shape, block, color, algorithm),
+            )
+            for color, shape in enumerate(bshape, start=1)
+            if shape
+        ],
+        block,
+    )
 
 
 # -- colored power sums ---------------------------------------------------------
@@ -435,11 +466,14 @@ def colored_power_sum(a: int, i: int, block: BlockVariables) -> Poly:
 
 def colored_power_sum_product(bmu: Multipartition, block: BlockVariables) -> Poly:
     """P_bmu = prod_i prod_j P^(i)_{mu^(i)_j}."""
-    total = Poly.one(block.registry)
-    for i, component in enumerate(bmu, start=1):
-        for part in component:
-            total = total * colored_power_sum(part, i, block)
-    return total
+    return _leaf_product(
+        [
+            (("p", part, i), part, partial(colored_power_sum, part, i, block))
+            for i, component in enumerate(bmu, start=1)
+            for part in component
+        ],
+        block,
+    )
 
 
 # -- the Hecke-side weight functions -------------------------------------------
@@ -537,11 +571,14 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
     """q_bmu = prod_i prod_j q^(i)_{mu^(i)_j}."""
     if len(bmu) != block.m:
         raise ShapeError("component count does not match the block profile")
-    total = Poly.one(block.registry)
-    for i, component in enumerate(bmu, start=1):
-        for part in component:
-            total = total * q_n_i(part, i, block)
-    return total
+    return _leaf_product(
+        [
+            (("q", part, i), part, partial(q_n_i, part, i, block))
+            for i, component in enumerate(bmu, start=1)
+            for part in component
+        ],
+        block,
+    )
 
 
 # -- monomial coordinates for the solver ----------------------------------------
@@ -550,6 +587,63 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
 def degree_monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors of the given total degree, in the canonical order."""
     return compositions(degree, num_vars)
+
+
+def _dominant_monomials(profile: HookProfile, degree: int) -> list[tuple[int, ...]]:
+    """The x-monomials of ``degree`` decreasing within each color, in ``multipartitions`` order.
+
+    One per multipartition of ``degree`` whose color-i partition has at most
+    k_i parts, each color's partition padded to k_i.
+    """
+    return [
+        sum((part + (0,) * (k - len(part)) for part, k in zip(bl, profile.bk)), ())
+        for bl in multipartitions(profile.m, degree)
+        if all(len(part) <= k for part, k in zip(bl, profile.bk))
+    ]
+
+
+def _orbit_table(profile: HookProfile, orbits: dict) -> tuple[dict[int, int], dict[int, int]]:
+    block = BlockVariables(profile)
+    return monomial_orbits(block.registry, block.x_names(), orbits)
+
+
+@lru_cache(maxsize=None)
+def _orbit_members(profile: HookProfile, degree: int) -> dict[tuple[int, ...], list]:
+    """Each dominant x-monomial of ``degree`` -> its orbit under the permutations within colors."""
+    bounds = list(itertools.accumulate(profile.bk, initial=0))
+    orbits: dict[tuple[int, ...], list] = {
+        rep: [] for rep in _dominant_monomials(profile, degree)
+    }
+    for mono in degree_monomials(profile.k, degree):
+        color_sorted = sum(
+            (tuple(sorted(mono[a:b], reverse=True)) for a, b in zip(bounds, bounds[1:])), ()
+        )
+        orbits[color_sorted].append(mono)
+    return orbits
+
+
+@lru_cache(maxsize=None)
+def color_orbits(profile: HookProfile, degree: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The :func:`monomial_orbits` table of the x-monomials of ``degree``: per-color orbits.
+
+    Each orbit is the set of monomials with one per-color-sorted monomial
+    (each color's exponent block sorted decreasingly), the orbit of the
+    permutations within each color.  Those representatives are exactly the
+    dominant monomials, listed in ``multipartitions`` order: at degree n on
+    the solve profile k_i = n, l_i = 0, one per multipartition, in the row
+    order of the solves.
+    """
+    return _orbit_table(profile, _orbit_members(profile, degree))
+
+
+@lru_cache(maxsize=None)
+def dominant_rows(profile: HookProfile, degree: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The identity table on the dominant x-monomials of ``degree`` (see :func:`color_orbits`).
+
+    Every dominant monomial is its own orbit, so :func:`coordinates_on_degree`
+    reads each one's coordinate and refuses any other term.
+    """
+    return _orbit_table(profile, {rep: [rep] for rep in _dominant_monomials(profile, degree)})
 
 
 def monomial_orbits(
@@ -595,8 +689,9 @@ def coordinates_on_degree(
     variables, one per representative, in the table's order.  With the
     identity table (every monomial its own orbit) that is every monomial
     row.  One pass over ``f.terms`` reads and certifies them: a term whose
-    digits on ``names`` are not in the table is not homogeneous of degree
-    ``degree`` (the solver operates on homogeneous expansions only); any
+    digits on ``names`` are not in the table is refused, as non-homogeneous
+    when it is not of degree ``degree`` (the solver operates on homogeneous
+    expansions only) and as off-table otherwise; any
     other term must have the coefficient of its representative's term, and
     each representative term counts its orbit size.  The lookups send the
     support into the representative terms with equal coefficients, so the
@@ -618,9 +713,8 @@ def coordinates_on_degree(
         delta = to_rep.get(part)
         if delta is None:
             exps = registry.decode(key)[shift // 64 :][: len(names)]
-            raise ConsistencyError(
-                f"non-homogeneous term with exponents {exps} (expected degree {degree})"
-            )
+            kind = "off-table" if sum(exps) == degree and min(exps) >= 0 else "non-homogeneous"
+            raise ConsistencyError(f"{kind} term with exponents {exps} (expected degree {degree})")
         if delta:
             if terms.get(key + delta) != coeff:
                 raise _asymmetric_at(registry, key)
@@ -643,3 +737,163 @@ def coordinates_on_degree(
 def _asymmetric_at(registry: VariableRegistry, key: int) -> ConsistencyError:
     monomial = Poly._raw(registry, {key: 1})
     return ConsistencyError(f"expansion is not symmetric within each color at monomial {monomial}")
+
+
+# -- pruned products of certified leaves --------------------------------------
+
+
+def _leaf_product(factors: list, block: BlockVariables) -> Poly:
+    """The product of ``factors``, each ``(key, degree, build)`` with ``build()`` the leaf.
+
+    On a full block each leaf is built and the product is formed in full.  On
+    a block with a dominant degree each leaf is built and certified once,
+    kept on the block under ``key`` (:func:`certify_leaf`, at its x-degree
+    ``degree``), and the product is :func:`pruned_product`.
+    """
+    if block.dominant_degree is None:
+        total = Poly.one(block.registry)
+        for _, _, build in factors:
+            total = total * build()
+            if total.is_zero():
+                break
+        return total
+    leaves = []
+    for key, degree, build in factors:
+        leaf = block._leaves.get(key)
+        if leaf is None:
+            leaf = block._leaves[key] = certify_leaf(build(), degree, block)
+        leaves.append(leaf)
+    return pruned_product(leaves, block)
+
+
+def _hull_sum(x: tuple[int, ...], bk: tuple[int, ...]) -> int:
+    """Sum over the colors of the hulls h_i = max_{j >= i} a_j of each color's exponent block a."""
+    total, start = 0, 0
+    for k in bk:
+        total += sum(itertools.accumulate(reversed(x[start : start + k]), max))
+        start += k
+    return total
+
+
+def _fits(x: int, block: BlockVariables) -> bool:
+    """Whether x-part key x fits: its hulls sum to at most the block's dominant degree.
+
+    The verdict is kept on the block.
+    """
+    exps = block.registry.decode(x)[1 + block.m :]  # block layout: q, Q_1..Q_m, then x
+    verdict = _hull_sum(exps, block.profile.bk) <= block.dominant_degree
+    block._hull_verdicts[x] = verdict
+    return verdict
+
+
+@lru_cache(maxsize=None)
+def _fitting_members(profile: HookProfile, degree: int, bound: int) -> list[tuple[int, int]]:
+    """``(x part, orbit index)`` of each x-monomial of ``degree`` whose hulls sum to <= bound.
+
+    The x part is the monomial's int key; the index is its orbit's position
+    in :func:`color_orbits` order.
+    """
+    registry = BlockVariables(profile).registry
+    front = (0,) * (1 + profile.m)  # block layout: q, Q_1..Q_m, then the x variables
+    return [
+        (registry.encode(front + mono), index)
+        for index, members in enumerate(_orbit_members(profile, degree).values())
+        for mono in members
+        if _hull_sum(mono, profile.bk) <= bound
+    ]
+
+
+def certify_leaf(f: Poly, degree: int, block: BlockVariables) -> dict[int, dict[int, object]]:
+    """Leaf f of a :func:`pruned_product`: certified, cut to the monomials that fit, grouped.
+
+    f must be homogeneous of x-degree ``degree`` and symmetric within each
+    color: one pass of :func:`coordinates_on_degree` with the
+    :func:`color_orbits` table of that degree checks both, and raises
+    ConsistencyError otherwise.  It also reads f's coordinate at each
+    dominant monomial, a polynomial in the other variables.  Certified
+    symmetric, f has its orbit representative's coordinate at every
+    monomial, so the monomials that fit (:func:`_fitting_members`) take
+    theirs from the representatives' with no second pass.  The result is
+    ``{x part: {rest: coefficient}}`` over the monomials that fit with a
+    nonzero coordinate: the x part is the key with every other digit 0, the
+    rest the key with the x digits 0, both int keys under the registry's
+    linear codec, and each term's key is their sum.  The block must have a
+    dominant degree.
+    """
+    if block.dominant_degree is None:
+        raise StructuralError("certified leaves need a block with a dominant degree")
+    f._check_int32()
+    coordinates = coordinates_on_degree(
+        f, block.x_names(), degree, color_orbits(block.profile, degree)
+    )
+    return {
+        x: coordinates[index].terms
+        for x, index in _fitting_members(block.profile, degree, block.dominant_degree)
+        if coordinates[index].terms
+    }
+
+
+def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
+    """The product of :func:`certify_leaf` leaves, keeping only the monomials that fit.
+
+    With n the block's dominant degree, a monomial fits when its per-color
+    hulls h_i = max_{j >= i} a_j (a the color's exponent block) sum over the
+    colors to at most n (:func:`_fits`, one verdict per x-part key, kept on
+    the block).  The leaves are multiplied one at a time, x part by x part,
+    and a pair whose x parts add up to one that does not fit is skipped
+    before its rests are multiplied.  Why the result is exact and certified:
+
+    - Adding nonnegative exponents only grows each hull, so every factor
+      monomial of a monomial that fits fits too.  Dropping what does not
+      fit, in each leaf and after each step, thus drops no pair that could
+      still form a monomial that fits: the result is the full product of the
+      full leaves, restricted to the monomials that fit.
+    - At x-degree n, a monomial fits exactly when it is dominant (decreasing
+      within each color): each hull bounds its block entrywise, so the
+      hulls sum to at least n, with equality only when every block is its
+      own hull.
+    - Every leaf was certified homogeneous and symmetric within each color,
+      and sums and products of polynomials symmetric within each color are
+      so too.  So the full product is, its x-degree is the sum of the
+      leaves' degrees, and at x-degree n its coordinates at the dominant
+      monomials, which are exactly the terms of the result, fix every
+      monomial coordinate.
+
+    Reading the result with the identity table on the dominant monomials
+    (:func:`dominant_rows`), which refuses any other term, is therefore as
+    strong as certifying the full product's symmetry and reading it.
+    """
+    if not leaves:
+        return Poly.one(block.registry)
+    verdicts = block._hull_verdicts
+    product = leaves[0]
+    for leaf in leaves[1:]:
+        out: dict[int, dict[int, object]] = {}
+        for x1, rest1 in product.items():
+            for x2, rest2 in leaf.items():
+                x = x1 + x2
+                verdict = verdicts.get(x)
+                if verdict is None:
+                    verdict = _fits(x, block)
+                if not verdict:
+                    continue
+                acc = out.get(x)
+                if acc is None:
+                    acc = out[x] = {}
+                get = acc.get
+                for r1, c1 in rest1.items():
+                    for r2, c2 in rest2.items():
+                        r = r1 + r2
+                        value = get(r)
+                        if value is None:
+                            acc[r] = c1 * c2
+                        else:
+                            value += c1 * c2
+                            if value:
+                                acc[r] = value
+                            else:
+                                del acc[r]
+        product = {x: acc for x, acc in out.items() if acc}
+    return Poly._raw(
+        block.registry, {x + r: c for x, rest in product.items() for r, c in rest.items()}
+    )

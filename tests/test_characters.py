@@ -19,6 +19,7 @@ from superfrob.exact import CyclotomicNumber, DomainError, Poly, transport
 from superfrob.characters import (
     CharacterTable,
     _dominant_coordinates,
+    _table_block,
     character_degrees,
     degrees_match_counts,
     hecke_character_table,
@@ -37,7 +38,9 @@ from superfrob.serialize import json_text, table_payload
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
+    colored_power_sum_product,
     degree_monomials,
+    q_bmu,
     super_power_sum_product,
     super_schur,
 )
@@ -175,26 +178,39 @@ def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
         ]
 
 
+# the leaves each product of the tables multiplies, which the tables certify
+LEAF_BUILDERS = {
+    "q_bmu": "q_n_i",
+    "super_schur": "super_schur_component",
+    "colored_power_sum_product": "colored_power_sum",
+}
+
+
 def _break_color_symmetry(monkeypatch, name, variable):
-    """Add variable^n, without its permutations, to every expansion `name` returns."""
-    from superfrob import characters
+    """Add variable^d, without its permutations, to every leaf of degree d of product `name`."""
+    from superfrob import symfunc
 
-    original = getattr(characters, name)
+    original = getattr(symfunc, LEAF_BUILDERS[name])
 
-    def asymmetric(label, block):
-        n = sum(sum(part) for part in label)
-        return original(label, block) + Poly.var(block.registry, variable, n)
+    def asymmetric(first, *rest):
+        # q_n_i(n, i, block), colored_power_sum(a, i, block) or
+        # super_schur_component(shape, block, color, algorithm)
+        degree = first if isinstance(first, int) else sum(first)
+        block = next(arg for arg in rest if isinstance(arg, BlockVariables))
+        return original(first, *rest) + Poly.var(block.registry, variable, degree)
 
-    monkeypatch.setattr(characters, name, asymmetric)
+    monkeypatch.setattr(symfunc, LEAF_BUILDERS[name], asymmetric)
 
 
 def _assert_certificate_rejects(monkeypatch, table, name, m, n):
-    """Both failure branches of the one-pass certificate stop `table` when `name` is broken.
+    """Both failure branches of the one-pass certificate stop `table` when `name`'s leaves break.
 
-    x1_1^n is dominant: its term joins a row, and only the orbit count sees
-    that x1_2^n .. x1_n^n do not follow it.  x1_2^n is not: its lookup finds
-    a different coefficient at x1_1^n.  Either way the message names a
-    monomial whose coefficient differs from its per-color-sorted monomial's.
+    The first leaf each table certifies has degree n (the first label is
+    ((n,), (), ...)).  x1_1^n is dominant: its term joins a row, and only
+    the orbit count sees that x1_2^n .. x1_n^n do not follow it.  x1_2^n is
+    not: its lookup finds a different coefficient at x1_1^n.  Either way the
+    message names a monomial whose coefficient differs from its
+    per-color-sorted monomial's.
     """
     for variable, named in (("x1_1", rf"x1_[2-{n}]\^{n}"), ("x1_2", rf"x1_2\^{n}")):
         table.cache_clear()
@@ -401,6 +417,30 @@ def test_one_pass_certificate_agrees_with_the_all_row_check(case):
         assert _dominant_coordinates(f, block, n) == expected
 
 
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 2)])
+def test_table_block_reads_the_certified_coordinates_of_the_full_block(m, n):
+    # the pruned products hold exactly the certified dominant coordinates of the full ones
+    pruned, full = _table_block(m, n), solve_block(m, n)
+    for label in multipartitions(m, n):
+        for product in (q_bmu, super_schur, colored_power_sum_product):
+            assert _dominant_coordinates(product(label, pruned), pruned, n) == (
+                _dominant_coordinates(product(label, full), full, n)
+            ), (product.__name__, label)
+
+
+def test_table_block_read_refuses_a_term_off_the_dominant_monomials():
+    m, n = 2, 3
+    block = _table_block(m, n)
+    f = q_bmu(((2,), (1,)), block)
+    assert len(_dominant_coordinates(f, block, n)) == len(multipartitions(m, n))
+    # degree 3, but x1_2^2 is not decreasing in color 1
+    stray = Poly.monomial(block.registry, {"x1_2": 2, "x2_1": 1})
+    with pytest.raises(ConsistencyError, match="off-table term"):
+        _dominant_coordinates(f + stray, block, n)
+    with pytest.raises(ConsistencyError, match="non-homogeneous"):
+        _dominant_coordinates(f + Poly.var(block.registry, "x1_1"), block, n)
+
+
 def test_specialization_matches_substitution():
     for m, n in [(1, 3), (2, 3), (3, 2), (4, 1)]:
         table = hecke_character_table(m, n)
@@ -575,6 +615,9 @@ WREATH_PAYLOAD_SHA256 = {
     (5, 2): "5aadf38020e58cd331d771aa272adaae07cdd31178c3546707302182145fe9de",
     # taken with the all-row symmetry certificate that preceded the one-pass one
     (2, 5): "ee8b4c6d9bfd9a43f61bcde4c0ee1e421b267e682bc51314ef24b7f3a58b8840",
+    # taken with the full products that preceded the pruned ones
+    (3, 4): "6a3fee9bce16184f2ad6d23a80c70815d3eaab3f181cc10fa61c63a5554bf7a6",
+    (4, 3): "323c1691f78278629ce363307c681353197a070cc899706785bb3a2ef47d7f98",
 }
 
 
@@ -594,6 +637,11 @@ HECKE_PAYLOAD_SHA256 = {
     (4, 2): "a17c8ac72dc55a61307736d2181ed56b57b74fe914433869417a27f65180a6ea",
     # taken with the all-row symmetry certificate that preceded the one-pass one
     (1, 7): "e9a570a9967dd2c58acf9a6d7e4d69bccc7e69e04a481fa1ff0d7e4b05d52915",
+    # taken with the full products that preceded the pruned ones
+    (2, 5): "7c74888bafc8e557ec5c2777deead231708f1648d09771a06ffba94e9da4ad61",
+    (3, 4): "8358194391c7492f417eaa0900a42d5e047f3b1b80413b8c4498ade5a3dfec52",
+    (4, 3): "4c2dba24ade8b07d66d6ad5d82617ffba1bb991b303d7a9f65a13602fa14b749",
+    (1, 8): "9c6e0646685f2de02b5e036d0ca271751b79efef9ab70795b38e00660a8fc8d7",
 }
 
 

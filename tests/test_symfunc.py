@@ -21,6 +21,7 @@ from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
     ShapeError,
+    certify_leaf,
     colored_power_sum,
     colored_power_sum_product,
     complete_homogeneous,
@@ -28,6 +29,7 @@ from superfrob.symfunc import (
     degree_monomials,
     monomial_orbits,
     power_sum,
+    pruned_product,
     q_bmu,
     q_n_i,
     q_tilde,
@@ -39,6 +41,7 @@ from superfrob.symfunc import (
     super_power_sum,
     super_power_sum_product,
     super_schur,
+    super_schur_component,
 )
 
 
@@ -534,3 +537,87 @@ def test_coordinates_on_degree():
     assert coords[2].is_zero()
     with pytest.raises(ConsistencyError, match="non-homogeneous"):
         coordinates_on_degree(x1 + x2**2, names, 2, identity)
+
+
+# -- pruned products of certified leaves ----------------------------------------
+
+PRUNED_BLOCKS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+
+
+def pruned_block(m, n):
+    return BlockVariables(HookProfile((n,) * m, (0,) * m), dominant_degree=n)
+
+
+def hull_fits(exps, m, n):
+    """Whether the per-color hulls h_j = max_{j' >= j} a_j' of an exponent vector sum to <= n."""
+    x = exps[1 + m :]  # block layout: q, Q_1..Q_m, then n x variables per color
+    return sum(max(x[c * n + j : (c + 1) * n]) for c in range(m) for j in range(n)) <= n
+
+
+@st.composite
+def pruned_factors(draw):
+    """A pruning block and one to three leaves of total x-degree at most n + 1."""
+    m, n = draw(st.sampled_from(PRUNED_BLOCKS))
+    block = pruned_block(m, n)
+    factors, budget = [], n + 1
+    while budget and len(factors) < 3:
+        degree = draw(st.integers(min_value=1, max_value=min(n, budget)))
+        color = draw(st.integers(min_value=1, max_value=m))
+        kind = draw(st.sampled_from(["q", "schur", "power"]))
+        if kind == "q":
+            leaf = q_n_i(degree, color, block)
+        elif kind == "schur":
+            shape = draw(st.sampled_from(partitions(degree)))
+            leaf = super_schur_component(shape, block, color)
+        else:
+            leaf = colored_power_sum(degree, color, block)
+        factors.append((leaf, degree))
+        budget -= degree
+        if not draw(st.booleans()):
+            break
+    return block, factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(pruned_factors())
+def test_pruned_product_is_the_full_product_on_the_monomials_that_fit(case):
+    block, factors = case
+    m, n = block.m, block.dominant_degree
+    full = Poly.one(block.registry)
+    for leaf, _ in factors:
+        full = full * leaf
+    pruned = pruned_product([certify_leaf(leaf, degree, block) for leaf, degree in factors], block)
+    expected = {e: c for e, c in full.decoded_terms().items() if hull_fits(e, m, n)}
+    assert pruned.decoded_terms() == expected
+
+
+def test_certify_leaf_refuses_an_asymmetric_leaf():
+    block = pruned_block(2, 3)
+    leaf = q_n_i(2, 1, block)
+    certify_leaf(leaf, 2, block)
+    # x1_2^2 gets a coefficient that x1_1^2, in its orbit, does not
+    corrupted = leaf + Poly.var(block.registry, "x1_2", 2)
+    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
+        certify_leaf(corrupted, 2, block)
+    with pytest.raises(ConsistencyError, match="non-homogeneous"):
+        certify_leaf(leaf, 3, block)
+    with pytest.raises(StructuralError):
+        certify_leaf(leaf, 2, make_block((3, 3), (0, 0)))
+
+
+def test_products_on_a_pruning_block_certify_their_leaves(monkeypatch):
+    q_n_i_full = symfunc.q_n_i
+
+    def corrupted(n, i, block):
+        return q_n_i_full(n, i, block) + Poly.var(block.registry, "x1_2", n)
+
+    monkeypatch.setattr(symfunc, "q_n_i", corrupted)
+    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
+        q_bmu(((2,), (1,)), pruned_block(2, 3))
+    # a full block multiplies the same leaves without a certificate
+    q_bmu(((2,), (1,)), make_block((3, 3), (0, 0)))
+
+
+def test_pruning_blocks_need_an_all_even_profile():
+    with pytest.raises(StructuralError):
+        BlockVariables(HookProfile((2,), (1,)), dominant_degree=3)
