@@ -7,13 +7,16 @@ polynomials with integer monomial coordinates, and the character values drop
 out of one exact linear solve.  Both sides are symmetric within each color, so
 the solve keeps one row per multipartition (its dominant monomial); the matrix
 is then square, a product of Kostka matrices.  Both sides are products of
-leaves, and the symmetry is certified once per leaf, in the same pass over
-its terms that reads its dominant coordinates: every term must carry the
+leaves, and the symmetry is certified once per leaf, in one pass over its
+terms (:func:`superfrob.symfunc.certify_leaf`): every term must carry the
 coefficient of its per-color-sorted term, and the sorted terms' orbit sizes
-must add up to the number of terms, so no orbit member is missing.  The
-products then keep only the monomials that can still reach a dominant one
-(:func:`superfrob.symfunc.pruned_product`).  Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
-of the wreath product W_{m,n}.
+must add up to the number of terms, so no orbit member is missing.  The same
+pass keeps the terms that can still reach a dominant monomial, and the
+products keep only those (:func:`superfrob.symfunc.pruned_product`); each
+product is read on the dominant monomials alone
+(:func:`superfrob.symfunc.coordinates_on_degree`).  Specializing q -> 1,
+Q_i -> zeta^i turns the result into the character table of the wreath
+product W_{m,n}.
 
 The same wreath table is recomputed independently from the colored power sum
 expansion of the super Schur functions; agreement of the two routes is one of
@@ -51,10 +54,8 @@ from superfrob.exact import (
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
-    color_orbits,
     colored_power_sum_product,
     coordinates_on_degree,
-    dominant_rows,
     q_bmu,
     super_schur,
 )
@@ -157,29 +158,6 @@ def _table_block(m: int, n: int) -> BlockVariables:
     return BlockVariables(HookProfile((n,) * m, (0,) * m), dominant_degree=n)
 
 
-def _dominant_coordinates(f: Poly, block: BlockVariables, n: int) -> list[Poly]:
-    """Coordinates of f at the dominant monomials, certified symmetric in each color.
-
-    f must be homogeneous of x-degree n in the solve profile.  On a table
-    block (:func:`_table_block`), f is a pruned product of leaves (q_d^(i),
-    one-color Schur factors, P_a^(i)), each certified homogeneous and
-    symmetric within each color at its own degree by
-    :func:`superfrob.symfunc.certify_leaf`.  The full product of the leaves
-    is then symmetric within each color too, and f holds exactly its
-    dominant coordinates (the argument of
-    :func:`superfrob.symfunc.pruned_product`), so f is read with the
-    identity table on the dominant monomials, which refuses any other term,
-    a non-homogeneous one included.  On any other block, one pass of
-    :func:`coordinates_on_degree` over f's own terms checks that every
-    monomial has the coefficient of its per-color-sorted monomial, and that
-    every per-color permutation of a present sorted monomial is present (by
-    counting).  Either way the dominant rows determine every row: two
-    certified expansions that agree on them agree on all monomials.
-    """
-    table = color_orbits if block.dominant_degree is None else dominant_rows
-    return coordinates_on_degree(f, block.x_names(), n, table(block.profile, n))
-
-
 @lru_cache(maxsize=None)
 def hecke_character_table(m: int, n: int) -> CharacterTable:
     """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
@@ -193,18 +171,18 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
     dominant rows equivalent to all monomial rows.  The products are built
     on :func:`_table_block`, keeping only the monomials that can still reach
     a dominant one, and read on the dominant monomials alone
-    (:func:`_dominant_coordinates`).  Entries are verified to be integer
-    Laurent polynomials.
+    (:func:`superfrob.symfunc.coordinates_on_degree`).  Entries are
+    verified to be integer Laurent polynomials.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     block = _table_block(m, n)
     labels = multipartitions(m, n)
     schur_columns = [
-        [c.constant_value() for c in _dominant_coordinates(super_schur(bshape, block), block, n)]
+        [c.constant_value() for c in coordinates_on_degree(super_schur(bshape, block), n, block)]
         for bshape in labels
     ]
-    coordinates = [_dominant_coordinates(q_bmu(bmu, block), block, n) for bmu in labels]
+    coordinates = [coordinates_on_degree(q_bmu(bmu, block), n, block) for bmu in labels]
     monomials = [list(dict.fromkeys(e for c in coords for e in c.terms)) for coords in coordinates]
     values = iter(
         solve_linear_exact(
@@ -334,9 +312,9 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
     leaves, P_a^(i) and the one-color Schur factors, each certified
     symmetric within each color once at its own degree; the products are
     built on :func:`_table_block` and read on the dominant monomials alone
-    (:func:`_dominant_coordinates`).  The centralizer orders are cleared by
-    a common multiple before the solve, so the system matrix stays integral
-    (over Z[zeta]).
+    (:func:`superfrob.symfunc.coordinates_on_degree`).  The centralizer
+    orders are cleared by a common multiple before the solve, so the system
+    matrix stays integral (over Z[zeta]).
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -347,7 +325,7 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
     power_sum_columns = [
         [
             _as_cyclotomic(c.constant_value(), m) * (common // order)
-            for c in _dominant_coordinates(colored_power_sum_product(bmu, block), block, n)
+            for c in coordinates_on_degree(colored_power_sum_product(bmu, block), n, block)
         ]
         for bmu, order in zip(labels, orders)
     ]
@@ -356,7 +334,7 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
         [
             [
                 _as_cyclotomic(c.constant_value(), m) * common
-                for c in _dominant_coordinates(super_schur(bshape, block), block, n)
+                for c in coordinates_on_degree(super_schur(bshape, block), n, block)
             ]
             for bshape in labels
         ],

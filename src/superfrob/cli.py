@@ -127,12 +127,17 @@ def _common_output_flags(
 
 
 def _check_out(parser, out: str):
-    """Refuse an --out that is a directory or has no parent directory, before any work."""
+    """Refuse an --out that is a directory or has no parent directory, before any work.
+
+    The error is the one the write would meet: ENOTDIR when the nearest
+    existing ancestor is not a directory, ENOENT when it is one.
+    """
     path = Path(out)
     if path.is_dir():
         code = errno.EISDIR
     elif not path.parent.is_dir():
-        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        ancestor = next(p for p in path.parents if p.exists())
+        code = errno.ENOENT if ancestor.is_dir() else errno.ENOTDIR
     else:
         return
     parser.error(f"cannot write --out {out!r}: {os.strerror(code)}")

@@ -76,7 +76,7 @@ class BlockVariables:
     With ``dominant_degree`` n (all-even profiles only), the block's products
     keep only the monomials that can still reach a dominant monomial of
     x-degree n (:func:`pruned_product`); the block then also keeps each
-    certified leaf (:func:`certify_leaf`) and each x-part's verdict.
+    certified leaf (:func:`certify_leaf`) and its x-part map (:func:`_x_part`).
     """
 
     def __init__(
@@ -105,7 +105,7 @@ class BlockVariables:
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
         self._leaves: dict[tuple, dict[int, dict[int, object]]] = {}
-        self._hull_verdicts: dict[int, bool] = {}
+        self._x_parts: dict[int, tuple] = {}
 
     @property
     def m(self) -> int:
@@ -581,162 +581,131 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
     )
 
 
-# -- monomial coordinates for the solver ----------------------------------------
+# -- the x-part map of a table block ---------------------------------------------
 
 
-def degree_monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of the given total degree, in the canonical order."""
-    return compositions(degree, num_vars)
-
-
-def _dominant_monomials(profile: HookProfile, degree: int) -> list[tuple[int, ...]]:
-    """The x-monomials of ``degree`` decreasing within each color, in ``multipartitions`` order.
+@lru_cache(maxsize=None)
+def _dominant_keys(profile: HookProfile, degree: int) -> list[int]:
+    """The x-part keys of the x-monomials of ``degree`` decreasing within each color.
 
     One per multipartition of ``degree`` whose color-i partition has at most
-    k_i parts, each color's partition padded to k_i.
+    k_i parts, each color's partition padded to k_i, in ``multipartitions``
+    order.  The profile must be all-even.
     """
+    registry = BlockVariables(profile).registry
+    front = (0,) * (1 + profile.m)  # block layout: q, Q_1..Q_m, then the x variables
     return [
-        sum((part + (0,) * (k - len(part)) for part, k in zip(bl, profile.bk)), ())
+        registry.encode(front + sum((p + (0,) * (k - len(p)) for p, k in zip(bl, profile.bk)), ()))
         for bl in multipartitions(profile.m, degree)
-        if all(len(part) <= k for part, k in zip(bl, profile.bk))
+        if all(len(p) <= k for p, k in zip(bl, profile.bk))
     ]
 
 
-def _orbit_table(profile: HookProfile, orbits: dict) -> tuple[dict[int, int], dict[int, int]]:
-    block = BlockVariables(profile)
-    return monomial_orbits(block.registry, block.x_names(), orbits)
-
-
 @lru_cache(maxsize=None)
-def _orbit_members(profile: HookProfile, degree: int) -> dict[tuple[int, ...], list]:
-    """Each dominant x-monomial of ``degree`` -> its orbit under the permutations within colors."""
-    bounds = list(itertools.accumulate(profile.bk, initial=0))
-    orbits: dict[tuple[int, ...], list] = {
-        rep: [] for rep in _dominant_monomials(profile, degree)
-    }
-    for mono in degree_monomials(profile.k, degree):
-        color_sorted = sum(
-            (tuple(sorted(mono[a:b], reverse=True)) for a, b in zip(bounds, bounds[1:])), ()
-        )
-        orbits[color_sorted].append(mono)
-    return orbits
+def _color_part(exps: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """``(degree, delta, orbit size, hull)`` of one color's exponent block, all exponents >= 0.
 
-
-@lru_cache(maxsize=None)
-def color_orbits(profile: HookProfile, degree: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The :func:`monomial_orbits` table of the x-monomials of ``degree``: per-color orbits.
-
-    Each orbit is the set of monomials with one per-color-sorted monomial
-    (each color's exponent block sorted decreasingly), the orbit of the
-    permutations within each color.  Those representatives are exactly the
-    dominant monomials, listed in ``multipartitions`` order: at degree n on
-    the solve profile k_i = n, l_i = 0, one per multipartition, in the row
-    order of the solves.
+    delta is the key difference, on the block's own digits (digit j worth
+    2^(64 j)), from the block to its decreasing sort; the orbit size is the
+    number of distinct permutations of the block; the hull is
+    sum_i max_{j >= i} a_j.
     """
-    return _orbit_table(profile, _orbit_members(profile, degree))
+    rep = sorted(exps, reverse=True)
+    hull = top = 0
+    for a in reversed(exps):
+        if a > top:
+            top = a
+        hull += top
+    # the distinct arrangements of rep[:j + 1] are those of rep[:j] times
+    # (j + 1) / (the multiplicity of rep[j] in rep[:j + 1])
+    delta, size, run = 0, 1, 0
+    for j, (r, a) in enumerate(zip(rep, exps)):
+        run = run + 1 if j and r == rep[j - 1] else 1
+        size = size * (j + 1) // run
+        delta += (r - a) << (64 * j)
+    return sum(exps), delta, size, hull
 
 
-@lru_cache(maxsize=None)
-def dominant_rows(profile: HookProfile, degree: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The identity table on the dominant x-monomials of ``degree`` (see :func:`color_orbits`).
+def _x_part(x: int, block: BlockVariables) -> tuple:
+    """The entry of x-part key ``x`` in the block's x-part map, computed and kept on a miss.
 
-    Every dominant monomial is its own orbit, so :func:`coordinates_on_degree`
-    reads each one's coordinate and refuses any other term.
+    The x part of a term is its key with every digit but the x variables' 0.
+    Its entry is ``(degree, delta, orbit size, fits)``: its x-degree (None
+    when an exponent is negative, so that it has no degree); the key
+    difference that takes it to its per-color-sorted representative (each
+    color's exponent block sorted decreasingly; 0 for a representative, and
+    adding it changes no other digit); the number of distinct permutations
+    within each color, the size of its orbit under them; and whether it
+    fits, its per-color hulls h_i = max_{j >= i} a_j summing to at most the
+    block's dominant degree.  Each is a sum or a product over the colors of
+    :func:`_color_part`.
     """
-    return _orbit_table(profile, {rep: [rep] for rep in _dominant_monomials(profile, degree)})
+    exps = block.registry.decode(x)
+    if min(exps) < 0:  # only the x digits of an x part can be nonzero
+        entry = (None, 0, 0, False)
+    else:
+        lo = 1 + block.m  # block layout: q, Q_1..Q_m, then the x variables color-major
+        degree = delta = hull = 0
+        size = 1
+        for k in block.profile.bk:
+            d, local, count, h = _color_part(exps[lo : lo + k])
+            degree += d
+            delta += local << (64 * lo)
+            size *= count
+            hull += h
+            lo += k
+        entry = (degree, delta, size, hull <= block.dominant_degree)
+    block._x_parts[x] = entry
+    return entry
 
 
-def monomial_orbits(
-    registry: VariableRegistry, names: list[str], orbits: dict[tuple, list[tuple]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The orbit table of :func:`coordinates_on_degree`, keyed by digits on ``names``.
+def _x_digits(block: BlockVariables) -> tuple[int, int, int, int]:
+    """:meth:`VariableRegistry.range_digits` of the x variables of a block with a dominant degree.
 
-    ``orbits`` maps each representative exponent vector on ``names`` (a
-    contiguous registry range) to its orbit, the vectors it stands for,
-    itself included; the orbits must partition the monomials of one degree.
-    Returns ``(to_rep, size)``: ``to_rep`` maps the digits of every orbit
-    member, as :meth:`VariableRegistry.range_digits` cuts them off a key, to
-    the key difference that takes it to its representative (0 for a
-    representative; adding it changes no other digit); ``size`` maps each
-    representative's digits to its orbit size, in the order of ``orbits``.
+    ``x = ((((key + bias) >> shift) & mask) << shift) - restore`` is a key's
+    x part, and ``key - x`` the rest, the key with its x digits 0.
     """
-    bias, shift, mask, _ = registry.range_digits(names)
-    lo = shift // 64
-    padded = [0] * len(registry)
-
-    def key(mono: tuple) -> int:
-        padded[lo : lo + len(mono)] = mono
-        return registry.encode(padded)
-
-    to_rep: dict[int, int] = {}
-    size: dict[int, int] = {}
-    for rep, members in orbits.items():
-        rep_key = key(rep)
-        size[((rep_key + bias) >> shift) & mask] = len(members)
-        for mono in members:
-            member_key = key(mono)
-            to_rep[((member_key + bias) >> shift) & mask] = rep_key - member_key
-    return to_rep, size
+    if block.dominant_degree is None:
+        raise StructuralError("the x-part map needs a block with a dominant degree")
+    return block.registry.range_digits(block.x_names())
 
 
-def coordinates_on_degree(
-    f: Poly, names: list[str], degree: int, orbits: tuple[dict[int, int], dict[int, int]]
-) -> list[Poly]:
-    """Coefficient of each orbit representative on ``names``, certified constant on its orbit.
-
-    ``orbits`` is a :func:`monomial_orbits` table of the degree-``degree``
-    monomials in ``names``; entries are polynomials in the remaining
-    variables, one per representative, in the table's order.  With the
-    identity table (every monomial its own orbit) that is every monomial
-    row.  One pass over ``f.terms`` reads and certifies them: a term whose
-    digits on ``names`` are not in the table is refused, as non-homogeneous
-    when it is not of degree ``degree`` (the solver operates on homogeneous
-    expansions only) and as off-table otherwise; any
-    other term must have the coefficient of its representative's term, and
-    each representative term counts its orbit size.  The lookups send the
-    support into the representative terms with equal coefficients, so the
-    count equals ``len(f.terms)`` exactly when every orbit member of every
-    representative term is present too (stored coefficients are nonzero):
-    exactly when f is constant on every orbit, zeros included.  Otherwise
-    ConsistencyError names a monomial whose coefficient differs from its
-    representative's; the orbits in use are those of the permutations within
-    each color, and the message says so.
-    """
-    to_rep, size = orbits
-    registry = f.registry
-    terms = f.terms
-    bias, shift, mask, restore = registry.range_digits(names)
-    rows: dict[int, dict] = {}
-    count = 0
-    for key, coeff in terms.items():
-        part = ((key + bias) >> shift) & mask
-        delta = to_rep.get(part)
-        if delta is None:
-            exps = registry.decode(key)[shift // 64 :][: len(names)]
-            kind = "off-table" if sum(exps) == degree and min(exps) >= 0 else "non-homogeneous"
-            raise ConsistencyError(f"{kind} term with exponents {exps} (expected degree {degree})")
-        if delta:
-            if terms.get(key + delta) != coeff:
-                raise _asymmetric_at(registry, key)
-        else:
-            count += size[part]
-            # the rest: key with the range's digits set to 0
-            rows.setdefault(part, {})[key + restore - (part << shift)] = coeff
-    if count != len(terms):
-        # the count exceeds the support: some representative term lacks an orbit member
-        members = (
-            rest - restore + (part << shift)
-            for part, delta in to_rep.items()
-            if delta
-            for rest in rows.get(part + (delta >> shift), ())
-        )
-        raise _asymmetric_at(registry, next(key for key in members if key not in terms))
-    return [Poly._raw(registry, rows.get(part, {}), f._in_int32) for part in size]
+def _refused(x: int, degree: int, block: BlockVariables) -> ConsistencyError:
+    exps = block.registry.decode(x)[1 + block.m :][: block.profile.k]
+    kind = "off-table" if sum(exps) == degree and min(exps, default=0) >= 0 else "non-homogeneous"
+    return ConsistencyError(f"{kind} term with exponents {exps} (expected degree {degree})")
 
 
 def _asymmetric_at(registry: VariableRegistry, key: int) -> ConsistencyError:
     monomial = Poly._raw(registry, {key: 1})
     return ConsistencyError(f"expansion is not symmetric within each color at monomial {monomial}")
+
+
+def coordinates_on_degree(f: Poly, degree: int, block: BlockVariables) -> list[Poly]:
+    """f's coordinate at each dominant x-monomial of ``degree``, refusing any other term.
+
+    The final read of a :func:`pruned_product` on a block with a dominant
+    degree.  Entries are polynomials in the variables other than x, one per
+    dominant monomial (decreasing within each color), in ``multipartitions``
+    order.  One pass over ``f.terms`` with the block's x-part map
+    (:func:`_x_part`) reads them: a term of another x-degree is refused as
+    non-homogeneous (the solver operates on homogeneous expansions only),
+    and one of that degree off the dominant monomials as off-table, both
+    with ConsistencyError.
+    """
+    bias, shift, mask, restore = _x_digits(block)
+    entry_of = block._x_parts.get
+    rows: dict[int, dict] = {}
+    for key, coeff in f.terms.items():
+        x = ((((key + bias) >> shift) & mask) << shift) - restore
+        entry = entry_of(x) or _x_part(x, block)
+        if entry[0] != degree or entry[1]:
+            raise _refused(x, degree, block)
+        rows.setdefault(x, {})[key - x] = coeff
+    return [
+        Poly._raw(block.registry, rows.get(x, {}), f._in_int32)
+        for x in _dominant_keys(block.profile, degree)
+    ]
 
 
 # -- pruned products of certified leaves --------------------------------------
@@ -766,71 +735,74 @@ def _leaf_product(factors: list, block: BlockVariables) -> Poly:
     return pruned_product(leaves, block)
 
 
-def _hull_sum(x: tuple[int, ...], bk: tuple[int, ...]) -> int:
-    """Sum over the colors of the hulls h_i = max_{j >= i} a_j of each color's exponent block a."""
-    total, start = 0, 0
-    for k in bk:
-        total += sum(itertools.accumulate(reversed(x[start : start + k]), max))
-        start += k
-    return total
-
-
-def _fits(x: int, block: BlockVariables) -> bool:
-    """Whether x-part key x fits: its hulls sum to at most the block's dominant degree.
-
-    The verdict is kept on the block.
-    """
-    exps = block.registry.decode(x)[1 + block.m :]  # block layout: q, Q_1..Q_m, then x
-    verdict = _hull_sum(exps, block.profile.bk) <= block.dominant_degree
-    block._hull_verdicts[x] = verdict
-    return verdict
-
-
-@lru_cache(maxsize=None)
-def _fitting_members(profile: HookProfile, degree: int, bound: int) -> list[tuple[int, int]]:
-    """``(x part, orbit index)`` of each x-monomial of ``degree`` whose hulls sum to <= bound.
-
-    The x part is the monomial's int key; the index is its orbit's position
-    in :func:`color_orbits` order.
-    """
-    registry = BlockVariables(profile).registry
-    front = (0,) * (1 + profile.m)  # block layout: q, Q_1..Q_m, then the x variables
-    return [
-        (registry.encode(front + mono), index)
-        for index, members in enumerate(_orbit_members(profile, degree).values())
-        for mono in members
-        if _hull_sum(mono, profile.bk) <= bound
-    ]
-
-
 def certify_leaf(f: Poly, degree: int, block: BlockVariables) -> dict[int, dict[int, object]]:
     """Leaf f of a :func:`pruned_product`: certified, cut to the monomials that fit, grouped.
 
     f must be homogeneous of x-degree ``degree`` and symmetric within each
-    color: one pass of :func:`coordinates_on_degree` with the
-    :func:`color_orbits` table of that degree checks both, and raises
-    ConsistencyError otherwise.  It also reads f's coordinate at each
-    dominant monomial, a polynomial in the other variables.  Certified
-    symmetric, f has its orbit representative's coordinate at every
-    monomial, so the monomials that fit (:func:`_fitting_members`) take
-    theirs from the representatives' with no second pass.  The result is
-    ``{x part: {rest: coefficient}}`` over the monomials that fit with a
-    nonzero coordinate: the x part is the key with every other digit 0, the
-    rest the key with the x digits 0, both int keys under the registry's
-    linear codec, and each term's key is their sum.  The block must have a
-    dominant degree.
+    color, that is constant on the orbits of the permutations within each
+    color, zeros included.  One pass over ``f.terms`` with the block's x-part
+    map (:func:`_x_part`) checks both.  A term of another x-degree is
+    refused as non-homogeneous.  A term off its representative must carry
+    the coefficient of its representative's term (the term at key + delta),
+    and each representative term counts its orbit size.  Why that is the
+    whole certificate: the lookups send the support S into the
+    representative terms R with equal coefficients, so S lies in the union
+    of the orbits of R and ``|S| <= sum_{r in R} |orbit(r)|``, the count.
+    Equality holds exactly when every orbit member of every representative
+    term is in S (stored coefficients are nonzero, so a missing member reads
+    as absent); then f is constant on every orbit that meets S, and zero on
+    every other one, since a member of one would be sent to a representative
+    term.  So the count must equal ``len(f.terms)``.  Either failure raises
+    ConsistencyError naming a monomial whose coefficient differs from its
+    per-color-sorted monomial's; on a count failure that is a missing
+    permutation of a term's color blocks.
+
+    The same pass keeps the terms that fit.  The result is ``{x part: {rest:
+    coefficient}}`` over them: the x part is the key with every other digit
+    0, the rest the key with the x digits 0, both int keys under the
+    registry's linear codec, and each term's key is their sum.  The block
+    must have a dominant degree.
     """
-    if block.dominant_degree is None:
-        raise StructuralError("certified leaves need a block with a dominant degree")
+    bias, shift, mask, restore = _x_digits(block)
     f._check_int32()
-    coordinates = coordinates_on_degree(
-        f, block.x_names(), degree, color_orbits(block.profile, degree)
+    entry_of = block._x_parts.get
+    terms = f.terms
+    kept: dict[int, dict[int, object]] = {}
+    count = 0
+    for key, coeff in terms.items():
+        x = ((((key + bias) >> shift) & mask) << shift) - restore
+        x_degree, delta, size, fits = entry_of(x) or _x_part(x, block)
+        if x_degree != degree:
+            raise _refused(x, degree, block)
+        if delta:
+            if terms.get(key + delta) != coeff:
+                raise _asymmetric_at(block.registry, key)
+        else:
+            count += size
+        if fits:
+            kept.setdefault(x, {})[key - x] = coeff
+    if count != len(terms):
+        raise _asymmetric_at(block.registry, _missing_member(terms, block))
+    return kept
+
+
+def _missing_member(terms: dict[int, object], block: BlockVariables) -> int:
+    """A key not in ``terms`` that permutes, within each color, a representative term's x part.
+
+    One exists when the count of :func:`certify_leaf` exceeds the support.
+    """
+    registry = block.registry
+    bounds = list(itertools.accumulate(block.profile.bk, initial=1 + block.m))
+    spans = list(zip(bounds, bounds[1:]))
+    members = (
+        registry.encode(exps[: bounds[0]] + sum(member, ()) + exps[bounds[-1] :])
+        for exps in map(registry.decode, terms)
+        if all(list(exps[a:b]) == sorted(exps[a:b], reverse=True) for a, b in spans)
+        for member in itertools.product(
+            *(sorted(set(itertools.permutations(exps[a:b]))) for a, b in spans)
+        )
     )
-    return {
-        x: coordinates[index].terms
-        for x, index in _fitting_members(block.profile, degree, block.dominant_degree)
-        if coordinates[index].terms
-    }
+    return next(key for key in members if key not in terms)
 
 
 def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
@@ -838,10 +810,11 @@ def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
 
     With n the block's dominant degree, a monomial fits when its per-color
     hulls h_i = max_{j >= i} a_j (a the color's exponent block) sum over the
-    colors to at most n (:func:`_fits`, one verdict per x-part key, kept on
-    the block).  The leaves are multiplied one at a time, x part by x part,
-    and a pair whose x parts add up to one that does not fit is skipped
-    before its rests are multiplied.  Why the result is exact and certified:
+    colors to at most n (the verdict of the block's x-part map,
+    :func:`_x_part`).  The leaves are multiplied one at a time, x part by x
+    part, and a pair whose x parts add up to one that does not fit is
+    skipped before its rests are multiplied.  Why the result is exact and
+    certified:
 
     - Adding nonnegative exponents only grows each hull, so every factor
       monomial of a monomial that fits fits too.  Dropping what does not
@@ -859,23 +832,20 @@ def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
       monomials, which are exactly the terms of the result, fix every
       monomial coordinate.
 
-    Reading the result with the identity table on the dominant monomials
-    (:func:`dominant_rows`), which refuses any other term, is therefore as
+    Reading the result with :func:`coordinates_on_degree`, which refuses any
+    term that is not a dominant monomial of that degree, is therefore as
     strong as certifying the full product's symmetry and reading it.
     """
     if not leaves:
         return Poly.one(block.registry)
-    verdicts = block._hull_verdicts
+    entry_of = block._x_parts.get
     product = leaves[0]
     for leaf in leaves[1:]:
         out: dict[int, dict[int, object]] = {}
         for x1, rest1 in product.items():
             for x2, rest2 in leaf.items():
                 x = x1 + x2
-                verdict = verdicts.get(x)
-                if verdict is None:
-                    verdict = _fits(x, block)
-                if not verdict:
+                if not (entry_of(x) or _x_part(x, block))[3]:
                     continue
                 acc = out.get(x)
                 if acc is None:

@@ -10,6 +10,7 @@ from superfrob.combinat import (
     HookProfile,
     centralizer_order_sym,
     centralizer_order_wreath,
+    compositions,
     hook_length_count,
     multipartitions,
     partitions,
@@ -18,7 +19,6 @@ from superfrob.combinat import (
 from superfrob.exact import CyclotomicNumber, DomainError, Poly, transport
 from superfrob.characters import (
     CharacterTable,
-    _dominant_coordinates,
     _table_block,
     character_degrees,
     degrees_match_counts,
@@ -38,8 +38,10 @@ from superfrob.serialize import json_text, table_payload
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
+    certify_leaf,
     colored_power_sum_product,
-    degree_monomials,
+    coordinates_on_degree,
+    pruned_product,
     q_bmu,
     super_power_sum_product,
     super_schur,
@@ -281,7 +283,7 @@ def _color_sorted(mono, m, n):
 def _color_orbits(m, n):
     """Per-color-sorted x-monomial of degree n -> the monomials it stands for."""
     orbits = {}
-    for mono in degree_monomials(m * n, n):
+    for mono in compositions(n, m * n):
         orbits.setdefault(_color_sorted(mono, m, n), []).append(mono)
     return orbits
 
@@ -294,7 +296,7 @@ def _all_row_coordinates(f, block, n):
     monomial; the dominant rows are then returned in multipartitions order.
     """
     m, lo = block.m, 1 + block.m  # solve-block layout: q, Q_1..Q_m, then the x variables
-    monomials = degree_monomials(m * n, n)
+    monomials = compositions(n, m * n)
     grouped = {}
     for exps, coeff in f.decoded_terms().items():
         grouped.setdefault(exps[lo:], {})[exps[:lo] + (0,) * (m * n)] = coeff
@@ -329,9 +331,9 @@ def _failing_monomials(f, block, n):
 
 @st.composite
 def perturbed_symmetric_expansions(draw):
-    """A random per-color-symmetric expansion on a solve block, perhaps perturbed once."""
+    """A random per-color-symmetric expansion on a table block, perhaps perturbed once."""
     m, n = draw(st.sampled_from(CERTIFIED_BLOCKS))
-    block = solve_block(m, n)
+    block = _table_block(m, n)
     lo = 1 + m
     kind = draw(st.sampled_from(["int", "fraction", "cyclotomic"]))
     small = st.integers(min_value=-4, max_value=4)
@@ -397,6 +399,11 @@ def perturbed_symmetric_expansions(draw):
     return Poly._raw(block.registry, {encode(e): c for e, c in terms.items() if c}), block, n
 
 
+def _table_coordinates(f, block, n):
+    """The tables' path for one leaf f of x-degree n: certify it, multiply, read the product."""
+    return coordinates_on_degree(pruned_product([certify_leaf(f, n, block)], block), n, block)
+
+
 @settings(max_examples=200, deadline=None)
 @given(perturbed_symmetric_expansions())
 def test_one_pass_certificate_agrees_with_the_all_row_check(case):
@@ -405,7 +412,7 @@ def test_one_pass_certificate_agrees_with_the_all_row_check(case):
         expected = _all_row_coordinates(f, block, n)
     except ConsistencyError as error:
         with pytest.raises(ConsistencyError) as raised:
-            _dominant_coordinates(f, block, n)
+            _table_coordinates(f, block, n)
         message = str(raised.value)
         if str(error).startswith("non-homogeneous"):
             assert message.startswith("non-homogeneous")
@@ -414,7 +421,7 @@ def test_one_pass_certificate_agrees_with_the_all_row_check(case):
             assert head == "expansion is not symmetric within each color"
             assert monomial in _failing_monomials(f, block, n)
     else:
-        assert _dominant_coordinates(f, block, n) == expected
+        assert _table_coordinates(f, block, n) == expected
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 2)])
@@ -423,8 +430,8 @@ def test_table_block_reads_the_certified_coordinates_of_the_full_block(m, n):
     pruned, full = _table_block(m, n), solve_block(m, n)
     for label in multipartitions(m, n):
         for product in (q_bmu, super_schur, colored_power_sum_product):
-            assert _dominant_coordinates(product(label, pruned), pruned, n) == (
-                _dominant_coordinates(product(label, full), full, n)
+            assert coordinates_on_degree(product(label, pruned), n, pruned) == (
+                _all_row_coordinates(product(label, full), full, n)
             ), (product.__name__, label)
 
 
@@ -432,13 +439,13 @@ def test_table_block_read_refuses_a_term_off_the_dominant_monomials():
     m, n = 2, 3
     block = _table_block(m, n)
     f = q_bmu(((2,), (1,)), block)
-    assert len(_dominant_coordinates(f, block, n)) == len(multipartitions(m, n))
+    assert len(coordinates_on_degree(f, n, block)) == len(multipartitions(m, n))
     # degree 3, but x1_2^2 is not decreasing in color 1
     stray = Poly.monomial(block.registry, {"x1_2": 2, "x2_1": 1})
     with pytest.raises(ConsistencyError, match="off-table term"):
-        _dominant_coordinates(f + stray, block, n)
+        coordinates_on_degree(f + stray, n, block)
     with pytest.raises(ConsistencyError, match="non-homogeneous"):
-        _dominant_coordinates(f + Poly.var(block.registry, "x1_1"), block, n)
+        coordinates_on_degree(f + Poly.var(block.registry, "x1_1"), n, block)
 
 
 def test_specialization_matches_substitution():

@@ -1,5 +1,6 @@
 """CLI surface tests: flags, formats, exit codes, determinism, round-trips."""
 
+import errno
 import hashlib
 import json
 import os
@@ -160,14 +161,21 @@ def test_chartable_deterministic_bytes(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "file ancestor"])
 def test_an_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    # each path with the error its write would raise
+    out, code = {
+        "directory": (tmp_path, errno.EISDIR),
+        "missing parent": (tmp_path / "missing" / "report.json", errno.ENOENT),
+        # a regular file in the middle of the path
+        "file ancestor": (tmp_path / "file" / "sub" / "report.json", errno.ENOTDIR),
+    }[where]
+    (tmp_path / "file").write_text("")
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "--suite", "relations", "--m", "1", "--n", "2", "--out", str(out)])
     assert err.value.code == 2
     message = capsys.readouterr().err
-    assert f"cannot write --out {str(out)!r}" in message
+    assert f"cannot write --out {str(out)!r}: {os.strerror(code)}" in message
     assert "internal failure" not in message
 
 

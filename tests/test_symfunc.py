@@ -1,5 +1,7 @@
 """Tests for symmetric and supersymmetric function expansions."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,6 @@ from superfrob.symfunc import (
     colored_power_sum_product,
     complete_homogeneous,
     coordinates_on_degree,
-    degree_monomials,
-    monomial_orbits,
     power_sum,
     pruned_product,
     q_bmu,
@@ -521,24 +521,6 @@ def test_q_bmu_builds_one_series_per_color(monkeypatch):
     assert calls == [n] * m
 
 
-def test_coordinates_on_degree():
-    block = make_block((2,), (0,))
-    x1, x2 = block.x_polys(1)
-    names = ["x1_1", "x1_2"]
-    # the identity table: every monomial its own orbit, so every row is kept
-    identity = monomial_orbits(
-        block.registry, names, {mono: [mono] for mono in degree_monomials(2, 2)}
-    )
-    f = block.q * x1**2 + 3 * x1 * x2
-    coords = coordinates_on_degree(f, names, 2, identity)
-    assert degree_monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
-    assert coords[0] == block.q
-    assert coords[1] == Poly.const(block.registry, 3)
-    assert coords[2].is_zero()
-    with pytest.raises(ConsistencyError, match="non-homogeneous"):
-        coordinates_on_degree(x1 + x2**2, names, 2, identity)
-
-
 # -- pruned products of certified leaves ----------------------------------------
 
 PRUNED_BLOCKS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
@@ -552,6 +534,41 @@ def hull_fits(exps, m, n):
     """Whether the per-color hulls h_j = max_{j' >= j} a_j' of an exponent vector sum to <= n."""
     x = exps[1 + m :]  # block layout: q, Q_1..Q_m, then n x variables per color
     return sum(max(x[c * n + j : (c + 1) * n]) for c in range(m) for j in range(n)) <= n
+
+
+def test_coordinates_on_degree():
+    block = pruned_block(1, 2)
+    x1, x2 = block.x_polys(1)
+    # the dominant monomials of degree 2 in multipartitions order: x1^2, then x1 x2
+    f = block.q * x1**2 + 3 * x1 * x2
+    assert coordinates_on_degree(f, 2, block) == [block.q, Poly.const(block.registry, 3)]
+    assert coordinates_on_degree(3 * x1 * x2, 2, block)[0].is_zero()
+    with pytest.raises(ConsistencyError, match="off-table term"):
+        coordinates_on_degree(f + x2**2, 2, block)
+    with pytest.raises(ConsistencyError, match="non-homogeneous"):
+        coordinates_on_degree(x1 + x1**2, 2, block)
+    # degree 2, but x2 has exponent -1
+    negative = Poly._raw(block.registry, {block.registry.encode((0, 0, 3, -1)): 1})
+    with pytest.raises(ConsistencyError, match="non-homogeneous"):
+        coordinates_on_degree(negative, 2, block)
+    with pytest.raises(StructuralError):
+        coordinates_on_degree(f, 2, make_block((2,), (0,)))
+
+
+@pytest.mark.parametrize("m,n,degrees", [(2, 4, range(5)), (3, 3, range(5)), (1, 6, [6])])
+def test_x_part_orbit_sizes_count_the_distinct_permutations_within_colors(m, n, degrees):
+    # certify_leaf's count relies on these sizes: one too small would hide a missing member
+    block = pruned_block(m, n)
+    front = (0,) * (1 + m)  # block layout: q, Q_1..Q_m, then n x variables per color
+    for degree in degrees:
+        for mono in compositions(degree, m * n):
+            x = block.registry.encode(front + mono)
+            x_degree, delta, size, fits = symfunc._x_part(x, block)
+            orbits = [set(itertools.permutations(mono[c * n : (c + 1) * n])) for c in range(m)]
+            assert x_degree == degree
+            assert size == math.prod(len(orbit) for orbit in orbits), mono
+            assert block.registry.decode(x + delta) == front + sum(map(max, orbits), ()), mono
+            assert fits == hull_fits(front + mono, m, n), mono
 
 
 @st.composite
