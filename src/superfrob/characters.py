@@ -228,15 +228,27 @@ def frobenius_sums(table: CharacterTable, block: BlockVariables) -> list[Poly]:
     """sum_bl chi^bl(g(bmu)) S_bl in the variables of `block`, one per column bmu.
 
     The right side of the Frobenius formula; generic entries are moved into
-    the block's registry by variable name.
+    the block's registry (:func:`superfrob.exact.transport`).  Each column's
+    products are summed in one accumulator over int keys, each factor held
+    to the int32 rule of a product, and a sum that cancels is dropped once.
     """
-    schur_values = [super_schur(bshape, block) for bshape in table.rows]
+    registry = block.registry
+    schur_terms = []
+    for bshape in table.rows:
+        schur = super_schur(bshape, block)
+        schur._check_int32()
+        schur_terms.append(schur.terms.items())
     sums = []
     for column in range(len(table.cols)):
-        total = Poly.zero(block.registry)
-        for row, schur in zip(table.entries, schur_values):
-            total = total + transport(row[column], block.registry) * schur
-        sums.append(total)
+        total: dict = {}
+        get = total.get
+        for row, right in zip(table.entries, schur_terms):
+            entry = transport(row[column], registry)
+            entry._check_int32()
+            for k1, c1 in entry.terms.items():
+                for k2, c2 in right:
+                    total[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+        sums.append(Poly._raw(registry, {key: c for key, c in total.items() if c}))
     return sums
 
 

@@ -88,7 +88,7 @@ class VariableRegistry:
     keeps every digit inside the signed 64-bit range and decodes exactly.
     """
 
-    __slots__ = ("variables", "_index", "_codec", "_bias31", "_bias63", "_outside31")
+    __slots__ = ("variables", "_layout", "_index", "_codec", "_bias31", "_bias63", "_outside31")
 
     def __init__(self, variables: Iterable[Variable]):
         self.variables = tuple(variables)
@@ -96,6 +96,8 @@ class VariableRegistry:
         if len(set(names)) != len(names):
             raise StructuralError(f"duplicate variable names in registry: {names}")
         self._index = {v.name: i for i, v in enumerate(self.variables)}
+        # each variable as a (name, invertible) pair, compared without a Python call
+        self._layout = tuple((v.name, v.invertible) for v in self.variables)
         width = len(self.variables)
         # each exponent is one little-endian int64 digit
         self._codec = struct.Struct("<" + "q" * width)
@@ -178,10 +180,10 @@ class VariableRegistry:
         return tuple(v.name for v in self.variables)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VariableRegistry) and self.variables == other.variables
+        return isinstance(other, VariableRegistry) and self._layout == other._layout
 
     def __hash__(self) -> int:
-        return hash(self.variables)
+        return hash(self._layout)
 
     def __repr__(self) -> str:
         return f"VariableRegistry({', '.join(self.names())})"
@@ -810,10 +812,28 @@ class CyclotomicNumber:
 
 
 def transport(f: Poly, registry: VariableRegistry) -> Poly:
-    """Rebuild f over another registry, matching variables by name."""
-    if f.registry == registry:
+    """f over another registry, matching variables by name.
+
+    When the two registries share their first variables (names and
+    invertibility) and no term of f has a nonzero exponent past them, every
+    int key means the same exponents in both, so the keys carry over
+    unchanged: one shift-and-compare per key, and no decode.  Otherwise f is
+    rebuilt by name.
+    """
+    source = f.registry
+    if source == registry:
         return f
-    src_names = f.registry.names()
+    shared = 0
+    for ours, theirs in zip(source._layout, registry._layout):
+        if ours != theirs:
+            break
+        shared += 1
+    # a key's digits past the first `shared` are all 0 exactly when adding
+    # decode's bias for the first `shared` digits leaves no bit at or above them
+    bias, top = source._bias63 & ((1 << (64 * shared)) - 1), 64 * shared
+    if all(not (key + bias) >> top for key in f.terms):
+        return Poly._raw(registry, f.terms, f._in_int32)
+    src_names = source.names()
     terms: dict[tuple[int, ...], object] = {}
     width = len(registry)
     for exps, coeff in f.decoded_terms().items():

@@ -101,7 +101,7 @@ def _first_failure(ctx: TensorContext, residual) -> tuple[int, ...] | None:
     tag, so by linearity the tag-j part of the residual is the difference on
     column j, and column j fails when that part is nonzero; each entry reads
     its column from its tag, ``homes[(key + bias) >> shift]``, as in
-    :func:`tensorrep._trace_D`.
+    :func:`tensorrep._diagonal`.
     """
     shift, bias = ctx.registry.tag_codec()
     homes, spaces = ctx.tagged_spaces()

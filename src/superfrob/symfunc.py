@@ -70,8 +70,9 @@ class BlockVariables:
 
     The block also keeps the closed-form pieces of ``q_n_i`` once built: per
     color the Hall-Littlewood quotient series G = (H - 1)/(1 - t) in
-    ``t = q^-2`` and the series H = 1 + (1 - t) G read off it, per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
-    (see :func:`_q_n_pieces`), and each ``q_n^(i)``.
+    ``t = q^-2`` and, below the last color, the series H = 1 + (1 - t) G
+    read off it; per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
+    (see :func:`_q_n_pieces`); and each ``q_n^(i)``.
 
     With ``dominant_degree`` n (all-even profiles only), the block's products
     keep only the monomials that can still reach a dominant monomial of
@@ -101,7 +102,7 @@ class BlockVariables:
         self.q = Poly.var(self.registry, "q")
         self.q_inv = Poly.var(self.registry, "q", -1)
         self.q_minus_q_inv = self.q - self.q_inv
-        self._hl_by_color: dict[int, tuple[list[Poly], list[Poly]]] = {}
+        self._hl_by_color: dict[int, tuple[list[Poly], list[Poly] | None]] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
         self._leaves: dict[tuple, dict[int, dict[int, object]]] = {}
@@ -518,7 +519,8 @@ def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
     since q - q^-1 = q (1 - t), q_a/(q - q^-1) = q^-1 G_a for a >= 1; it is
     rebuilt only when a higher order is needed, and truncations agree on
     every coefficient they share.  So color L contributes q^(n-1) G_{c_L}
-    and every other color its H_{c_j}, with no division.
+    and every color below L its H_{c_j}, with no division; H is read only
+    below the largest color L, so it is built only for colors below m.
     """
     sums = block._q_n_by_degree.get(n)
     if sums is not None:
@@ -530,7 +532,8 @@ def _q_n_pieces(n: int, block: BlockVariables) -> dict[int, Poly]:
         kept = block._hl_by_color.get(color)
         if kept is None or len(kept[0]) <= n:
             g = hl_quotient_series(block.x_polys(color), block.y_polys(color), t, n, registry)
-            kept = block._hl_by_color[color] = g, _series_from_quotient(g, t)
+            h = _series_from_quotient(g, t) if color < block.m else None
+            kept = block._hl_by_color[color] = g, h
         quotients.append(kept[0])
         series.append(kept[1])
     q_power = Poly.var(registry, "q", n - 1)

@@ -12,7 +12,13 @@ columns is assumed.  A trace reads only the entries that end on their own
 column, so its T and S steps drop, as they make it, every entry that differs
 from its column at a position no later atom of the word moves: each operator
 maps a tuple only to itself or to its swap at the positions its atom moves,
-so such an entry can never return.  ``apply_word`` never prunes.
+so such an entry can never return.  An Omega atom at a position that no
+later atom moves is not applied: on the diagonal the index there is the
+column's own, so :func:`trace_D_word` scales each column's diagonal entry by
+Q_{color(home[position])}^power as it reads it.  What is left of the word
+is its T-part, and the context keeps each T-part's diagonal, so words that
+share one run its action once (:meth:`TensorContext.traced_diagonal`).
+``apply_word`` never prunes or folds.
 
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
@@ -45,6 +51,8 @@ FlatVector = dict[tuple[tuple[int, ...], int], object]
 # a constant's terms as (monomial key, coefficient) pairs
 EncodedTerms = tuple[tuple[int, object], ...]
 Kernel = Callable[[FlatVector], FlatVector]
+# per color pattern of the columns: the D-weighted sum of their diagonal entries
+Diagonal = tuple[tuple[tuple[int, ...], EncodedTerms], ...]
 
 OperatorAtom = tuple
 OperatorWord = tuple[OperatorAtom, ...]
@@ -74,6 +82,10 @@ class TensorContext:
         self._T1_rows: dict[tuple[int, ...], tuple] = {}
         self._weight_spaces: tuple | None = None
         self._tagged_spaces: tuple | None = None
+        # per tag, the colors of its home column's indices, built with the homes
+        self._home_colors: tuple[tuple[int, ...], ...] = ()
+        # per T-part (a word without its folded Omegas), its traced diagonal
+        self._diagonals: dict[OperatorWord, Diagonal] = {}
         # equal-index action of T_a per parity (q even, -q^-1 odd) and of
         # T_a^-1 (q^-1 even, -q odd), checked once against the unsimplified
         # three-case formula and T_a^-1 = T_a - (q - q^-1): q and q^-1 are fixed here
@@ -96,7 +108,7 @@ class TensorContext:
         self.q_minus_q_inv_terms = tuple(self.q_minus_q_inv.terms.items())
 
     def omega_scales(self, power: int) -> tuple:
-        """Per index i, the one encoded term (shift, scalar) of Q_{color(i)}^power,
+        """Per color c, the one encoded term (shift, scalar) of Q_c^power,
         computed once per power and then read from a table."""
         scales = self._omega_scales.get(power)
         if scales is None:
@@ -104,7 +116,7 @@ class TensorContext:
             for color in range(1, self.profile.m + 1):
                 ((shift, scalar),) = (self.Q[color] ** power).terms.items()
                 by_color.append((shift, scalar))
-            scales = self._omega_scales[power] = tuple(by_color[c] for c in self.color)
+            scales = self._omega_scales[power] = tuple(by_color)
         return scales
 
     def d_terms(self, tup: tuple[int, ...]) -> EncodedTerms:
@@ -169,7 +181,18 @@ class TensorContext:
                     homes.append(tup)
                 spaces.append((weight, generating))
             self._tagged_spaces = (tuple(homes), tuple(spaces))
+            self._home_colors = tuple(tuple(self.color[i] for i in tup) for tup in homes)
         return self._tagged_spaces
+
+    def traced_diagonal(self, t_part: OperatorWord) -> Diagonal:
+        """The diagonal of a T-part's traced action (:func:`_diagonal`),
+        computed on first use and then read from a table."""
+        diagonal = self._diagonals.get(t_part)
+        if diagonal is None:
+            diagonal = self._diagonals[t_part] = _diagonal(
+                self, _word_kernel(self, t_part, traced=True)
+            )
+        return diagonal
 
 
 def _accumulate(acc: dict, key, value):
@@ -293,10 +316,11 @@ def _Omega_kernel(ctx: TensorContext, j: int, power: int, vec: FlatVector) -> Fl
     if power == 0:
         return vec
     scales = ctx.omega_scales(power)
+    color = ctx.color
     position = j - 1
     out: FlatVector = {}
     for (tup, key), coeff in vec.items():
-        shift, scalar = scales[tup[position]]
+        shift, scalar = scales[color[tup[position]]]
         out[tup, key + shift] = coeff * scalar
     return out
 
@@ -339,8 +363,32 @@ _GENERATORS = {
 }
 
 
+def _moves(ctx: TensorContext, atom: OperatorAtom) -> Sequence[int]:
+    """The 0-based positions an atom moves, with its indices checked: T, T^-1,
+    S and phi(s_a) at a move positions a-1 and a, T_1 moves every position,
+    and Omega and D move none."""
+    kind = atom[0]
+    if kind in _GENERATORS:
+        a = atom[1]
+        if not 2 <= a <= ctx.n:
+            raise IndexError(f"{_GENERATORS[kind][0]} index {a} out of range 2..{ctx.n}")
+        return (a - 2, a - 1)
+    if kind == "omega":
+        _, j, power = atom
+        if not 1 <= j <= ctx.n:
+            raise IndexError(f"Omega index {j} out of range 1..{ctx.n}")
+        if power < 0:
+            raise IndexError("Omega powers must be nonnegative")
+        return ()
+    if kind == "T1":
+        return range(ctx.n)
+    if kind == "D":
+        return ()
+    raise ValueError(f"unknown operator atom {atom!r}")
+
+
 def _kernel(ctx: TensorContext, atom: OperatorAtom, later: set[int] | None = None) -> Kernel:
-    """The flat kernel of one atom, with its indices checked once.
+    """The flat kernel of one atom whose indices :func:`_moves` has checked.
 
     Inside a trace, ``later`` holds the 0-based positions that the atoms
     acting after this one move; a T or S kernel prunes at the positions it
@@ -348,27 +396,18 @@ def _kernel(ctx: TensorContext, atom: OperatorAtom, later: set[int] | None = Non
     """
     kind = atom[0]
     if kind in _GENERATORS:
-        label, kernel = _GENERATORS[kind]
+        kernel = _GENERATORS[kind][1]
         a = atom[1]
-        if not 2 <= a <= ctx.n:
-            raise IndexError(f"{label} index {a} out of range 2..{ctx.n}")
         if later is not None and kind in ("T", "S"):
             last = (a - 2 not in later, a - 1 not in later)
             if any(last):
                 return partial(kernel, ctx, a, last=last)
         return partial(kernel, ctx, a)
     if kind == "omega":
-        _, j, power = atom
-        if not 1 <= j <= ctx.n:
-            raise IndexError(f"Omega index {j} out of range 1..{ctx.n}")
-        if power < 0:
-            raise IndexError("Omega powers must be nonnegative")
-        return partial(_Omega_kernel, ctx, j, power)
+        return partial(_Omega_kernel, ctx, atom[1], atom[2])
     if kind == "T1":
         return partial(_T1_kernel, ctx)
-    if kind == "D":
-        return partial(_D_kernel, ctx)
-    raise ValueError(f"unknown operator atom {atom!r}")
+    return partial(_D_kernel, ctx)
 
 
 def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool = False) -> Kernel:
@@ -376,18 +415,15 @@ def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool 
 
     ``traced`` builds the action a trace runs on tagged generating vectors:
     each T and S step prunes at the positions that no atom acting after it
-    moves.  T, T^-1, S and phi(s_a) at a move positions a-1 and a, T_1 moves
-    every position, and Omega and D move none.
+    moves (:func:`_moves`).
     """
     steps = []
     # the atoms left of an atom act after it
     later: set[int] = set()
     for atom in word:
+        moved = _moves(ctx, atom)
         steps.append(_kernel(ctx, atom, later if traced else None))
-        if atom[0] in _GENERATORS:
-            later.update((atom[1] - 2, atom[1] - 1))
-        elif atom[0] == "T1":
-            later.update(range(ctx.n))
+        later.update(moved)
     steps.reverse()
 
     def run(vec: FlatVector) -> FlatVector:
@@ -426,8 +462,10 @@ def standard_word(bmu: Multipartition, n: int) -> OperatorWord:
     return tuple(word)
 
 
-def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
-    """Trace of D composed with an operator, one weight space at a time.
+def _diagonal(ctx: TensorContext, action: Kernel) -> Diagonal:
+    """D times the diagonal of an operator, summed per color pattern: per
+    tuple of colors that some column's indices carry, the sum over those
+    columns of the D eigenvalue times the column's diagonal entry.
 
     Column j is tagged with c^j, c held as one int digit above the registry's
     last (:meth:`VariableRegistry.tag_codec`), which no kernel shift reaches;
@@ -436,8 +474,8 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     each space's generating vector sum_j c^j e_j, built once per context
     (:meth:`TensorContext.tagged_spaces`); of its image only the entries that
     sit on their own column (tuple equal to the home of tag j) are kept,
-    untagged, and summed per weight.  The D eigenvalue of a tuple depends only
-    on its weight, so D is applied once per weight space, to that sum.
+    untagged, weighted by their tuple's D eigenvalue (read once per weight
+    space: it depends only on the weight) and summed per color pattern.
 
     The T-operator action prunes on the way (``_word_kernel(traced=True)``):
     a T or S step drops an output entry whose tuple differs from its home at
@@ -446,32 +484,93 @@ def _trace_D(ctx: TensorContext, action: Kernel) -> Poly:
     moves, so such an entry never returns to its column; every kept column's
     diagonal entry is still computed by the same kernel arithmetic, and no
     symmetry between columns is assumed.
-
-    Only this loop is shared: each caller brings its own flat action, so the
-    T-operator oracle and the classical signed-permutation oracle stay
-    independent.
     """
     shift, bias = ctx.registry.tag_codec()
     homes, spaces = ctx.tagged_spaces()
-    by_weight: FlatVector = {}
-    get = by_weight.get
+    home_colors = ctx._home_colors
+    patterns: dict[tuple[int, ...], dict[int, object]] = {}
     for weight, generating in spaces:
+        eigenvalue = ctx.d_terms(weight)
         for (image, tagged), coeff in action(generating).items():
             j = (tagged + bias) >> shift
             if image == homes[j]:
-                entry = (weight, tagged - (j << shift))
-                by_weight[entry] = get(entry, 0) + coeff
-    # a diagonal sum that cancels is dropped by the D kernel
+                sums = patterns.get(home_colors[j])
+                if sums is None:
+                    sums = patterns[home_colors[j]] = {}
+                untagged = tagged - (j << shift)
+                for step, scalar in eigenvalue:
+                    sums[untagged + step] = sums.get(untagged + step, 0) + coeff * scalar
+    return tuple(
+        (pattern, tuple((key, coeff) for key, coeff in sums.items() if coeff))
+        for pattern, sums in patterns.items()
+    )
+
+
+def _trace_D(
+    ctx: TensorContext, diagonal: Diagonal, omegas: Sequence[tuple[int, int]] = ()
+) -> Poly:
+    """Trace of D composed with Omegas and an operator, read on the operator's
+    D-weighted diagonal (:func:`_diagonal`).
+
+    ``omegas`` are (position, power) pairs of Omega atoms that act, in the
+    word, at positions no later atom moves.  Each scales a column's diagonal
+    entry by Q_{color(home[position])}^power, read from
+    :meth:`TensorContext.omega_scales` at the column's color pattern.  This
+    is exact.  Omega multiplies a tuple by a monomial of the index at its
+    position, and no later atom changes the index there, so every image
+    entry that a diagonal entry comes from already held its column's index
+    at that position; moving the scale to the diagonal read changes no
+    diagonal value, and the scale depends on the column only through its
+    colors, so it scales each pattern's sum as it scales each of its columns.
+    Omega moves no position, so it sets none of the remaining atoms' pruning
+    flags, and those atoms' kernels compute every column's diagonal entry as
+    they do with the Omegas in place; no symmetry between columns or weight
+    spaces is assumed.
+
+    Only this read is shared: each caller brings its own diagonal, so the
+    T-operator oracle and the classical signed-permutation oracle stay
+    independent.
+    """
+    folded = [(position, ctx.omega_scales(power)) for position, power in omegas]
     total: dict[int, object] = {}
-    for (_, key), coeff in _D_kernel(ctx, by_weight).items():
-        _accumulate(total, key, coeff)
-    return Poly._raw(ctx.registry, total)
+    get = total.get
+    for pattern, terms in diagonal:
+        shift, scalar = 0, 1
+        for position, scales in folded:
+            step, factor = scales[pattern[position]]
+            shift += step
+            scalar *= factor
+        for key, coeff in terms:
+            total[key + shift] = get(key + shift, 0) + coeff * scalar
+    return Poly._raw(ctx.registry, {key: coeff for key, coeff in total.items() if coeff})
 
 
 def trace_D_word(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Poly:
-    """Trace of D composed with the word, the word applied once per weight
-    space and only to the entries that can still return to their column."""
-    return _trace_D(ctx, _word_kernel(ctx, word, traced=True))
+    """Trace of D composed with the word.
+
+    Each Omega atom at a position that no later atom moves is read on the
+    diagonal instead of applied (:func:`_trace_D` says why that is exact);
+    its index and power are checked as :func:`apply_word` checks them.  The
+    remaining atoms, in order, are the word's T-part.  The T-part runs once
+    per weight space, only on the entries that can still return to their
+    column, and its diagonal is kept by the context
+    (:meth:`TensorContext.traced_diagonal`): Omega moves no position, so
+    the T-part's kernels and pruning flags are the same in every word that
+    shares it, and the kept diagonal is exactly what each such word computes.
+    """
+    later: set[int] = set()
+    t_part: list[OperatorAtom] = []
+    omegas: list[tuple[int, int]] = []
+    for atom in word:
+        moved = _moves(ctx, atom)
+        if atom[0] == "omega" and atom[1] - 1 not in later:
+            if atom[2]:
+                omegas.append((atom[1] - 1, atom[2]))
+            continue
+        # the T-part keys the context's table, so each atom is held as a tuple
+        t_part.append(tuple(atom))
+        later.update(moved)
+    return _trace_D(ctx, ctx.traced_diagonal(tuple(t_part)), omegas)
 
 
 # -- classical (q = 1) oracle ---------------------------------------------------
@@ -507,4 +606,4 @@ def _classical_kernel(
 
 
 def classical_trace_D(ctx: TensorContext, element: WreathElement, m: int) -> Poly:
-    return _trace_D(ctx, partial(_classical_kernel, ctx, element, m))
+    return _trace_D(ctx, _diagonal(ctx, partial(_classical_kernel, ctx, element, m)))

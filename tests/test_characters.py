@@ -22,6 +22,7 @@ from superfrob.characters import (
     _table_block,
     character_degrees,
     degrees_match_counts,
+    frobenius_sums,
     hecke_character_table,
     hecke_identity_violations,
     mn_character,
@@ -150,6 +151,56 @@ def _bump_one_entry(table: CharacterTable, row: int, col: int, by=1) -> Characte
     entries = [list(values) for values in table.entries]
     entries[row][col] = entries[row][col] + by
     return table._replace(entries=entries)
+
+
+def _frobenius_sums_per_entry(table: CharacterTable, block: BlockVariables) -> list[Poly]:
+    """The Frobenius side as a sum of Poly products per column, each entry
+    rebuilt in the block's registry by variable name."""
+    registry = block.registry
+    schur_values = [super_schur(bshape, block) for bshape in table.rows]
+    sums = []
+    for column in range(len(table.cols)):
+        total = Poly.zero(registry)
+        for row, schur in zip(table.entries, schur_values):
+            entry = row[column]
+            terms = {}
+            for exps, coeff in entry.decoded_terms().items():
+                by_name = dict(zip(entry.registry.names(), exps))
+                terms[tuple(by_name.get(name, 0) for name in registry.names())] = coeff
+            total = total + Poly(registry, terms) * schur
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize(
+    "m,n,bk,bl",
+    [
+        (1, 4, (1,), (1,)),
+        (2, 3, (1, 1), (1, 0)),
+        (2, 2, (0, 1), (1, 1)),
+        (3, 2, (1, 0, 1), (0, 1, 0)),
+    ],
+)
+def test_frobenius_sums_equal_the_per_entry_sums(m, n, bk, bl):
+    # odd variables in every profile; the table is solved on another block
+    table = hecke_character_table(m, n)
+    block = BlockVariables(HookProfile(bk, bl))
+    q_inv = Poly.var(table.entries[0][0].registry, "q", -1)
+    row, col = len(table.rows) - 1, len(table.cols) // 2
+    # a column S_bl0 - S_bl1, whose shared monomials cancel
+    difference = [[0] * len(table.cols) for _ in table.rows]
+    difference[0][col], difference[1][col] = 1, -1
+    tables = [
+        table,
+        _bump_one_entry(table, row, col, q_inv),
+        # an entry bumped to 0, so its products leave the column's sum
+        _bump_one_entry(table, 0, col, -table.entries[0][col]),
+        table._replace(
+            entries=[[Poly.const(q_inv.registry, v) for v in values] for values in difference]
+        ),
+    ]
+    for candidate in tables:
+        assert frobenius_sums(candidate, block) == _frobenius_sums_per_entry(candidate, block)
 
 
 @pytest.mark.parametrize(

@@ -632,19 +632,68 @@ MOVED = VariableRegistry(
     [Variable("x2"), Variable("extra"), Variable("q", invertible=True)]
     + [Variable(f"x{i}") for i in (1, 3, 4, 5)]
 )
+# shares q, x1, x2 with WIDE, then puts the other names elsewhere
+SHARED = VariableRegistry(
+    [Variable("q", invertible=True), Variable("x1"), Variable("x2"), Variable("extra")]
+    + [Variable(f"x{i}") for i in (5, 3, 4)]
+)
+
+
+def _rebuilt_by_name(f, registry):
+    expected = {}
+    for exps, coeff in f.decoded_terms().items():
+        by_name = dict(zip(f.registry.names(), exps))
+        expected[tuple(by_name.get(name, 0) for name in registry.names())] = coeff
+    return expected
+
+
+@st.composite
+def prefix_polys(draw):
+    """A polynomial over WIDE in q, x1 and x2 alone, its exponents reaching both int32 ends."""
+    low, high = INT32
+    q_exps = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=low, max_value=low + 3),
+        st.integers(min_value=high - 3, max_value=high),
+    )
+    x_exps = st.one_of(
+        st.integers(min_value=0, max_value=3), st.integers(min_value=high - 3, max_value=high)
+    )
+    exps = st.tuples(q_exps, x_exps, x_exps, *[st.just(0)] * (len(WIDE) - 3))
+    return Poly(WIDE, draw(st.dictionaries(exps, _coefficients("int"), min_size=1, max_size=8)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(wide_polys())
-def test_transport_matches_a_rebuild_by_name(f):
+@given(wide_polys(), prefix_polys())
+def test_transport_matches_a_rebuild_by_name(f, g):
     moved = transport(f, MOVED)
-    expected = {}
-    for exps, coeff in f.decoded_terms().items():
-        by_name = dict(zip(WIDE.names(), exps))
-        expected[tuple(by_name.get(name, 0) for name in MOVED.names())] = coeff
     assert moved.registry == MOVED
-    assert moved.decoded_terms() == expected
+    assert moved.decoded_terms() == _rebuilt_by_name(f, MOVED)
     assert transport(moved, WIDE) == f
+    # a term with an exponent past the shared q, x1, x2 is rebuilt by name
+    shared = transport(f, SHARED)
+    assert shared.registry == SHARED
+    assert shared.decoded_terms() == _rebuilt_by_name(f, SHARED)
+    assert transport(shared, WIDE) == f
+    # within the shared names the int keys carry over as they are
+    carried = transport(g, SHARED)
+    assert carried.registry == SHARED
+    assert carried.terms == g.terms
+    assert carried.decoded_terms() == _rebuilt_by_name(g, SHARED)
+    assert transport(carried, WIDE) == g
+
+
+def test_transport_shares_a_variable_only_with_its_invertibility():
+    # q is not invertible here, so no key carries over and q^-1 has no place
+    target = VariableRegistry([Variable("q")] + list(WIDE.variables[1:]))
+    f = Poly.var(WIDE, "q", 2) * Poly.var(WIDE, "x1")
+    assert transport(f, target).decoded_terms() == {(2, 1, 0, 0, 0, 0): 1}
+    with pytest.raises(DomainError):
+        transport(Poly.var(WIDE, "q", -1), target)
+    # a variable the target lacks is refused by name
+    with pytest.raises(StructuralError):
+        transport(Poly.var(WIDE, "x5"), VariableRegistry(WIDE.variables[:5]))
+    assert transport(Poly.const(WIDE, 3), target) == Poly.const(target, 3)
 
 
 @settings(max_examples=100, deadline=None)

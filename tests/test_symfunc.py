@@ -506,19 +506,30 @@ def test_q_n_i_pieces_survive_out_of_order_degrees():
 
 
 def test_q_bmu_builds_one_series_per_color(monkeypatch):
+    # one quotient series G per color, and H = 1 + (1 - t) G only below the
+    # last color, the only colors whose H a q_n^(i) reads
     hl_quotient_series = symfunc.hl_quotient_series
-    calls = []
+    series_from_quotient = symfunc._series_from_quotient
+    calls, h_builds = [], []
 
     def counted(*args):
         calls.append(args[3])  # the order
         return hl_quotient_series(*args)
 
+    def counted_h(quotient, t):
+        h_builds.append(len(quotient) - 1)  # the order
+        return series_from_quotient(quotient, t)
+
     monkeypatch.setattr(symfunc, "hl_quotient_series", counted)
-    m, n = 2, 3
-    block = make_block((n,) * m, (0,) * m)
-    for bmu in multipartitions(m, n):
-        q_bmu(bmu, block)
-    assert calls == [n] * m
+    monkeypatch.setattr(symfunc, "_series_from_quotient", counted_h)
+    for m, n in [(2, 3), (1, 3), (3, 2)]:
+        calls.clear()
+        h_builds.clear()
+        block = make_block((n,) * m, (0,) * m)
+        for bmu in multipartitions(m, n):
+            q_bmu(bmu, block)
+        assert calls == [n] * m, (m, n)
+        assert h_builds == [n] * (m - 1), (m, n)
 
 
 # -- pruned products of certified leaves ----------------------------------------

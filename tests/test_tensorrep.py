@@ -396,6 +396,99 @@ def test_weight_space_classical_trace_equals_column_by_column_sum(bk, bl, n):
         assert classical_trace_D(ctx, element, m) == expected, element
 
 
+# -- Omegas read on the diagonal, one traced action per T-part -------------------
+#
+# trace_D_word reads each Omega at a position that no later atom moves on the
+# diagonal, and the context keeps the traced action of the remaining atoms
+# (the T-part) for every word that shares it.
+
+# on (1,0,1)|(0,1,1) at n = 3: a T-part and words around it, by Omega colors,
+# powers and positions; then T-parts that differ from it in one atom
+SHARED_T_PART = (("T", 3), ("T", 2))
+WORDS_AROUND_ONE_T_PART = [
+    (("omega", 3, 1),) + SHARED_T_PART,
+    (("omega", 3, 2),) + SHARED_T_PART,
+    (("omega", 3, 4),) + SHARED_T_PART,
+    (("omega", 3, 3), ("omega", 1, 1)) + SHARED_T_PART,
+    (("omega", 2, 0),) + SHARED_T_PART,
+    # an Omega between the T steps, at a position the later T_3 does not move
+    (("T", 3), ("omega", 1, 2), ("T", 2)),
+    SHARED_T_PART,
+    # Omegas at positions that a later atom moves: kernel steps, not reads
+    SHARED_T_PART + (("omega", 2, 1),),
+    (("T", 3), ("omega", 2, 3), ("T", 2)),
+    (("T1",), ("omega", 3, 2), ("T", 2)),
+    (("omega", 3, 2), ("T1",), ("T", 2)),
+    # a D atom, and T-parts one atom away from the shared one
+    (("D",), ("omega", 3, 1)) + SHARED_T_PART,
+    (("omega", 3, 1), ("T", 2), ("T", 2)),
+    (("omega", 3, 1), ("T", 3)),
+    (("omega", 3, 2), ("S", 3), ("T", 2)),
+]
+
+
+def test_words_sharing_a_T_part_share_one_traced_action():
+    ctx = make_ctx((1, 0, 1), (0, 1, 1), 3)
+    expected = {
+        word: column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+        for word in WORDS_AROUND_ONE_T_PART
+    }
+    # in both orders on one context, so each word meets the kept actions of the others
+    for words in (WORDS_AROUND_ONE_T_PART, WORDS_AROUND_ONE_T_PART[::-1]):
+        ctx = make_ctx((1, 0, 1), (0, 1, 1), 3)
+        for word in words:
+            assert trace_D_word(ctx, word) == expected[word], word
+        # the first seven words share one T-part, the next eight have one each
+        assert len(ctx._diagonals) == 1 + 8
+    # atoms given as lists key the same T-part
+    word = WORDS_AROUND_ONE_T_PART[3]
+    assert trace_D_word(ctx, [list(atom) for atom in word]) == expected[word]
+    assert len(ctx._diagonals) == 1 + 8
+
+
+def test_Omega_read_on_the_diagonal_never_applies_its_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Omega applied as a kernel step")
+
+    monkeypatch.setattr(tensorrep, "_Omega_kernel", refuse)
+    ctx = make_ctx((1, 1), (1, 0), 4)
+    for bmu in multipartitions(2, 4):
+        assert trace_D_word(ctx, standard_word(bmu, 4)) == q_bmu(bmu, ctx.block), bmu
+    with pytest.raises(AssertionError, match="kernel step"):
+        trace_D_word(ctx, SHARED_T_PART + (("omega", 2, 1),))
+
+
+@pytest.mark.parametrize(
+    "bk,bl,n,t_parts",
+    [((1, 1), (1, 0), 4, 8), ((1, 0, 1), (0, 1, 0), 3, 4), ((1,), (1,), 4, 5)],
+)
+def test_standard_words_run_one_traced_action_per_T_part(bk, bl, n, t_parts):
+    # m = 2: 20 words over 8 T-parts; m = 3: 22 words over 4; at m = 1 every
+    # word has its own
+    ctx = make_ctx(bk, bl, n)
+    labels = multipartitions(ctx.profile.m, n)
+    for bmu in labels[::-1]:
+        assert trace_D_word(ctx, standard_word(bmu, n)) == q_bmu(bmu, ctx.block), bmu
+    assert len(ctx._diagonals) == t_parts
+
+
+def test_a_folded_Omega_is_checked_as_apply_word_checks_it():
+    ctx = make_ctx((1, 1), (1, 0), 3)
+    for word in [(("omega", 4, 1),), (("omega", 4, 1), ("T", 2)), (("T", 3), ("omega", 0, 1))]:
+        with pytest.raises(IndexError, match="Omega index"):
+            trace_D_word(ctx, word)
+        with pytest.raises(IndexError, match="Omega index"):
+            tensorrep.apply_word(ctx, word, {})
+    for word in [(("omega", 1, -1),), (("omega", 1, -1), ("T", 3))]:
+        with pytest.raises(IndexError, match="nonnegative"):
+            trace_D_word(ctx, word)
+    # atoms are checked in word order, whichever of them is read on the diagonal
+    with pytest.raises(IndexError, match="T index"):
+        trace_D_word(ctx, (("T", 4), ("omega", 4, 1)))
+    with pytest.raises(IndexError, match="Omega index"):
+        trace_D_word(ctx, (("omega", 4, 1), ("T", 4)))
+
+
 # -- the kernels against a per-Poly reference of the three-case formula ----------
 #
 # A test-local reference of each atom's action on {tuple: Poly} vectors, written
@@ -568,6 +661,30 @@ def test_trace_D_word_equals_the_per_column_reference(case):
     ctx, word = case
     expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
     assert trace_D_word(ctx, word) == expected, word
+
+
+@st.composite
+def _words_around_T_parts(draw):
+    # a few T-parts on one context, each with Omegas put in at random places
+    ctx, base = draw(_traced_words())
+    m, n = ctx.profile.m, ctx.n
+    omegas = st.tuples(st.just("omega"), st.integers(1, n), st.integers(0, m + 1))
+    words = []
+    for _ in range(draw(st.integers(2, 4))):
+        word = list(base[: draw(st.integers(0, len(base)))])
+        for _ in range(draw(st.integers(0, 2))):
+            word.insert(draw(st.integers(0, len(word))), draw(omegas))
+        words.append(tuple(word))
+    return ctx, words
+
+
+@settings(max_examples=40, deadline=None)
+@given(_words_around_T_parts())
+def test_traces_on_one_context_equal_the_per_column_reference(case):
+    ctx, words = case
+    for word in words:
+        expected = column_by_column_trace(ctx, lambda vec: apply_word(ctx, word, vec))
+        assert trace_D_word(ctx, word) == expected, word
 
 
 @st.composite
