@@ -12,15 +12,15 @@ terms (:func:`superfrob.symfunc.certify_leaf`): every term must carry the
 coefficient of its per-color-sorted term, and the sorted terms' orbit sizes
 must add up to the number of terms, so no orbit member is missing.  The same
 pass keeps the terms that can still reach a dominant monomial, and the
-products keep only those (:func:`superfrob.symfunc.pruned_product`); each
-product is read on the dominant monomials alone
-(:func:`superfrob.symfunc.coordinates_on_degree`).  Specializing q -> 1,
-Q_i -> zeta^i turns the result into the character table of the wreath
-product W_{m,n}.
+products keep only those (:func:`superfrob.symfunc.pruned_product`).
+Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
+of the wreath product W_{m,n}.
 
 The same wreath table is recomputed independently from the colored power sum
 expansion of the super Schur functions; agreement of the two routes is one of
-the package's cross-checks.
+the package's cross-checks.  Both routes read their products on the dominant
+monomials alone and solve in one exact elimination (:func:`_express`), which
+refuses a character value that is not integral.
 """
 
 from __future__ import annotations
@@ -155,38 +155,32 @@ def _table_block(m: int, n: int) -> BlockVariables:
     monomial of x-degree n, from leaves certified once each
     (:func:`superfrob.symfunc.pruned_product`).
     """
+    if m < 1 or n < 1:
+        raise ValueError("need m >= 1 and n >= 1")
     return BlockVariables(HookProfile((n,) * m, (0,) * m), dominant_degree=n)
 
 
-@lru_cache(maxsize=None)
-def hecke_character_table(m: int, n: int) -> CharacterTable:
-    """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
+def _express(targets: dict, basis: dict, block: BlockVariables) -> list[list[Poly]]:
+    """Each target's coefficients over the basis, from the table's one exact solve.
 
-    The expansions of all q_bmu over the super Schur basis are solved in one
-    square elimination on the |P_{m,n}| dominant monomial rows, with one
-    scalar right-hand side per column bmu and (q, Q) monomial of its
-    coordinates.  Both sides are products of leaves, q_d^(i) and the
-    one-color Schur factors, each certified symmetric within each color
-    once at its own degree; so are the full products, which makes the
-    dominant rows equivalent to all monomial rows.  The products are built
-    on :func:`_table_block`, keeping only the monomials that can still reach
-    a dominant one, and read on the dominant monomials alone
-    (:func:`superfrob.symfunc.coordinates_on_degree`).  Entries are
-    verified to be integer Laurent polynomials.
+    ``targets`` and ``basis`` map labels to products on :func:`_table_block`,
+    read on its dominant monomials (:func:`superfrob.symfunc.coordinates_on_degree`):
+    scalars for the basis, polynomials in (q, Q) for a target.  The solve takes
+    one scalar right-hand side per target and (q, Q) monomial of its
+    coordinates, and each coefficient is rebuilt as a polynomial from its
+    target's solutions.  The coefficients are character values, so a solved
+    value that is not an int, or a cyclotomic number with int coefficients,
+    raises ConsistencyError.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    block = _table_block(m, n)
-    labels = multipartitions(m, n)
-    schur_columns = [
-        [c.constant_value() for c in coordinates_on_degree(super_schur(bshape, block), n, block)]
-        for bshape in labels
+    n = block.dominant_degree
+    columns = [
+        [c.constant_value() for c in coordinates_on_degree(f, n, block)] for f in basis.values()
     ]
-    coordinates = [coordinates_on_degree(q_bmu(bmu, block), n, block) for bmu in labels]
+    coordinates = [coordinates_on_degree(f, n, block) for f in targets.values()]
     monomials = [list(dict.fromkeys(e for c in coords for e in c.terms)) for coords in coordinates]
     values = iter(
         solve_linear_exact(
-            [list(row) for row in zip(*schur_columns)],
+            [list(row) for row in zip(*columns)],
             [
                 [c.terms.get(e, 0) for c in coords]
                 for coords, exps in zip(coordinates, monomials)
@@ -194,21 +188,39 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
             ],
         )
     )
-    solutions = []
-    for bmu, exps in zip(labels, monomials):
+    expressed = []
+    for target, exps in zip(targets, monomials):
         parts = [next(values) for _ in exps]
-        column = []
-        for r, bshape in enumerate(labels):
-            terms = {e: part[r] for e, part in zip(exps, parts) if part[r]}
-            for value in terms.values():
-                if isinstance(value, Fraction) and value.denominator != 1:
+        for part in parts:
+            for label, value in zip(basis, part):
+                if type(value) is not int and not (
+                    isinstance(value, CyclotomicNumber)
+                    and all(type(c) is int for c in value.coeffs)
+                ):
                     raise ConsistencyError(
-                        f"non-integer character value for {bshape} at {bmu}: {value!r}"
+                        f"non-integer character value for {label} in the expansion of {target}: "
+                        f"{value!r}"
                     )
-            column.append(Poly._raw(block.registry, terms))
-        solutions.append(column)
-    entries = [list(row) for row in zip(*solutions)]
+        expressed.append(
+            [
+                Poly._raw(block.registry, {e: part[r] for e, part in zip(exps, parts) if part[r]})
+                for r in range(len(basis))
+            ]
+        )
+    return expressed
+
+
+def _character_table(block: BlockVariables, entries: list, specialized: bool) -> CharacterTable:
+    """The table of ``block``'s (m, n) with these entries, rows bl and columns bmu.
+
+    The trivial row is found on specialized values; generic entries are
+    specialized one at a time, leaving each row at its first value != 1.
+    """
+    m, n = len(block.profile.bk), block.dominant_degree
+    labels = multipartitions(m, n)
     specialize = _specializer(m)
+    values = entries if specialized else ((specialize(v) for v in row) for row in entries)
+    one = CyclotomicNumber.from_rational(m, 1)
     return CharacterTable(
         m=m,
         n=n,
@@ -216,12 +228,31 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
         cols=labels,
         entries=entries,
         solve_profile=block.profile,
-        specialized=False,
-        # specialized one entry at a time, leaving each row at its first value != 1
-        trivial_row_index=_find_trivial_row(
-            ((specialize(value) for value in row) for row in entries), m
+        specialized=specialized,
+        trivial_row_index=next(
+            (i for i, row in enumerate(values) if all(value == one for value in row)), None
         ),
     )
+
+
+@lru_cache(maxsize=None)
+def hecke_character_table(m: int, n: int) -> CharacterTable:
+    """Character table of H_{m,n}(q,Q) on the standard elements g(bmu).
+
+    chi^bl(g(bmu)) is the coefficient of S_bl in q_bmu (:func:`_express`).
+    Both are products of leaves, q_d^(i) and the one-color Schur factors,
+    each certified symmetric within each color once at its own degree; so
+    are the full products, which makes the dominant rows equivalent to all
+    monomial rows.  Entries are integer Laurent polynomials.
+    """
+    block = _table_block(m, n)
+    labels = multipartitions(m, n)
+    columns = _express(
+        {bmu: q_bmu(bmu, block) for bmu in labels},
+        {bshape: super_schur(bshape, block) for bshape in labels},
+        block,
+    )
+    return _character_table(block, [list(row) for row in zip(*columns)], False)
 
 
 def frobenius_sums(table: CharacterTable, block: BlockVariables) -> list[Poly]:
@@ -285,15 +316,6 @@ def _specializer(m: int):
     return specialize
 
 
-def _find_trivial_row(rows, m: int) -> int | None:
-    """Index of the first row whose values are all 1; rows may be lazy iterables."""
-    one = CyclotomicNumber.from_rational(m, 1)
-    for index, row in enumerate(rows):
-        if all(value == one for value in row):
-            return index
-    return None
-
-
 def specialize_table(table: CharacterTable) -> CharacterTable:
     """Entrywise q -> 1, Q_i -> zeta^i: the character table of W_{m,n}.
 
@@ -303,15 +325,8 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
     if table.specialized:
         return table
     specialize = _specializer(table.m)
-    return CharacterTable(
-        m=table.m,
-        n=table.n,
-        rows=table.rows,
-        cols=table.cols,
-        entries=[[specialize(value) for value in row] for row in table.entries],
-        solve_profile=table.solve_profile,
-        specialized=True,
-        trivial_row_index=table.trivial_row_index,
+    return table._replace(
+        entries=[[specialize(value) for value in row] for row in table.entries], specialized=True
     )
 
 
@@ -319,48 +334,27 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
 def wreath_character_table(m: int, n: int) -> CharacterTable:
     """W_{m,n} character table from the colored power sum expansion.
 
-    Solves S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu for all bl in one square
-    elimination on the dominant monomial rows.  Both sides are products of
-    leaves, P_a^(i) and the one-color Schur factors, each certified
-    symmetric within each color once at its own degree; the products are
-    built on :func:`_table_block` and read on the dominant monomials alone
-    (:func:`superfrob.symfunc.coordinates_on_degree`).  The centralizer
-    orders are cleared by a common multiple before the solve, so the system
-    matrix stays integral (over Z[zeta]).
+    S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu, times ``common = lcm(Z_bmu)``:
+    chi^bl(bmu) is the coefficient of ``(common // Z_bmu) P_bmu`` in
+    ``common S_bl`` (:func:`_express`), and the system stays integral (over
+    Z[zeta]).  Both sides are products of leaves, P_a^(i) and the one-color
+    Schur factors, each certified symmetric within each color once.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
     block = _table_block(m, n)
     labels = multipartitions(m, n)
     orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
     common = math.lcm(*orders)
-    power_sum_columns = [
-        [
-            _as_cyclotomic(c.constant_value(), m) * (common // order)
-            for c in coordinates_on_degree(colored_power_sum_product(bmu, block), n, block)
-        ]
-        for bmu, order in zip(labels, orders)
-    ]
-    entries = solve_linear_exact(
-        [list(row) for row in zip(*power_sum_columns)],
-        [
-            [
-                _as_cyclotomic(c.constant_value(), m) * common
-                for c in coordinates_on_degree(super_schur(bshape, block), n, block)
-            ]
-            for bshape in labels
-        ],
+    rows = _express(
+        {bshape: super_schur(bshape, block) * common for bshape in labels},
+        {
+            bmu: colored_power_sum_product(bmu, block) * (common // order)
+            for bmu, order in zip(labels, orders)
+        },
+        block,
     )
-    return CharacterTable(
-        m=m,
-        n=n,
-        rows=labels,
-        cols=labels,
-        entries=entries,
-        solve_profile=block.profile,
-        specialized=True,
-        trivial_row_index=_find_trivial_row(entries, m),
-    )
+    # below m = 3 the power sums have rational coefficients, so the solve returns ints
+    entries = [[_as_cyclotomic(f.constant_value(), m) for f in row] for row in rows]
+    return _character_table(block, entries, True)
 
 
 def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:

@@ -38,7 +38,8 @@ from superfrob.symfunc import (
 
 DESK_SCALE_MN = 10
 DESK_SCALE_DIMENSION = 200_000
-# the verify suites that act on the (k+l)^n-dimensional tensor space
+# the verify suites charged (k+l)^n: relations and frobenius act on the tensor space,
+# identities builds none, but its super-schur-dual tableaux grow like (k+l)^n
 TENSOR_SUITES = ("relations", "frobenius", "identities", "all")
 
 
@@ -154,21 +155,24 @@ def _emit(parser, text: str, out: str | None):
         parser.error(f"cannot write --out {out!r}: {err.strerror}")
 
 
-def _guard(parser, args, m: int, n: int, charged: str, dimension: int):
-    """Refuse m*n or the charged quantity (named `charged`) above the desk-scale caps."""
+def _guard(parser, args, m: int, n: int, charged: str, base: int):
+    """Refuse m*n, then the charged quantity base^n (named `charged`), above the caps."""
     if m * n > DESK_SCALE_MN and not args.force:
         parser.error(
             f"m*n = {m * n} exceeds the desk-scale cap {DESK_SCALE_MN}; pass --force to override"
         )
-    _guard_dimension(parser, args, charged, dimension)
+    _guard_dimension(parser, args, charged, base, n)
 
 
-def _guard_dimension(parser, args, charged: str, dimension: int):
-    """Refuse the charged quantity (named `charged`) above the desk-scale cap."""
-    if dimension > DESK_SCALE_DIMENSION and not args.force:
-        parser.error(
-            f"{charged} = {dimension} exceeds the cap {DESK_SCALE_DIMENSION}; pass --force to override"
-        )
+def _guard_dimension(parser, args, charged: str, base: int, exponent: int):
+    """Refuse the charged quantity base^exponent (named `charged`) above the desk-scale cap."""
+    # any base >= 2 passes the cap by the power cap.bit_length(), so the test powers no further
+    bound = DESK_SCALE_DIMENSION.bit_length()
+    if args.force or base <= 1 or base ** min(exponent, bound) <= DESK_SCALE_DIMENSION:
+        return
+    parser.error(
+        f"{charged} = {base**exponent} exceeds the cap {DESK_SCALE_DIMENSION}; pass --force to override"
+    )
 
 
 def _resolve_profile(parser, args, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -188,7 +192,7 @@ def _resolve_profile(parser, args, m: int) -> tuple[tuple[int, ...], tuple[int, 
 def cmd_chartable(args, parser) -> int:
     if args.m < 1 or args.n < 1:
         parser.error("chartable needs --m >= 1 and --n >= 1")
-    _guard(parser, args, args.m, args.n, "(m*n)^n", (args.m * args.n) ** args.n)
+    _guard(parser, args, args.m, args.n, "(m*n)^n", args.m * args.n)
     if args.verbose:
         print(f"solving H_({args.m},{args.n}) character table", file=sys.stderr)
     table = hecke_character_table(args.m, args.n)
@@ -207,12 +211,12 @@ def cmd_verify(args, parser) -> int:
     bk, bl = _resolve_profile(parser, args, args.m)
     # the orthogonality suite builds no tensor and never reads --k/--l, so only
     # the m*n cap applies to it
-    dimension = 0
+    width = 0
     if args.suite in TENSOR_SUITES:
-        if sum(bk) + sum(bl) == 0:
+        width = sum(bk) + sum(bl)
+        if width == 0:
             parser.error("the verification profile needs at least one variable")
-        dimension = (sum(bk) + sum(bl)) ** args.n
-    _guard(parser, args, args.m, args.n, "(k+l)^n", dimension)
+    _guard(parser, args, args.m, args.n, "(k+l)^n", width)
     config = SuiteConfig(m=args.m, n=args.n, bk=bk, bl=bl)
     if args.verbose:
         print(f"running suite {args.suite} at {config}", file=sys.stderr)
@@ -262,8 +266,8 @@ def cmd_expand(args, parser) -> int:
         if k + l == 0:
             parser.error("expand hl needs --k or --l")
         # the series recursion forms up to a^2 products, however few variables there are
-        _guard_dimension(parser, args, "a^2", args.a**2)
-        _guard_dimension(parser, args, "(k+l)^a", (k + l) ** args.a)
+        _guard_dimension(parser, args, "a^2", args.a, 2)
+        _guard_dimension(parser, args, "(k+l)^a", k + l, args.a)
         block = BlockVariables(HookProfile((k,), (l,)), extra=("t",))
         t = Poly.var(block.registry, "t")
         value = super_hall_littlewood_q(
@@ -293,7 +297,7 @@ def cmd_expand(args, parser) -> int:
         m = len(bshape)
         n = sum(sum(c) for c in bshape)
         profile = _expand_profile(parser, args, m)
-        _guard(parser, args, m, max(n, 1), "(k+l)^n", (profile.k + profile.l) ** max(n, 1))
+        _guard(parser, args, m, max(n, 1), "(k+l)^n", profile.k + profile.l)
         block = BlockVariables(profile)
         if target == "superschur":
             # non-hook shapes legitimately expand to the zero polynomial

@@ -310,6 +310,46 @@ def test_hecke_table_rejects_non_integer_character_values(monkeypatch, m, n):
         hecke_character_table.cache_clear()
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+def test_wreath_table_rejects_non_integer_character_values(monkeypatch, m, n):
+    # doubling every P_bmu halves every character value; over Q(zeta_3) too
+    from superfrob import characters
+
+    original = characters.colored_power_sum_product
+
+    def doubled(bmu, block):
+        return 2 * original(bmu, block)
+
+    monkeypatch.setattr(characters, "colored_power_sum_product", doubled)
+    wreath_character_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="non-integer character value"):
+            wreath_character_table(m, n)
+    finally:
+        wreath_character_table.cache_clear()
+
+
+@pytest.mark.parametrize("table", [hecke_character_table, wreath_character_table])
+@pytest.mark.parametrize("m,n", [(1, 3), (2, 2), (3, 2)])
+def test_each_table_makes_one_exact_solve(monkeypatch, table, m, n):
+    from superfrob import characters
+
+    calls = []
+    original = characters.solve_linear_exact
+
+    def counted(A, rhs_columns):
+        calls.append(len(A))
+        return original(A, rhs_columns)
+
+    monkeypatch.setattr(characters, "solve_linear_exact", counted)
+    table.cache_clear()
+    try:
+        table(m, n)
+    finally:
+        table.cache_clear()
+    assert calls == [len(multipartitions(m, n))]
+
+
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
 def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
     _assert_certificate_rejects(monkeypatch, wreath_character_table, "super_schur", m, n)

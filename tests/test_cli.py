@@ -120,6 +120,30 @@ def test_verify_charges_the_tensor_only_to_suites_that_build_it(capsys):
         assert "the verification profile needs at least one variable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chartable", "--m", "1", "--n", "10000000"],
+        ["verify", "--suite", "relations", "--m", "1", "--n", "10000000", "--k", "2", "--l", "1"],
+        ["expand", "superschur", "--shape", "[[10000000]]", "--k", "2", "--l", "1"],
+    ],
+    ids=["chartable", "verify", "expand"],
+)
+def test_a_huge_n_is_refused_by_the_m_n_cap_before_any_power(capsys, argv):
+    # the charged size (m*n)^n or (k+l)^n of n = 10^7 has millions of digits;
+    # the m*n cap is checked first, so it is never formed
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert "m*n = 10000000 exceeds the desk-scale cap 10" in capsys.readouterr().err
+
+
+def test_force_skips_both_caps_without_forming_the_charge():
+    forced = cli.build_parser().parse_args(["chartable", "--m", "1", "--n", "1", "--force"])
+    cli._guard(None, forced, 1, 10**7, "(m*n)^n", 10**7)
+    cli._guard_dimension(None, forced, "(k+l)^a", 3, 10**7)
+
+
 def test_flags_are_registered_only_where_read(capsys):
     # verify always prints JSON, and expand has nothing to report on stderr
     for argv in (
