@@ -7,12 +7,13 @@ polynomials with integer monomial coordinates, and the character values drop
 out of one exact linear solve.  Both sides are symmetric within each color, so
 the solve keeps one row per multipartition (its dominant monomial); the matrix
 is then square, a product of Kostka matrices.  Both sides are products of
-leaves, and the symmetry is certified once per leaf, in one pass over its
-terms (:func:`superfrob.symfunc.certify_leaf`): every term must carry the
-coefficient of its per-color-sorted term, and the sorted terms' orbit sizes
-must add up to the number of terms, so no orbit member is missing.  The same
-pass keeps the terms that can still reach a dominant monomial, and the
-products keep only those (:func:`superfrob.symfunc.pruned_product`).
+leaves, each written from a closed form whose coefficients depend only on
+the per-color sorted exponents, so symmetric within each color by
+construction, and only on the monomials that can still reach a dominant
+monomial; the products keep only those
+(:func:`superfrob.symfunc.pruned_product`).  The identity audits rebuild
+both sides on full blocks by the series and strip paths, which checks the
+closed forms.
 Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
 of the wreath product W_{m,n}.
 
@@ -152,8 +153,8 @@ def _table_block(m: int, n: int) -> BlockVariables:
     """The block the tables build on: the solve profile, with dominant degree n.
 
     Its products keep only the monomials that can still reach a dominant
-    monomial of x-degree n, from leaves certified once each
-    (:func:`superfrob.symfunc.pruned_product`).
+    monomial of x-degree n, from leaves written once each from their closed
+    forms (:func:`superfrob.symfunc.pruned_product`).
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
@@ -241,9 +242,9 @@ def hecke_character_table(m: int, n: int) -> CharacterTable:
 
     chi^bl(g(bmu)) is the coefficient of S_bl in q_bmu (:func:`_express`).
     Both are products of leaves, q_d^(i) and the one-color Schur factors,
-    each certified symmetric within each color once at its own degree; so
-    are the full products, which makes the dominant rows equivalent to all
-    monomial rows.  Entries are integer Laurent polynomials.
+    each symmetric within each color by construction; so are the full
+    products, which makes the dominant rows equivalent to all monomial
+    rows.  Entries are integer Laurent polynomials.
     """
     block = _table_block(m, n)
     labels = multipartitions(m, n)
@@ -338,7 +339,7 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
     chi^bl(bmu) is the coefficient of ``(common // Z_bmu) P_bmu`` in
     ``common S_bl`` (:func:`_express`), and the system stays integral (over
     Z[zeta]).  Both sides are products of leaves, P_a^(i) and the one-color
-    Schur factors, each certified symmetric within each color once.
+    Schur factors, each symmetric within each color by construction.
     """
     block = _table_block(m, n)
     labels = multipartitions(m, n)

@@ -22,16 +22,23 @@ each q_n^(i).
 
 The products ``q_bmu``, ``super_schur`` and ``colored_power_sum_product``
 multiply leaves that are each symmetric within each color: q_d^(i), the
-one-color super Schur factors and P_a^(i).  On a block with a dominant
-degree (the block the character tables build on) each leaf is certified
-once at its own degree and the product keeps only the monomials that can
-still reach a dominant monomial of that degree (:func:`pruned_product`);
-on any other block the product is the full one.
+one-color super Schur factors and P_a^(i).  On any block but one with a
+dominant degree the leaves are built by the paths above and the product is
+the full one.  On a block with a dominant degree (the block the character
+tables build on, all-even) each leaf is written once from its closed form,
+whose coefficients depend only on the per-color sorted exponents, on the
+monomials that can still reach a dominant monomial of that degree, and the
+product keeps only those (:func:`pruned_product`).  The closed forms are
+q^(d-1) Q_L^i (1 - q^-2)^(N-1) for q_d^(i) (:func:`_q_leaf`), Kostka numbers
+counted strip by strip for the Schur factors (:func:`_kostka`) and the
+roots of P_a^(i) (:func:`_power_leaf`); the full-block paths stay as their
+independent cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache, partial
 
 from superfrob.combinat import (
@@ -76,8 +83,9 @@ class BlockVariables:
 
     With ``dominant_degree`` n (all-even profiles only), the block's products
     keep only the monomials that can still reach a dominant monomial of
-    x-degree n (:func:`pruned_product`); the block then also keeps each
-    certified leaf (:func:`certify_leaf`) and its x-part map (:func:`_x_part`).
+    x-degree n (:func:`pruned_product`); the block then also keeps each leaf,
+    written from its closed form on those monomials (:func:`_leaf_product`),
+    and its x-part map (:func:`_x_part`).
     """
 
     def __init__(
@@ -432,9 +440,9 @@ def super_schur(
     return _leaf_product(
         [
             (
-                ("s", shape, color, algorithm),
-                sum(shape),
+                ("s", shape, color),
                 partial(super_schur_component, shape, block, color, algorithm),
+                partial(_schur_leaf, shape, color, block),
             )
             for color, shape in enumerate(bshape, start=1)
             if shape
@@ -469,7 +477,11 @@ def colored_power_sum_product(bmu: Multipartition, block: BlockVariables) -> Pol
     """P_bmu = prod_i prod_j P^(i)_{mu^(i)_j}."""
     return _leaf_product(
         [
-            (("p", part, i), part, partial(colored_power_sum, part, i, block))
+            (
+                ("p", part, i),
+                partial(colored_power_sum, part, i, block),
+                partial(_power_leaf, part, i, block),
+            )
             for i, component in enumerate(bmu, start=1)
             for part in component
         ],
@@ -576,7 +588,7 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
         raise ShapeError("component count does not match the block profile")
     return _leaf_product(
         [
-            (("q", part, i), part, partial(q_n_i, part, i, block))
+            (("q", part, i), partial(q_n_i, part, i, block), partial(_q_leaf, part, i, block))
             for i, component in enumerate(bmu, start=1)
             for part in component
         ],
@@ -605,59 +617,49 @@ def _dominant_keys(profile: HookProfile, degree: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _color_part(exps: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """``(degree, delta, orbit size, hull)`` of one color's exponent block, all exponents >= 0.
+def _color_part(exps: tuple[int, ...]) -> tuple[int, int, int]:
+    """``(degree, delta, hull)`` of one color's exponent block, all exponents >= 0.
 
     delta is the key difference, on the block's own digits (digit j worth
-    2^(64 j)), from the block to its decreasing sort; the orbit size is the
-    number of distinct permutations of the block; the hull is
+    2^(64 j)), from the block to its decreasing sort; the hull is
     sum_i max_{j >= i} a_j.
     """
-    rep = sorted(exps, reverse=True)
     hull = top = 0
     for a in reversed(exps):
         if a > top:
             top = a
         hull += top
-    # the distinct arrangements of rep[:j + 1] are those of rep[:j] times
-    # (j + 1) / (the multiplicity of rep[j] in rep[:j + 1])
-    delta, size, run = 0, 1, 0
-    for j, (r, a) in enumerate(zip(rep, exps)):
-        run = run + 1 if j and r == rep[j - 1] else 1
-        size = size * (j + 1) // run
-        delta += (r - a) << (64 * j)
-    return sum(exps), delta, size, hull
+    delta = sum(
+        (r - a) << (64 * j) for j, (r, a) in enumerate(zip(sorted(exps, reverse=True), exps))
+    )
+    return sum(exps), delta, hull
 
 
 def _x_part(x: int, block: BlockVariables) -> tuple:
     """The entry of x-part key ``x`` in the block's x-part map, computed and kept on a miss.
 
     The x part of a term is its key with every digit but the x variables' 0.
-    Its entry is ``(degree, delta, orbit size, fits)``: its x-degree (None
-    when an exponent is negative, so that it has no degree); the key
-    difference that takes it to its per-color-sorted representative (each
-    color's exponent block sorted decreasingly; 0 for a representative, and
-    adding it changes no other digit); the number of distinct permutations
-    within each color, the size of its orbit under them; and whether it
-    fits, its per-color hulls h_i = max_{j >= i} a_j summing to at most the
-    block's dominant degree.  Each is a sum or a product over the colors of
-    :func:`_color_part`.
+    Its entry is ``(degree, delta, fits)``: its x-degree (None when an
+    exponent is negative, so that it has no degree); the key difference that
+    takes it to its per-color-sorted representative (each color's exponent
+    block sorted decreasingly; 0 for a representative, and adding it changes
+    no other digit); and whether it fits, its per-color hulls
+    h_i = max_{j >= i} a_j summing to at most the block's dominant degree.
+    Each is a sum over the colors of :func:`_color_part`.
     """
     exps = block.registry.decode(x)
     if min(exps) < 0:  # only the x digits of an x part can be nonzero
-        entry = (None, 0, 0, False)
+        entry = (None, 0, False)
     else:
         lo = 1 + block.m  # block layout: q, Q_1..Q_m, then the x variables color-major
         degree = delta = hull = 0
-        size = 1
         for k in block.profile.bk:
-            d, local, count, h = _color_part(exps[lo : lo + k])
+            d, local, h = _color_part(exps[lo : lo + k])
             degree += d
             delta += local << (64 * lo)
-            size *= count
             hull += h
             lo += k
-        entry = (degree, delta, size, hull <= block.dominant_degree)
+        entry = (degree, delta, hull <= block.dominant_degree)
     block._x_parts[x] = entry
     return entry
 
@@ -677,11 +679,6 @@ def _refused(x: int, degree: int, block: BlockVariables) -> ConsistencyError:
     exps = block.registry.decode(x)[1 + block.m :][: block.profile.k]
     kind = "off-table" if sum(exps) == degree and min(exps, default=0) >= 0 else "non-homogeneous"
     return ConsistencyError(f"{kind} term with exponents {exps} (expected degree {degree})")
-
-
-def _asymmetric_at(registry: VariableRegistry, key: int) -> ConsistencyError:
-    monomial = Poly._raw(registry, {key: 1})
-    return ConsistencyError(f"expansion is not symmetric within each color at monomial {monomial}")
 
 
 def coordinates_on_degree(f: Poly, degree: int, block: BlockVariables) -> list[Poly]:
@@ -711,113 +708,183 @@ def coordinates_on_degree(f: Poly, degree: int, block: BlockVariables) -> list[P
     ]
 
 
-# -- pruned products of certified leaves --------------------------------------
+
+
+# -- closed-form leaves of a table block ------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _fitting_blocks(k: int, degree: int, budget: int) -> tuple[tuple[tuple, int, int], ...]:
+    """``(exponents, key, hull)`` of each block of k exponents >= 0 of ``degree``, hull <= budget.
+
+    The hull is sum_i max_{j >= i} a_j, and the key sum_j a_j 2^(64 j), on
+    the block's own digits.  The block is filled from its last position.
+    With suffix maximum s so far, each of the p positions left adds at least
+    max(s, its own exponent) to the hull, so at least max(p s, degree left)
+    in all: a branch stops as soon as the hull so far plus that passes the
+    budget.  From the suffix maximum on, a larger exponent only raises that
+    bound, so the loop over the exponent ends there.
+    """
+    blocks = []
+
+    def fill(p: int, left: int, top: int, hull: int, tail: tuple[int, ...]):
+        if p == 0:
+            if not left:
+                blocks.append((tail, sum(a << (64 * j) for j, a in enumerate(tail)), hull))
+            return
+        for a in range(left + 1) if p > 1 else (left,):
+            s = max(top, a)
+            if hull + s + max((p - 1) * s, left - a) > budget:
+                if a >= top:
+                    break
+                continue
+            fill(p - 1, left - a, s, hull + s, (a,) + tail)
+
+    fill(k, degree, 0, 0, ())
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape: Partition, content: Partition) -> int:
+    """The Kostka number K_{shape, content}, for a partition ``content``.
+
+    The largest value of a semistandard tableau of that content fills a
+    horizontal strip of content[-1] boxes, so K is the sum of
+    K_{mu, content[:-1]} over the mu that leave one (shape_{i+1} <= mu_i <=
+    shape_i); a column holds distinct values, so K is 0 when the shape has
+    more rows than the content has parts.
+    """
+    if len(shape) > len(content):
+        return 0
+    if not content:
+        return 1
+    size = sum(shape) - content[-1]
+    ranges = (range(b, p + 1) for b, p in zip(shape[1:] + (0,), shape))
+    return sum(
+        _kostka(tuple(p for p in mu if p), content[:-1])
+        for mu in itertools.product(*ranges)
+        if sum(mu) == size
+    )
+
+
+def _x_offsets(block: BlockVariables) -> list[int]:
+    """The registry index of each color's first x variable."""
+    # block layout: q, Q_1..Q_m, then the x variables color-major
+    return list(itertools.accumulate(block.profile.bk[:-1], initial=1 + block.m))
+
+
+def _q_leaf(d: int, i: int, block: BlockVariables) -> dict[int, dict[int, int]]:
+    """q_d^(i) on the monomials that fit, in the form :func:`pruned_product` reads.
+
+    On an all-even profile each color's q_a(x; t) = H_a is
+    sum_{lam |- a} (1 - t)^l(lam) m_lam, and q - q^-1 = q (1 - t) at
+    t = q^-2, so by the formula of :func:`q_n_i` the coefficient of x^alpha
+    is q^(d-1) Q_L^i (1 - q^-2)^(N-1): N counts the nonzero exponents of
+    alpha, and L is the largest color they touch.  For each split of d over
+    the colors the monomials are built color by color, each color's blocks
+    fitting in what the colors before it left of the hull budget.
+    """
+    n, colors = block.dominant_degree, list(zip(block.profile.bk, _x_offsets(block)))
+    rests: dict[tuple[int, int], dict[int, int]] = {}
+    leaf = {}
+    for degrees in compositions(d, block.m):
+        largest = max(c for c, a in enumerate(degrees, start=1) if a)
+        parts = [(0, 0, 0)]  # (x part, hull, nonzero exponents) of the colors so far
+        for a, (k, lo) in zip(degrees, colors):
+            parts = [
+                (x + (key << (64 * lo)), hull + h, count + k - exps.count(0))
+                for x, hull, count in parts
+                for exps, key, h in _fitting_blocks(k, a, n - hull)
+            ]
+        for x, _, count in parts:
+            rest = rests.get((count, largest))
+            if rest is None:
+                # (1 - q^-2)^(N-1) = sum_j binom(N-1, j) (-1)^j q^(-2j)
+                rest = rests[count, largest] = {
+                    d - 1 - 2 * j + (i << (64 * largest)): (-1) ** j * math.comb(count - 1, j)
+                    for j in range(count)
+                }
+            leaf[x] = rest
+    return leaf
+
+
+def _schur_leaf(shape: Partition, color: int, block: BlockVariables) -> dict[int, dict[int, int]]:
+    """S_shape(x^(color)) on the monomials that fit, in the form :func:`pruned_product` reads.
+
+    The coefficient of x^alpha is the Kostka number K_{shape, sort(alpha)}
+    (:func:`_kostka`, alpha sorted decreasingly without its zeros).
+    """
+    lo = _x_offsets(block)[color - 1]
+    leaf = {}
+    for exps, key, _ in _fitting_blocks(
+        block.profile.bk[color - 1], sum(shape), block.dominant_degree
+    ):
+        count = _kostka(shape, tuple(sorted(filter(None, exps), reverse=True)))
+        if count:
+            leaf[key << (64 * lo)] = {0: count}
+    return leaf
+
+
+def _power_leaf(a: int, i: int, block: BlockVariables) -> dict[int, dict[int, object]]:
+    """P_a^(i) on the monomials that fit, in the form :func:`pruned_product` reads.
+
+    The convention is P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)), as in
+    :func:`colored_power_sum`: its terms are the x_v^a, each with
+    coefficient zeta^(-i color(v)), +-1 at m <= 2.  That is the conjugate of
+    what q_a^(i) becomes at q = 1 and Q_j = zeta^j, sum_j zeta^(ij) p_a(x^(j)).
+    At position p of its color x_v^a has hull a p, so it fits iff a p <= n.
+    """
+    n, m = block.dominant_degree, block.m
+    leaf = {}
+    for j, (k, lo) in enumerate(zip(block.profile.bk, _x_offsets(block)), start=1):
+        power = (-i * j) % m
+        rest = {0: (-1) ** power if m <= 2 else CyclotomicNumber.zeta(m, power)}
+        for p in range(min(k, n // a)):
+            leaf[a << (64 * (lo + p))] = rest
+    return leaf
+
+
+# -- pruned products of closed-form leaves --------------------------------------
 
 
 def _leaf_product(factors: list, block: BlockVariables) -> Poly:
-    """The product of ``factors``, each ``(key, degree, build)`` with ``build()`` the leaf.
+    """The product of ``factors``, each ``(key, build, write)``.
 
-    On a full block each leaf is built and the product is formed in full.  On
-    a block with a dominant degree each leaf is built and certified once,
-    kept on the block under ``key`` (:func:`certify_leaf`, at its x-degree
-    ``degree``), and the product is :func:`pruned_product`.
+    On a full block each leaf is built by ``build()`` and the product is
+    formed in full.  On a block with a dominant degree each leaf is written
+    once from its closed form by ``write()``, on the monomials that fit, and
+    kept on the block under ``key``; the product is :func:`pruned_product`.
     """
     if block.dominant_degree is None:
         total = Poly.one(block.registry)
-        for _, _, build in factors:
+        for _, build, _ in factors:
             total = total * build()
             if total.is_zero():
                 break
         return total
     leaves = []
-    for key, degree, build in factors:
+    for key, _, write in factors:
         leaf = block._leaves.get(key)
         if leaf is None:
-            leaf = block._leaves[key] = certify_leaf(build(), degree, block)
+            leaf = block._leaves[key] = write()
         leaves.append(leaf)
     return pruned_product(leaves, block)
 
 
-def certify_leaf(f: Poly, degree: int, block: BlockVariables) -> dict[int, dict[int, object]]:
-    """Leaf f of a :func:`pruned_product`: certified, cut to the monomials that fit, grouped.
-
-    f must be homogeneous of x-degree ``degree`` and symmetric within each
-    color, that is constant on the orbits of the permutations within each
-    color, zeros included.  One pass over ``f.terms`` with the block's x-part
-    map (:func:`_x_part`) checks both.  A term of another x-degree is
-    refused as non-homogeneous.  A term off its representative must carry
-    the coefficient of its representative's term (the term at key + delta),
-    and each representative term counts its orbit size.  Why that is the
-    whole certificate: the lookups send the support S into the
-    representative terms R with equal coefficients, so S lies in the union
-    of the orbits of R and ``|S| <= sum_{r in R} |orbit(r)|``, the count.
-    Equality holds exactly when every orbit member of every representative
-    term is in S (stored coefficients are nonzero, so a missing member reads
-    as absent); then f is constant on every orbit that meets S, and zero on
-    every other one, since a member of one would be sent to a representative
-    term.  So the count must equal ``len(f.terms)``.  Either failure raises
-    ConsistencyError naming a monomial whose coefficient differs from its
-    per-color-sorted monomial's; on a count failure that is a missing
-    permutation of a term's color blocks.
-
-    The same pass keeps the terms that fit.  The result is ``{x part: {rest:
-    coefficient}}`` over them: the x part is the key with every other digit
-    0, the rest the key with the x digits 0, both int keys under the
-    registry's linear codec, and each term's key is their sum.  The block
-    must have a dominant degree.
-    """
-    bias, shift, mask, restore = _x_digits(block)
-    f._check_int32()
-    entry_of = block._x_parts.get
-    terms = f.terms
-    kept: dict[int, dict[int, object]] = {}
-    count = 0
-    for key, coeff in terms.items():
-        x = ((((key + bias) >> shift) & mask) << shift) - restore
-        x_degree, delta, size, fits = entry_of(x) or _x_part(x, block)
-        if x_degree != degree:
-            raise _refused(x, degree, block)
-        if delta:
-            if terms.get(key + delta) != coeff:
-                raise _asymmetric_at(block.registry, key)
-        else:
-            count += size
-        if fits:
-            kept.setdefault(x, {})[key - x] = coeff
-    if count != len(terms):
-        raise _asymmetric_at(block.registry, _missing_member(terms, block))
-    return kept
-
-
-def _missing_member(terms: dict[int, object], block: BlockVariables) -> int:
-    """A key not in ``terms`` that permutes, within each color, a representative term's x part.
-
-    One exists when the count of :func:`certify_leaf` exceeds the support.
-    """
-    registry = block.registry
-    bounds = list(itertools.accumulate(block.profile.bk, initial=1 + block.m))
-    spans = list(zip(bounds, bounds[1:]))
-    members = (
-        registry.encode(exps[: bounds[0]] + sum(member, ()) + exps[bounds[-1] :])
-        for exps in map(registry.decode, terms)
-        if all(list(exps[a:b]) == sorted(exps[a:b], reverse=True) for a, b in spans)
-        for member in itertools.product(
-            *(sorted(set(itertools.permutations(exps[a:b]))) for a, b in spans)
-        )
-    )
-    return next(key for key in members if key not in terms)
-
-
 def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
-    """The product of :func:`certify_leaf` leaves, keeping only the monomials that fit.
+    """The product of closed-form leaves, keeping only the monomials that fit.
 
-    With n the block's dominant degree, a monomial fits when its per-color
-    hulls h_i = max_{j >= i} a_j (a the color's exponent block) sum over the
-    colors to at most n (the verdict of the block's x-part map,
-    :func:`_x_part`).  The leaves are multiplied one at a time, x part by x
-    part, and a pair whose x parts add up to one that does not fit is
-    skipped before its rests are multiplied.  Why the result is exact and
-    certified:
+    Each leaf is ``{x part: {rest: coefficient}}`` over its terms that fit:
+    the x part is the key with every other digit 0, the rest the key with
+    the x digits 0, both int keys under the registry's linear codec, and
+    each term's key is their sum (:func:`_q_leaf`, :func:`_schur_leaf`,
+    :func:`_power_leaf`).  With n the block's dominant degree, a monomial
+    fits when its per-color hulls h_i = max_{j >= i} a_j (a the color's
+    exponent block) sum over the colors to at most n (the verdict of the
+    block's x-part map, :func:`_x_part`).  The leaves are multiplied one at
+    a time, x part by x part, and a pair whose x parts add up to one that
+    does not fit is skipped before its rests are multiplied.  Why the result
+    is exact and its dominant terms fix the full product:
 
     - Adding nonnegative exponents only grows each hull, so every factor
       monomial of a monomial that fits fits too.  Dropping what does not
@@ -828,16 +895,17 @@ def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
       within each color): each hull bounds its block entrywise, so the
       hulls sum to at least n, with equality only when every block is its
       own hull.
-    - Every leaf was certified homogeneous and symmetric within each color,
-      and sums and products of polynomials symmetric within each color are
-      so too.  So the full product is, its x-degree is the sum of the
-      leaves' degrees, and at x-degree n its coordinates at the dominant
-      monomials, which are exactly the terms of the result, fix every
-      monomial coordinate.
+    - Every leaf is homogeneous and symmetric within each color by
+      construction: each closed-form coefficient depends only on the
+      per-color sorted exponents.  Sums and products of polynomials
+      symmetric within each color are so too.  So the full product is, its
+      x-degree is the sum of the leaves' degrees, and at x-degree n its
+      coordinates at the dominant monomials, which are exactly the terms of
+      the result, fix every monomial coordinate.
 
     Reading the result with :func:`coordinates_on_degree`, which refuses any
     term that is not a dominant monomial of that degree, is therefore as
-    strong as certifying the full product's symmetry and reading it.
+    strong as checking the full product's symmetry and reading it.
     """
     if not leaves:
         return Poly.one(block.registry)
@@ -848,7 +916,7 @@ def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
         for x1, rest1 in product.items():
             for x2, rest2 in leaf.items():
                 x = x1 + x2
-                if not (entry_of(x) or _x_part(x, block))[3]:
+                if not (entry_of(x) or _x_part(x, block))[2]:
                     continue
                 acc = out.get(x)
                 if acc is None:

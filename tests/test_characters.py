@@ -4,7 +4,6 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from superfrob.combinat import (
     HookProfile,
@@ -39,10 +38,8 @@ from superfrob.serialize import json_text, table_payload
 from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
-    certify_leaf,
     colored_power_sum_product,
     coordinates_on_degree,
-    pruned_product,
     q_bmu,
     super_power_sum_product,
     super_schur,
@@ -231,63 +228,89 @@ def test_identity_audits_pass_and_name_a_perturbed_label(m, n):
         ]
 
 
-# the leaves each product of the tables multiplies, which the tables certify
-LEAF_BUILDERS = {
-    "q_bmu": "q_n_i",
-    "super_schur": "super_schur_component",
-    "colored_power_sum_product": "colored_power_sum",
-}
+@pytest.fixture
+def uncached_tables():
+    """Both tables uncached around the test, so that no table built on a corrupted leaf leaks."""
+    hecke_character_table.cache_clear()
+    wreath_character_table.cache_clear()
+    yield
+    hecke_character_table.cache_clear()
+    wreath_character_table.cache_clear()
 
 
-def _break_color_symmetry(monkeypatch, name, variable):
-    """Add variable^d, without its permutations, to every leaf of degree d of product `name`."""
+@pytest.mark.parametrize(
+    "m,n,shape,content",
+    [(1, 3, (2, 1), (1, 1, 1)), (2, 2, (2,), (1, 1)), (3, 2, (2,), (1, 1))],
+)
+def test_a_wrong_kostka_count_fails_the_audits_dual_path_and_orthogonality(
+    monkeypatch, uncached_tables, m, n, shape, content
+):
+    # K_{shape, content} lies below the diagonal of the unitriangular Kostka
+    # matrix, so one more keeps every solved value an integer; |shape| = n,
+    # so no other count of the table peels down to it
+    from superfrob import symfunc
+    from superfrob.suites import SuiteConfig, suite_orthogonality
+
+    original = symfunc._kostka
+    monkeypatch.setattr(
+        symfunc, "_kostka", lambda s, c: original(s, c) + ((s, c) == (shape, content))
+    )
+    try:
+        # the wreath route reads the count in its targets S_bl, the Hecke route in its basis
+        wreath = wreath_character_table(m, n)
+        assert wreath_identity_violations(wreath) == [bl for bl in wreath.rows if shape in bl]
+        assert hecke_identity_violations(hecke_character_table(m, n))
+        results = suite_orthogonality(SuiteConfig(m, n, (1,) * m, (0,) * m))
+        failed = {r.name for r in results if not r.passed}
+        assert {"dual-path", "row-orthogonality"} <= failed
+    finally:
+        original.cache_clear()
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2), (2, 3)])
+def test_a_wrong_q_coefficient_fails_the_hecke_audit_at_its_column(
+    monkeypatch, uncached_tables, m, n
+):
+    # one more q^(n-1) Q_1 at x1_1^(n-1) x1_2 in q_n^(1), a leaf that only
+    # the column ((n,), (), ...) multiplies
     from superfrob import symfunc
 
-    original = getattr(symfunc, LEAF_BUILDERS[name])
+    original = symfunc._q_leaf
 
-    def asymmetric(first, *rest):
-        # q_n_i(n, i, block), colored_power_sum(a, i, block) or
-        # super_schur_component(shape, block, color, algorithm)
-        degree = first if isinstance(first, int) else sum(first)
-        block = next(arg for arg in rest if isinstance(arg, BlockVariables))
-        return original(first, *rest) + Poly.var(block.registry, variable, degree)
+    def corrupted(d, i, block):
+        leaf = original(d, i, block)
+        if (d, i) == (n, 1):
+            (x,) = Poly.monomial(block.registry, {"x1_1": n - 1, "x1_2": 1}).terms
+            (rest,) = (block.q ** (n - 1) * block.Q(1)).terms
+            leaf = {**leaf, x: {**leaf[x], rest: leaf[x][rest] + 1}}
+        return leaf
 
-    monkeypatch.setattr(symfunc, LEAF_BUILDERS[name], asymmetric)
-
-
-def _assert_certificate_rejects(monkeypatch, table, name, m, n):
-    """Both failure branches of the one-pass certificate stop `table` when `name`'s leaves break.
-
-    The first leaf each table certifies has degree n (the first label is
-    ((n,), (), ...)).  x1_1^n is dominant: its term joins a row, and only
-    the orbit count sees that x1_2^n .. x1_n^n do not follow it.  x1_2^n is
-    not: its lookup finds a different coefficient at x1_1^n.  Either way the
-    message names a monomial whose coefficient differs from its
-    per-color-sorted monomial's.
-    """
-    for variable, named in (("x1_1", rf"x1_[2-{n}]\^{n}"), ("x1_2", rf"x1_2\^{n}")):
-        table.cache_clear()
-        # a table the broken expansion slipped through must not reach later tests
-        try:
-            with monkeypatch.context() as patch:
-                _break_color_symmetry(patch, name, variable)
-                with pytest.raises(
-                    ConsistencyError,
-                    match=rf"not symmetric within each color at monomial {named}$",
-                ):
-                    table(m, n)
-        finally:
-            table.cache_clear()
+    monkeypatch.setattr(symfunc, "_q_leaf", corrupted)
+    table = hecke_character_table(m, n)
+    assert hecke_identity_violations(table) == [((n,),) + ((),) * (m - 1)]
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
-def test_hecke_certificate_rejects_asymmetric_q_bmu(monkeypatch, m, n):
-    _assert_certificate_rejects(monkeypatch, hecke_character_table, "q_bmu", m, n)
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3)])
+def test_a_wrong_root_fails_the_wreath_audit(monkeypatch, uncached_tables, m, n):
+    # the root of color 1 in each P_a^(1) written zeta^(+ij) = zeta: a wrong
+    # basis of the wreath solve, so every row comes out wrong
+    from superfrob import symfunc
 
+    original = symfunc._power_leaf
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
-def test_hecke_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
-    _assert_certificate_rejects(monkeypatch, hecke_character_table, "super_schur", m, n)
+    def corrupted(a, i, block):
+        leaf = original(a, i, block)
+        if i == 1:
+            color_one = {
+                key for p in range(1, n + 1) for key in Poly.var(block.registry, f"x1_{p}", a).terms
+            }
+            root = {0: CyclotomicNumber.zeta(m, 1)}
+            leaf = {x: root if x in color_one else rest for x, rest in leaf.items()}
+        return leaf
+
+    monkeypatch.setattr(symfunc, "_power_leaf", corrupted)
+    table = wreath_character_table(m, n)
+    assert wreath_identity_violations(table) == list(table.rows)
 
 
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
@@ -350,37 +373,15 @@ def test_each_table_makes_one_exact_solve(monkeypatch, table, m, n):
     assert calls == [len(multipartitions(m, n))]
 
 
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
-def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, m, n):
-    _assert_certificate_rejects(monkeypatch, wreath_character_table, "super_schur", m, n)
-
-
-@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
-def test_wreath_certificate_rejects_asymmetric_power_sums(monkeypatch, m, n):
-    _assert_certificate_rejects(
-        monkeypatch, wreath_character_table, "colored_power_sum_product", m, n
-    )
-
-
-# -- the one-pass symmetry certificate against the all-row check ------------
-
-CERTIFIED_BLOCKS = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2)]
+# -- the table block's products against the all-row check ----------------------
 
 
 def _color_sorted(mono, m, n):
     return sum((tuple(sorted(mono[i * n : (i + 1) * n], reverse=True)) for i in range(m)), ())
 
 
-def _color_orbits(m, n):
-    """Per-color-sorted x-monomial of degree n -> the monomials it stands for."""
-    orbits = {}
-    for mono in compositions(n, m * n):
-        orbits.setdefault(_color_sorted(mono, m, n), []).append(mono)
-    return orbits
-
-
 def _all_row_coordinates(f, block, n):
-    """The all-row certificate that the one-pass certificate replaced, kept as a reference.
+    """The all-row check of a full product's symmetry, a reference for the table block's reads.
 
     Every group of f's terms on the x variables must be a monomial of degree
     n, and every monomial row must equal the row of its per-color-sorted
@@ -402,117 +403,6 @@ def _all_row_coordinates(f, block, n):
         grouped.get(sum((part + (0,) * (n - len(part)) for part in bl), ()), zero)
         for bl in multipartitions(m, n)
     ]
-
-
-def _failing_monomials(f, block, n):
-    """Printed monomials whose coefficient differs from their per-color-sorted monomial's."""
-    m, lo = block.m, 1 + block.m  # solve-block layout: q, Q_1..Q_m, then the x variables
-    orbits = _color_orbits(m, n)
-    terms = f.decoded_terms()
-    candidates = set(terms)
-    for exps in terms:
-        for member in orbits.get(_color_sorted(exps[lo:], m, n), ()):
-            candidates.add(exps[:lo] + member)
-    return {
-        str(Poly(block.registry, {exps: 1}))
-        for exps in candidates
-        if terms.get(exps, 0) != terms.get(exps[:lo] + _color_sorted(exps[lo:], m, n), 0)
-    }
-
-
-@st.composite
-def perturbed_symmetric_expansions(draw):
-    """A random per-color-symmetric expansion on a table block, perhaps perturbed once."""
-    m, n = draw(st.sampled_from(CERTIFIED_BLOCKS))
-    block = _table_block(m, n)
-    lo = 1 + m
-    kind = draw(st.sampled_from(["int", "fraction", "cyclotomic"]))
-    small = st.integers(min_value=-4, max_value=4)
-
-    def coefficient():
-        a = draw(small)
-        if kind == "int":
-            return a
-        if kind == "fraction":
-            return Fraction(a, draw(st.integers(min_value=1, max_value=4)))
-        return CyclotomicNumber(3, [a, draw(small)])
-
-    def q_part():
-        return (draw(st.integers(min_value=-2, max_value=2)),) + tuple(
-            draw(st.integers(min_value=0, max_value=2)) for _ in range(m)
-        )
-
-    orbits = _color_orbits(m, n)
-    terms = {}
-    reps = draw(st.lists(st.sampled_from(sorted(orbits)), min_size=1, max_size=4, unique=True))
-    for rep in reps:
-        for _ in range(draw(st.integers(min_value=1, max_value=2))):
-            front, value = q_part(), coefficient()
-            for member in orbits[rep]:
-                terms[front + member] = terms.get(front + member, 0) + value
-    terms = {exps: c for exps, c in terms.items() if c}
-
-    def x_part(exps):
-        return exps[lo:]
-
-    perturbation = draw(
-        st.sampled_from(["none", "change", "drop", "dominant", "degree", "negative"])
-    )
-    if perturbation == "change":
-        # a term off the dominant monomials gets another coefficient
-        choices = sorted(e for e in terms if x_part(e) != _color_sorted(x_part(e), m, n))
-        if choices:
-            exps = draw(st.sampled_from(choices))
-            terms[exps] = terms[exps] + draw(small.filter(bool))
-    elif perturbation == "drop":
-        # one member of an orbit of more than one monomial goes missing
-        choices = sorted(
-            e for e in terms if len(orbits[_color_sorted(x_part(e), m, n)]) > 1
-        )
-        if choices:
-            del terms[draw(st.sampled_from(choices))]
-    elif perturbation == "dominant":
-        exps = q_part() + draw(st.sampled_from(sorted(orbits)))
-        terms[exps] = terms.get(exps, 0) + draw(small.filter(bool))
-    elif perturbation == "degree":
-        x = [0] * (m * n)
-        x[draw(st.integers(min_value=0, max_value=m * n - 1))] = n + draw(
-            st.sampled_from([-1, 1])
-        )
-        terms[q_part() + tuple(x)] = 1
-    elif perturbation == "negative":
-        # total degree n, but one exponent is negative
-        x = [0] * (m * n)
-        x[0] = -1
-        x[-1] += n + 1
-        terms[q_part() + tuple(x)] = 1
-    encode = block.registry.encode
-    return Poly._raw(block.registry, {encode(e): c for e, c in terms.items() if c}), block, n
-
-
-def _table_coordinates(f, block, n):
-    """The tables' path for one leaf f of x-degree n: certify it, multiply, read the product."""
-    return coordinates_on_degree(pruned_product([certify_leaf(f, n, block)], block), n, block)
-
-
-@settings(max_examples=200, deadline=None)
-@given(perturbed_symmetric_expansions())
-def test_one_pass_certificate_agrees_with_the_all_row_check(case):
-    f, block, n = case
-    try:
-        expected = _all_row_coordinates(f, block, n)
-    except ConsistencyError as error:
-        with pytest.raises(ConsistencyError) as raised:
-            _table_coordinates(f, block, n)
-        message = str(raised.value)
-        if str(error).startswith("non-homogeneous"):
-            assert message.startswith("non-homogeneous")
-        else:
-            head, _, monomial = message.partition(" at monomial ")
-            assert head == "expansion is not symmetric within each color"
-            assert monomial in _failing_monomials(f, block, n)
-    else:
-        assert _table_coordinates(f, block, n) == expected
 
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 2)])

@@ -1,11 +1,10 @@
 """Tests for symmetric and supersymmetric function expansions."""
 
-import itertools
-import math
+import collections
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superfrob import symfunc
 from superfrob.combinat import (
@@ -23,7 +22,6 @@ from superfrob.symfunc import (
     BlockVariables,
     ConsistencyError,
     ShapeError,
-    certify_leaf,
     colored_power_sum,
     colored_power_sum_product,
     complete_homogeneous,
@@ -566,20 +564,36 @@ def test_coordinates_on_degree():
         coordinates_on_degree(f, 2, make_block((2,), (0,)))
 
 
-@pytest.mark.parametrize("m,n,degrees", [(2, 4, range(5)), (3, 3, range(5)), (1, 6, [6])])
-def test_x_part_orbit_sizes_count_the_distinct_permutations_within_colors(m, n, degrees):
-    # certify_leaf's count relies on these sizes: one too small would hide a missing member
+@pytest.mark.parametrize(
+    "m,n,degrees",
+    [(2, 4, range(5)), (3, 3, range(5)), (1, 6, [6])],
+    ids=["2-4", "3-3", "1-6"],
+)
+def test_x_part_map_sorts_within_colors_and_fits_by_hulls(m, n, degrees):
     block = pruned_block(m, n)
     front = (0,) * (1 + m)  # block layout: q, Q_1..Q_m, then n x variables per color
     for degree in degrees:
         for mono in compositions(degree, m * n):
             x = block.registry.encode(front + mono)
-            x_degree, delta, size, fits = symfunc._x_part(x, block)
-            orbits = [set(itertools.permutations(mono[c * n : (c + 1) * n])) for c in range(m)]
+            x_degree, delta, fits = symfunc._x_part(x, block)
+            sorted_mono = sum(
+                (tuple(sorted(mono[c * n : (c + 1) * n], reverse=True)) for c in range(m)), ()
+            )
             assert x_degree == degree
-            assert size == math.prod(len(orbit) for orbit in orbits), mono
-            assert block.registry.decode(x + delta) == front + sum(map(max, orbits), ()), mono
+            assert block.registry.decode(x + delta) == front + sorted_mono, mono
             assert fits == hull_fits(front + mono, m, n), mono
+
+
+def fitting_leaf(f, block):
+    """f cut to the monomials that fit, as ``{x part: {rest: coefficient}}``."""
+    m, n = block.m, block.dominant_degree
+    encode = block.registry.encode
+    leaf = {}
+    for exps, coeff in f.decoded_terms().items():
+        if hull_fits(exps, m, n):
+            x, rest = exps[1 + m :], exps[: 1 + m]  # block layout: q, Q_1..Q_m, then the x's
+            leaf.setdefault(encode((0,) * (1 + m) + x), {})[encode(rest + (0,) * len(x))] = coeff
+    return leaf
 
 
 @st.composite
@@ -599,7 +613,7 @@ def pruned_factors(draw):
             leaf = super_schur_component(shape, block, color)
         else:
             leaf = colored_power_sum(degree, color, block)
-        factors.append((leaf, degree))
+        factors.append(leaf)
         budget -= degree
         if not draw(st.booleans()):
             break
@@ -612,38 +626,49 @@ def test_pruned_product_is_the_full_product_on_the_monomials_that_fit(case):
     block, factors = case
     m, n = block.m, block.dominant_degree
     full = Poly.one(block.registry)
-    for leaf, _ in factors:
+    for leaf in factors:
         full = full * leaf
-    pruned = pruned_product([certify_leaf(leaf, degree, block) for leaf, degree in factors], block)
+    pruned = pruned_product([fitting_leaf(leaf, block) for leaf in factors], block)
     expected = {e: c for e, c in full.decoded_terms().items() if hull_fits(e, m, n)}
     assert pruned.decoded_terms() == expected
 
 
-def test_certify_leaf_refuses_an_asymmetric_leaf():
-    block = pruned_block(2, 3)
-    leaf = q_n_i(2, 1, block)
-    certify_leaf(leaf, 2, block)
-    # x1_2^2 gets a coefficient that x1_1^2, in its orbit, does not
-    corrupted = leaf + Poly.var(block.registry, "x1_2", 2)
-    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
-        certify_leaf(corrupted, 2, block)
-    with pytest.raises(ConsistencyError, match="non-homogeneous"):
-        certify_leaf(leaf, 3, block)
-    with pytest.raises(StructuralError):
-        certify_leaf(leaf, 2, make_block((3, 3), (0, 0)))
+@st.composite
+def closed_form_leaves(draw):
+    """A leaf kind, m <= 3, n <= 4, a part size d <= n, a color and, for a Schur leaf, a shape."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=n))
+    color = draw(st.integers(min_value=1, max_value=m))
+    kind = draw(st.sampled_from(["q", "schur", "power"]))
+    shape = draw(st.sampled_from(partitions(d))) if kind == "schur" else None
+    return kind, m, n, d, color, shape
 
 
-def test_products_on_a_pruning_block_certify_their_leaves(monkeypatch):
-    q_n_i_full = symfunc.q_n_i
-
-    def corrupted(n, i, block):
-        return q_n_i_full(n, i, block) + Poly.var(block.registry, "x1_2", n)
-
-    monkeypatch.setattr(symfunc, "q_n_i", corrupted)
-    with pytest.raises(ConsistencyError, match="not symmetric within each color"):
-        q_bmu(((2,), (1,)), pruned_block(2, 3))
-    # a full block multiplies the same leaves without a certificate
-    q_bmu(((2,), (1,)), make_block((3, 3), (0, 0)))
+@settings(max_examples=80, deadline=None)
+@given(closed_form_leaves())
+# at m = 3, P_1^(1) has root zeta^(-2) = zeta at color 2: a root written zeta^(+ij) fails here
+@example(("power", 3, 2, 1, 1, None))
+def test_each_closed_form_leaf_is_its_series_or_strip_leaf_on_the_monomials_that_fit(case):
+    kind, m, n, d, color, shape = case
+    block = pruned_block(m, n)
+    full = make_block((n,) * m, (0,) * m)
+    if kind == "q":
+        written, built = symfunc._q_leaf(d, color, block), q_n_i(d, color, full)
+    elif kind == "schur":
+        written = symfunc._schur_leaf(shape, color, block)
+        built = super_schur_component(shape, full, color, "branching")
+        # the Kostka count equals the number of semistandard fillings of each content
+        fillings = collections.Counter(
+            tuple(sum(row.count(v) for row in tableau) for v in range(1, n + 1))
+            for tableau in super_tableaux(shape, n, 0)
+        )
+        for content, count in fillings.items():
+            partition = tuple(sorted(filter(None, content), reverse=True))
+            assert symfunc._kostka(shape, partition) == count, (shape, content)
+    else:
+        written, built = symfunc._power_leaf(d, color, block), colored_power_sum(d, color, full)
+    assert pruned_product([written], block) == pruned_product([fitting_leaf(built, block)], block)
 
 
 def test_pruning_blocks_need_an_all_even_profile():
