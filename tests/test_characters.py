@@ -313,6 +313,116 @@ def test_a_wrong_root_fails_the_wreath_audit(monkeypatch, uncached_tables, m, n)
     assert wreath_identity_violations(table) == list(table.rows)
 
 
+# the series, strip and power-sum leaves that each product multiplies on a
+# full block; the table block writes its leaves from closed forms instead
+LEAF_BUILDERS = {
+    "q_bmu": "q_n_i",
+    "super_schur": "super_schur_component",
+    "colored_power_sum_product": "colored_power_sum",
+}
+
+
+def _break_color_symmetry(monkeypatch, name, variable):
+    """Add variable^d, without its permutations, to every leaf of degree d of product `name`."""
+    from superfrob import symfunc
+
+    original = getattr(symfunc, LEAF_BUILDERS[name])
+
+    def asymmetric(first, *rest):
+        # q_n_i(n, i, block), colored_power_sum(a, i, block) or
+        # super_schur_component(shape, block, color, algorithm)
+        degree = first if isinstance(first, int) else sum(first)
+        block = next(arg for arg in rest if isinstance(arg, BlockVariables))
+        return original(first, *rest) + Poly.var(block.registry, variable, degree)
+
+    monkeypatch.setattr(symfunc, LEAF_BUILDERS[name], asymmetric)
+
+
+def _assert_certificate_rejects(monkeypatch, table, audit, labels, name, m, n):
+    """`audit` names the labels of `table` whose full-block products read `name`'s broken leaves.
+
+    The table block never calls the full-block leaf builders, so the table is
+    the one built from the unbroken leaves; the identity audit rebuilds both
+    sides on the full solve block, where x1_1^n (dominant) or x1_2^n (not)
+    gets a coefficient that the rest of its orbit does not.
+    """
+    expected = table(m, n)
+    for variable in ("x1_1", "x1_2"):
+        table.cache_clear()
+        with monkeypatch.context() as patch:
+            _break_color_symmetry(patch, name, variable)
+            built = table(m, n)
+            assert built.entries == expected.entries
+            assert audit(built) == labels(built)
+
+
+def _all_columns(table):
+    return list(table.cols)
+
+
+def _all_rows(table):
+    return list(table.rows)
+
+
+def _rows_with_a_last_color(table):
+    # variable^a added to every P_a^(i) is one more variable of root
+    # zeta^0 = 1, so the sums read S_bl on the last color's alphabet with it
+    # joined: only the rows with a nonempty last partition change
+    return [bl for bl in table.rows if bl[-1]]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_hecke_certificate_rejects_asymmetric_q_bmu(monkeypatch, uncached_tables, m, n):
+    _assert_certificate_rejects(
+        monkeypatch,
+        hecke_character_table,
+        hecke_identity_violations,
+        _all_columns,
+        "q_bmu",
+        m,
+        n,
+    )
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_hecke_certificate_rejects_asymmetric_super_schur(monkeypatch, uncached_tables, m, n):
+    _assert_certificate_rejects(
+        monkeypatch,
+        hecke_character_table,
+        hecke_identity_violations,
+        _all_columns,
+        "super_schur",
+        m,
+        n,
+    )
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_wreath_certificate_rejects_asymmetric_super_schur(monkeypatch, uncached_tables, m, n):
+    _assert_certificate_rejects(
+        monkeypatch,
+        wreath_character_table,
+        wreath_identity_violations,
+        _all_rows,
+        "super_schur",
+        m,
+        n,
+    )
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
+def test_wreath_certificate_rejects_asymmetric_power_sums(monkeypatch, uncached_tables, m, n):
+    _assert_certificate_rejects(
+        monkeypatch,
+        wreath_character_table,
+        wreath_identity_violations,
+        _rows_with_a_last_color,
+        "colored_power_sum_product",
+        m,
+        n,
+    )
+
+
 @pytest.mark.parametrize("m,n", [(1, 2), (2, 2), (3, 2)])
 def test_hecke_table_rejects_non_integer_character_values(monkeypatch, m, n):
     # halving every q_bmu halves every character value, so some coefficient
