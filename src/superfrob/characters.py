@@ -17,11 +17,12 @@ closed forms.
 Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
 of the wreath product W_{m,n}.
 
-The same wreath table is recomputed independently from the colored power sum
-expansion of the super Schur functions; agreement of the two routes is one of
-the package's cross-checks.  Both routes read their products on the dominant
-monomials alone and solve in one exact elimination (:func:`_express`), which
-refuses a character value that is not integral.
+The same wreath table is recomputed independently by expanding the colored
+power sums over the super Schur functions; agreement of the two routes is one
+of the package's cross-checks.  Both routes read their products on the
+dominant monomials alone and solve against the same integer matrix in one
+exact elimination (:func:`_express`), which refuses a character value that is
+not integral.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 from superfrob.combinat import (
@@ -166,11 +168,14 @@ def _express(targets: dict, basis: dict, block: BlockVariables) -> list[list[Pol
 
     ``targets`` and ``basis`` map labels to products on :func:`_table_block`,
     read on its dominant monomials (:func:`superfrob.symfunc.coordinates_on_degree`):
-    scalars for the basis, polynomials in (q, Q) for a target.  The solve takes
-    one scalar right-hand side per target and (q, Q) monomial of its
-    coordinates, and each coefficient is rebuilt as a polynomial from its
-    target's solutions.  The coefficients are character values, so a solved
-    value that is not an int, or a cyclotomic number with int coefficients,
+    int scalars for the basis, polynomials in (q, Q) for a target.  The solve
+    takes one scalar right-hand side per target and (q, Q) monomial of its
+    coordinates.  A target coordinate in Q(zeta_m) is split into its
+    euler_phi(m) coefficients over 1, zeta_m, ..., one right-hand side each:
+    the basis matrix is integral and the solve linear over Q, so each
+    coefficient is solved slot by slot and the system stays over Z.  Each
+    coefficient is rebuilt as a polynomial from its target's solutions.  The
+    coefficients are character values, so a solved value that is not an int
     raises ConsistencyError.
     """
     n = block.dominant_degree
@@ -179,29 +184,49 @@ def _express(targets: dict, basis: dict, block: BlockVariables) -> list[list[Pol
     ]
     coordinates = [coordinates_on_degree(f, n, block) for f in targets.values()]
     monomials = [list(dict.fromkeys(e for c in coords for e in c.terms)) for coords in coordinates]
-    values = iter(
-        solve_linear_exact(
-            [list(row) for row in zip(*columns)],
-            [
-                [c.terms.get(e, 0) for c in coords]
-                for coords, exps in zip(coordinates, monomials)
-                for e in exps
-            ],
-        )
-    )
+    # the targets' coefficients: int, or Z[zeta_m] for the colored power sums at m >= 3
+    m = block.m
+    cyclotomic = CyclotomicNumber in {
+        type(value) for coords in coordinates for c in coords for value in c.terms.values()
+    }
+    if cyclotomic:
+        width = euler_phi(m)
+        rhs = [
+            column
+            for coords, exps in zip(coordinates, monomials)
+            for e in exps
+            for column in zip(*(_coefficient_vector(c.terms.get(e, 0), m) for c in coords))
+        ]
+    else:
+        width = 1
+        rhs = [
+            [c.terms.get(e, 0) for c in coords]
+            for coords, exps in zip(coordinates, monomials)
+            for e in exps
+        ]
+    solved = iter(solve_linear_exact([list(row) for row in zip(*columns)], rhs))
+    labels = list(basis)
+    integral = {int}.issuperset
     expressed = []
     for target, exps in zip(targets, monomials):
-        parts = [next(values) for _ in exps]
-        for part in parts:
-            for label, value in zip(basis, part):
-                if type(value) is not int and not (
-                    isinstance(value, CyclotomicNumber)
-                    and all(type(c) is int for c in value.coeffs)
-                ):
-                    raise ConsistencyError(
-                        f"non-integer character value for {label} in the expansion of {target}: "
-                        f"{value!r}"
+        parts = []
+        for _ in exps:
+            slots = list(islice(solved, width))
+            for vector in slots:
+                if not integral(map(type, vector)):
+                    r = next(r for r, value in enumerate(vector) if type(value) is not int)
+                    value = (
+                        CyclotomicNumber._raw(m, tuple(s[r] for s in slots))
+                        if cyclotomic
+                        else vector[r]
                     )
+                    raise ConsistencyError(
+                        f"non-integer character value for {labels[r]} in the expansion of "
+                        f"{target}: {value!r}"
+                    )
+            parts.append(
+                [CyclotomicNumber._raw(m, v) for v in zip(*slots)] if cyclotomic else slots[0]
+            )
         expressed.append(
             [
                 Poly._raw(block.registry, {e: part[r] for e, part in zip(exps, parts) if part[r]})
@@ -335,26 +360,26 @@ def specialize_table(table: CharacterTable) -> CharacterTable:
 def wreath_character_table(m: int, n: int) -> CharacterTable:
     """W_{m,n} character table from the colored power sum expansion.
 
-    S_bl = sum_bmu Z_bmu^-1 chi^bl(bmu) P_bmu, times ``common = lcm(Z_bmu)``:
-    chi^bl(bmu) is the coefficient of ``(common // Z_bmu) P_bmu`` in
-    ``common S_bl`` (:func:`_express`), and the system stays integral (over
-    Z[zeta]).  Both sides are products of leaves, P_a^(i) and the one-color
-    Schur factors, each symmetric within each color by construction.
+    P_bmu = sum_bl conj(chi^bl(bmu)) S_bl, by the orthogonality of the
+    characters, with P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)) as in
+    :func:`superfrob.symfunc.colored_power_sum`, the conjugate of what q_a^(i)
+    becomes at q = 1 and Q_j = zeta^j.  So conj(chi^bl(bmu)) is the
+    coefficient of S_bl in P_bmu (:func:`_express`), solved against the same
+    integer matrix of super Schur coordinates as the Hecke table, one
+    Z[zeta_m] coefficient at a time.  Both sides are products of leaves,
+    P_a^(i) and the one-color Schur factors, each symmetric within each color
+    by construction.
     """
     block = _table_block(m, n)
     labels = multipartitions(m, n)
-    orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
-    common = math.lcm(*orders)
-    rows = _express(
-        {bshape: super_schur(bshape, block) * common for bshape in labels},
-        {
-            bmu: colored_power_sum_product(bmu, block) * (common // order)
-            for bmu, order in zip(labels, orders)
-        },
+    columns = _express(
+        {bmu: colored_power_sum_product(bmu, block) for bmu in labels},
+        {bshape: super_schur(bshape, block) for bshape in labels},
         block,
     )
-    # below m = 3 the power sums have rational coefficients, so the solve returns ints
-    entries = [[_as_cyclotomic(f.constant_value(), m) for f in row] for row in rows]
+    entries = [
+        [_as_cyclotomic(f.constant_value(), m).conjugate() for f in row] for row in zip(*columns)
+    ]
     return _character_table(block, entries, True)
 
 
@@ -363,9 +388,9 @@ def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
 
     Audit of :func:`wreath_character_table` against the identity it was
     solved from, as an exact polynomial equality: every monomial row is
-    checked and no symmetry within colors is assumed.  As in the solve, both
-    sides are multiplied by ``common = lcm(Z_bmu)``, so the weights
-    ``common // Z_bmu`` are integers.  The sums run per monomial key on
+    checked and no symmetry within colors is assumed.  Both sides are
+    multiplied by ``common = lcm(Z_bmu)``, so the weights ``common // Z_bmu``
+    are integers.  The sums run per monomial key on
     Z[zeta_m] coefficient vectors, the solver's representation: each key's
     column of weighted power-sum coefficients is laid out once by
     :func:`_product_slots`, and each row's sum is one :func:`_product_sum`

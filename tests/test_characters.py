@@ -242,7 +242,7 @@ def uncached_tables():
     "m,n,shape,content",
     [(1, 3, (2, 1), (1, 1, 1)), (2, 2, (2,), (1, 1)), (3, 2, (2,), (1, 1))],
 )
-def test_a_wrong_kostka_count_fails_the_audits_dual_path_and_orthogonality(
+def test_a_wrong_kostka_count_fails_audits_and_orthogonality(
     monkeypatch, uncached_tables, m, n, shape, content
 ):
     # K_{shape, content} lies below the diagonal of the unitriangular Kostka
@@ -256,13 +256,17 @@ def test_a_wrong_kostka_count_fails_the_audits_dual_path_and_orthogonality(
         symfunc, "_kostka", lambda s, c: original(s, c) + ((s, c) == (shape, content))
     )
     try:
-        # the wreath route reads the count in its targets S_bl, the Hecke route in its basis
+        # both routes read the count in their basis S_bl: the wreath audit,
+        # per row bl, names the rows of the dominant monomial `content`
         wreath = wreath_character_table(m, n)
-        assert wreath_identity_violations(wreath) == [bl for bl in wreath.rows if shape in bl]
+        assert wreath_identity_violations(wreath) == [bl for bl in wreath.rows if content in bl]
         assert hecke_identity_violations(hecke_character_table(m, n))
         results = suite_orthogonality(SuiteConfig(m, n, (1,) * m, (0,) * m))
         failed = {r.name for r in results if not r.passed}
-        assert {"dual-path", "row-orthogonality"} <= failed
+        # dual-path cannot see a wrong K: both routes divide by it, and
+        # spec(Q) K^-1 equals conj(P) K^-1 for any K when spec(Q) = conj(P);
+        # the identity audits, frobenius/main-theorem and these three still see it
+        assert {"row-orthogonality", "column-orthogonality", "degree-column"} <= failed
     finally:
         original.cache_clear()
 
@@ -292,10 +296,13 @@ def test_a_wrong_q_coefficient_fails_the_hecke_audit_at_its_column(
 
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3)])
 def test_a_wrong_root_fails_the_wreath_audit(monkeypatch, uncached_tables, m, n):
-    # the root of color 1 in each P_a^(1) written zeta^(+ij) = zeta: a wrong
-    # basis of the wreath solve, so every row comes out wrong
+    # the root of color 1 in each P_a^(1) written zeta^(+ij) = zeta: wrong
+    # targets of the wreath solve, so the rows that read them come out wrong
     from superfrob import symfunc
+    from superfrob.suites import SuiteConfig, suite_orthogonality
 
+    clean = wreath_character_table(m, n)
+    wreath_character_table.cache_clear()
     original = symfunc._power_leaf
 
     def corrupted(a, i, block):
@@ -310,7 +317,13 @@ def test_a_wrong_root_fails_the_wreath_audit(monkeypatch, uncached_tables, m, n)
 
     monkeypatch.setattr(symfunc, "_power_leaf", corrupted)
     table = wreath_character_table(m, n)
-    assert wreath_identity_violations(table) == list(table.rows)
+    changed = [
+        bl for bl, row, clean_row in zip(table.rows, table.entries, clean.entries) if row != clean_row
+    ]
+    assert changed
+    assert wreath_identity_violations(table) == changed
+    results = suite_orthogonality(SuiteConfig(m, n, (1,) * m, (0,) * m))
+    assert "dual-path" in {r.name for r in results if not r.passed}
 
 
 # the series, strip and power-sum leaves that each product multiplies on a
@@ -443,21 +456,40 @@ def test_hecke_table_rejects_non_integer_character_values(monkeypatch, m, n):
         hecke_character_table.cache_clear()
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
-def test_wreath_table_rejects_non_integer_character_values(monkeypatch, m, n):
-    # doubling every P_bmu halves every character value; over Q(zeta_3) too
+def _scaled_power_sums(monkeypatch, factor):
+    """Every P_bmu of the wreath table multiplied by ``factor``, the table uncached."""
     from superfrob import characters
 
     original = characters.colored_power_sum_product
 
-    def doubled(bmu, block):
-        return 2 * original(bmu, block)
+    def scaled(bmu, block):
+        return factor * original(bmu, block)
 
-    monkeypatch.setattr(characters, "colored_power_sum_product", doubled)
+    monkeypatch.setattr(characters, "colored_power_sum_product", scaled)
     wreath_character_table.cache_clear()
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+def test_wreath_table_rejects_non_integer_character_values(monkeypatch, m, n):
+    # halving every P_bmu halves every character value; over Q(zeta_3) too
+    _scaled_power_sums(monkeypatch, Fraction(1, 2))
     try:
         with pytest.raises(ConsistencyError, match="non-integer character value"):
             wreath_character_table(m, n)
+    finally:
+        wreath_character_table.cache_clear()
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2)])
+def test_a_doubled_wreath_table_fails_degrees_and_orthogonality(monkeypatch, m, n):
+    # doubling every P_bmu doubles every value, still integral: the degree
+    # column and both orthogonality audits refuse the table
+    _scaled_power_sums(monkeypatch, 2)
+    try:
+        table = wreath_character_table(m, n)
+        assert not degrees_match_counts(table)
+        assert not verify_orthogonality(table).passed
+        assert not verify_column_orthogonality(table).passed
     finally:
         wreath_character_table.cache_clear()
 
@@ -672,6 +704,32 @@ def test_wreath_table_matches_specialized_hecke(m, n):
     for r in range(len(via_power_sums.rows)):
         for c in range(len(via_power_sums.cols)):
             assert via_power_sums.entries[r][c] == via_specialization.entries[r][c]
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3)])
+def test_power_sums_expand_over_the_conjugated_characters(m, n):
+    # with P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)), P_bmu = sum_bl conj(chi^bl(bmu)) S_bl;
+    # the unconjugated sum differs, so a table that keeps its solved values
+    # without conjugating them fails this
+    block = _table_block(m, n)
+    table = wreath_character_table(m, n)
+
+    def read(f):
+        return [c.constant_value() for c in coordinates_on_degree(f, n, block)]
+
+    schur = [read(super_schur(bl, block)) for bl in table.rows]
+
+    def expansion(coefficients):
+        # the coordinates of sum_bl coefficients[bl] S_bl
+        return [sum(v * s[k] for v, s in zip(coefficients, schur)) for k in range(len(schur))]
+
+    unconjugated = []
+    for c, bmu in enumerate(table.cols):
+        values = [row[c] for row in table.entries]
+        power = read(colored_power_sum_product(bmu, block))
+        assert power == expansion([v.conjugate() for v in values])
+        unconjugated.append(power == expansion(values))
+    assert not all(unconjugated)
 
 
 def test_wreath_character_single_values():

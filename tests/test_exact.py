@@ -482,13 +482,44 @@ def test_a_row_that_is_a_ring_multiple_of_another_is_singular(system, data):
         solve_linear_exact(A, columns)
 
 
+def _weighted_wreath_system(m: int, n: int):
+    """The (m, n) wreath table as a Z[zeta_m] system: common * S_bl over (common // Z_bmu) * P_bmu.
+
+    ``common`` is the lcm of the centralizer orders Z_bmu; the solution for
+    the right-hand side of bl is the table's row bl.  Its matrix holds the
+    dominant coordinates of the weighted colored power sums.
+    """
+    import math
+
+    from superfrob.characters import _table_block
+    from superfrob.combinat import centralizer_order_wreath, multipartitions
+    from superfrob.symfunc import colored_power_sum_product, coordinates_on_degree, super_schur
+
+    block = _table_block(m, n)
+    labels = multipartitions(m, n)
+    orders = [centralizer_order_wreath(bmu, m) for bmu in labels]
+    common = math.lcm(*orders)
+
+    def read(f):
+        return [c.constant_value() for c in coordinates_on_degree(f, n, block)]
+
+    columns = [
+        read(colored_power_sum_product(bmu, block) * (common // order))
+        for bmu, order in zip(labels, orders)
+    ]
+    A = [list(row) for row in zip(*columns)]
+    return A, [read(super_schur(bl, block) * common) for bl in labels]
+
+
 def test_a_corrupted_pivot_quotient_raises(monkeypatch):
     # every division by the previous pivot is checked exact, so a wrong
-    # cofactor of a pivot stops the wreath solve instead of giving a table
+    # cofactor of a pivot stops a Z[zeta_3] elimination instead of giving values
     from superfrob import exact
     from superfrob.characters import wreath_character_table
 
-    assert wreath_character_table.__wrapped__(3, 2).entries
+    A, columns = _weighted_wreath_system(3, 2)
+    assert any(isinstance(v, CyclotomicNumber) and not v.is_rational() for row in A for v in row)
+    assert solve_linear_exact(A, columns) == wreath_character_table(3, 2).entries
     original = exact._conjugate_product
 
     def corrupted(m, a):
@@ -497,7 +528,7 @@ def test_a_corrupted_pivot_quotient_raises(monkeypatch):
 
     monkeypatch.setattr(exact, "_conjugate_product", corrupted)
     with pytest.raises(DomainError, match="nonzero remainder"):
-        wreath_character_table.__wrapped__(3, 2)
+        solve_linear_exact(A, columns)
 
 
 # -- the registry codec and the general product ------------------------------
