@@ -386,15 +386,15 @@ def wreath_character_table(m: int, n: int) -> CharacterTable:
 def wreath_identity_violations(table: CharacterTable) -> list[Multipartition]:
     """Rows bl where S_bl != sum_bmu chi^bl(bmu) Z_bmu^-1 P_bmu on the solve block.
 
-    Audit of :func:`wreath_character_table` against the identity it was
-    solved from, as an exact polynomial equality: every monomial row is
-    checked and no symmetry within colors is assumed.  Both sides are
-    multiplied by ``common = lcm(Z_bmu)``, so the weights ``common // Z_bmu``
-    are integers.  The sums run per monomial key on
-    Z[zeta_m] coefficient vectors, the solver's representation: each key's
-    column of weighted power-sum coefficients is laid out once by
-    :func:`_product_slots`, and each row's sum is one :func:`_product_sum`
-    of the row's flat coefficients with it.
+    Audit of :func:`wreath_character_table` against the inverse of the
+    expansion it was solved from (each P_bmu over the S_bl), as an exact
+    polynomial equality: every monomial row is checked and no symmetry
+    within colors is assumed.  Both sides are multiplied by
+    ``common = lcm(Z_bmu)``, so the weights ``common // Z_bmu`` are integers.
+    The sums run per monomial key on Z[zeta_m] coefficient vectors, as in
+    the orthogonality audits: each key's column of weighted power-sum
+    coefficients is laid out once by :func:`_product_slots`, and each row's
+    sum is one :func:`_product_sum` of the row's flat coefficients with it.
     """
     m = table.m
     block = solve_block(m, table.n)

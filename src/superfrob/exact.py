@@ -22,11 +22,10 @@ into its neighbour.
 Phi_m is z^m - 1 divided exactly by each monic Phi_d, d | m, d < m.
 Cyclotomic numbers multiply through one tuple-level kernel on their
 coefficient vectors; beside it, one product-sum kernel gives the reduced
-sum_k u_k * w_k for the character audits.  :func:`solve_linear_exact` also
-multiplies through the kernel: it takes scalar right-hand sides only,
-clears each row of its denominators, holds every entry as an integer or an
-integer coefficient vector over Z[zeta_m], and runs a fraction-free
-elimination in which every division is checked exact.
+sum_k u_k * w_k for the character audits.  :func:`solve_linear_exact` solves
+square rational systems only: it clears each row of its denominators and
+runs a fraction-free elimination over Z in which every division is checked
+exact.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -39,7 +38,6 @@ import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 
@@ -677,13 +675,6 @@ class CyclotomicNumber:
         """zeta_m^power for the fixed primitive m-th root of unity zeta_m."""
         return cls._raw(order, _zeta_powers(order)[power % order])
 
-    @classmethod
-    def from_slots(cls, order: int, slots: Sequence) -> "CyclotomicNumber":
-        """sum_k slots[k] zeta^k over the rational slots 0 <= k < order."""
-        if len(slots) != order:
-            raise StructuralError(f"need {order} slots for order {order}, got {len(slots)}")
-        return cls._raw(order, _cyclo_reduce(order, [_rational(slot) for slot in slots]))
-
     # -- helpers -----------------------------------------------------------
 
     def _align(self, other):
@@ -857,128 +848,63 @@ def _coefficient_vector(value, m: int) -> tuple:
     return (_rational(value),) + (0,) * (euler_phi(m) - 1)
 
 
-def _solve_field(A, rhs_rows) -> tuple[int | None, list[int]]:
-    """The system's cyclotomic order (None if rational) and each augmented row's denominator lcm."""
-    orders: set[int] = set()
-    first = None
-    denominators = []
-    for row, rhs in zip(A, rhs_rows):
-        den = 1
-        for value in chain(row, rhs):
-            if type(value) is int:
-                continue
-            if isinstance(value, CyclotomicNumber):
-                first = first or value.order
-                if not value.is_rational():
-                    orders.add(value.order)
-                parts = value.coeffs
-            else:
-                parts = (_rational(value),)
-            for c in parts:
-                if isinstance(c, Fraction):
-                    den = math.lcm(den, c.denominator)
-        denominators.append(den)
-    if len(orders) > 1:
-        raise StructuralError("cyclotomic orders differ")
-    return (orders.pop() if orders else first), denominators
+def _cleared(values) -> list[int]:
+    """A row of rationals times the lcm of its denominators: a row of ints."""
+    den = 1
+    for value in values:
+        if type(value) is not int:
+            den = math.lcm(den, _rational(value).denominator)
+    # den clears every denominator of the row, so each product is integral
+    return [value * den if type(value) is int else (value * den).numerator for value in values]
+
+
+def _exact_quotient(value: int, divisor: int) -> int:
+    if divisor == 1:
+        return value
+    quotient, remainder = divmod(value, divisor)
+    if remainder:
+        raise DomainError("inexact elimination step: nonzero remainder")
+    return quotient
 
 
 def solve_linear_exact(
     A: Sequence[Sequence[object]], rhs_columns: Sequence[Sequence[object]]
 ) -> list[list]:
-    """Solve the square system A x = b exactly for every right-hand side b in ``rhs_columns``.
+    """Solve the square rational system A x = b exactly for each b in ``rhs_columns``.
 
-    ``A`` and the right-hand sides hold field scalars: int, Fraction or
-    CyclotomicNumber of one order m; any other entry, a polynomial among
-    them, is a :class:`StructuralError`.  Each row of the augmented system is
-    first cleared of its denominators, so every entry is an integer, or an
-    integer coefficient vector over Z[zeta_m].  One fraction-free
-    Gauss-Jordan elimination (Bareiss) then runs on ``A`` and applies each
-    row operation to all right-hand sides together: a row with entry f != 0
-    in the pivot column becomes ``(p * row - f * pivot_row) / p_j``, for the
-    pivot p and the pivot p_j of the step that last changed the row.  Each
-    such division is an exact quotient in the ring, taken as the product
-    with p_j's other Galois conjugates followed by an integer divmod by
-    p_j's norm; a nonzero remainder raises :class:`DomainError`.  Only the
-    last step, which divides each solution row by its pivot, makes field
-    values.  Integral values come back as ``int``, also inside cyclotomic
-    entries.  A non-square ``A`` is a :class:`StructuralError`, a
-    singular one a :class:`SingularMatrixError`.
+    ``A`` and the right-hand sides hold rationals, int or Fraction; any
+    other entry, a polynomial or a cyclotomic number among them, is a
+    :class:`StructuralError`.  Each row of the augmented system is first
+    cleared of its denominators, so every entry is an integer.  One
+    fraction-free Gauss-Jordan elimination (Bareiss) over Z then runs on
+    ``A`` and applies each row operation to all right-hand sides together: a
+    row with entry f != 0 in the pivot column becomes
+    ``(p * row - f * pivot_row) / p_j``, for the pivot p and the pivot p_j of
+    the step that last changed the row.  Each such division is checked
+    exact: a nonzero remainder raises :class:`DomainError`.  Only the last
+    step, which divides each solution row by its pivot, makes fractions;
+    integral values come back as ``int``.  A non-square ``A`` is a
+    :class:`StructuralError`, a singular one a :class:`SingularMatrixError`.
     """
     size = len(A)
     if any(len(row) != size for row in A):
         raise StructuralError("coefficient matrix is not square")
     if any(len(b) != size for b in rhs_columns):
         raise StructuralError("matrix and right-hand side differ in length")
-    # rhs_rows[r] holds row r of every right-hand side
-    rhs_rows = [[b[r] for b in rhs_columns] for r in range(size)]
-    order, denominators = _solve_field(A, rhs_rows)
-    # a rational system runs in Z, the ring of integers of Q(zeta_1)
-    m = order or 1
-    phi = euler_phi(m)
-
-    if phi == 1:
-        one, zero = 1, 0
-        mul = operator.mul
-
-        def combine(ps, x, fs, y):
-            return ps * x - fs * y
-
-        def divide(value, norm):
-            if norm == 1:
-                return value
-            quotient, remainder = divmod(value, norm)
-            if remainder:
-                raise DomainError("inexact elimination step: nonzero remainder")
-            return quotient
-
-    else:
-        one, zero = (1,) + (0,) * (phi - 1), (0,) * phi
-
-        def mul(a, b):
-            return _cyclo_mul(m, a, b)
-
-        def combine(ps, x, fs, y):
-            return tuple(map(operator.sub, _cyclo_mul(m, ps, x), _cyclo_mul(m, fs, y)))
-
-        def divide(value, norm):
-            if norm == 1:
-                return value
-            out = []
-            for c in value:
-                quotient, remainder = divmod(c, norm)
-                if remainder:
-                    raise DomainError("inexact elimination step: nonzero remainder")
-                out.append(quotient)
-            return tuple(out)
-
-    def to_ring(value, den):
-        if type(value) is int and phi == 1:
-            return value * den
-        # den clears every denominator of the row, so each product is integral
-        cleared = tuple(
-            c * den if type(c) is int else (c * den).numerator
-            for c in _coefficient_vector(value, m)
-        )
-        return cleared if phi > 1 else cleared[0]
-
-    # each row: A's row, then the row of every right-hand side
-    mat = [
-        [to_ring(value, den) for value in chain(row, rhs)]
-        for row, rhs, den in zip(A, rhs_rows, denominators)
-    ]
+    # each row: A's row, then row r of every right-hand side
+    mat = [_cleared([*row, *(b[r] for b in rhs_columns)]) for r, row in enumerate(A)]
 
     # Plain Bareiss scales a row with f = 0 by p_k / p_{k-1} at step k.  Those
     # scalings are left out: a row last changed at step j holds its step-j
     # entries, and its entries at a later step k are those times p_k / p_j; so
     # its next update divides by p_j instead of p_{k-1}, and a pivot row is
-    # scaled up to step k - 1 before use.  1 / p_j is cofactors[j] / norms[j].
-    pivots, cofactors, norms = [one], [one], [1]
+    # scaled up to step k - 1 before use.
+    pivots = [1]
     stage = [0] * size
     free = list(range(size))
     pivot_rows = []
     for col in range(size):
-        pivot = next((r for r in free if mat[r][col] != zero), None)
+        pivot = next((r for r in free if mat[r][col]), None)
         if pivot is None:
             raise SingularMatrixError(f"no pivot available for column {col}")
         free.remove(pivot)
@@ -987,39 +913,24 @@ def solve_linear_exact(
         j = stage[pivot]
         if j != k - 1:
             # the pivot row's entries at step k - 1
-            scale, norm = mul(pivots[k - 1], cofactors[j]), norms[j]
-            mat[pivot][col:] = [divide(mul(scale, x), norm) for x in mat[pivot][col:]]
+            scale, previous = pivots[k - 1], pivots[j]
+            mat[pivot][col:] = [_exact_quotient(scale * x, previous) for x in mat[pivot][col:]]
         p = mat[pivot][col]
         tail = mat[pivot][col + 1 :]
         for r in range(size):
             f = mat[r][col]
-            if r == pivot or f == zero:
+            if r == pivot or not f:
                 continue
-            j = stage[r]
-            ps, fs, norm = mul(p, cofactors[j]), mul(f, cofactors[j]), norms[j]
+            previous = pivots[stage[r]]
             mat[r][col + 1 :] = [
-                divide(combine(ps, x, fs, y), norm) for x, y in zip(mat[r][col + 1 :], tail)
+                _exact_quotient(p * x - f * y, previous) for x, y in zip(mat[r][col + 1 :], tail)
             ]
             stage[r] = k
         stage[pivot] = k
         pivots.append(p)
-        cofactor, norm = (one, p) if phi == 1 else _conjugate_product(m, p)
-        cofactors.append(cofactor)
-        norms.append(norm)
 
     # the pivot row of each column, last changed at step j, reads p_j * e_col | p_j * x
-    if phi == 1:
-
-        def field(value, j):
-            quotient = _quotient(value, norms[j])
-            return quotient if order is None else CyclotomicNumber._raw(m, (quotient,))
-
-    else:
-
-        def field(value, j):
-            product = _cyclo_mul(m, value, cofactors[j])
-            return CyclotomicNumber._raw(m, tuple(_quotient(c, norms[j]) for c in product))
-
     return [
-        [field(mat[r][size + c], stage[r]) for r in pivot_rows] for c in range(len(rhs_columns))
+        [_quotient(mat[r][size + c], pivots[stage[r]]) for r in pivot_rows]
+        for c in range(len(rhs_columns))
     ]

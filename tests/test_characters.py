@@ -696,7 +696,7 @@ def test_wreath_table_m1_matches_mn():
                 assert value == reference[r][c]
 
 
-@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (2, 3)])
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 1), (2, 3), (4, 2), (5, 2), (6, 2)])
 def test_wreath_table_matches_specialized_hecke(m, n):
     via_power_sums = wreath_character_table(m, n)
     via_specialization = specialize_table(hecke_character_table(m, n))
