@@ -47,7 +47,15 @@ from superfrob.symfunc import (
     super_power_sum_product,
     super_schur,
 )
-from superfrob.tensorrep import FlatVector, TensorContext, apply_word, standard_word, trace_D_word
+from superfrob.tensorrep import (
+    FlatVector,
+    OperatorWord,
+    TensorContext,
+    _nonzero,
+    apply_word,
+    standard_word,
+    trace_D_word,
+)
 
 SUITE_NAMES = ("relations", "frobenius", "orthogonality", "identities", "all")
 
@@ -89,41 +97,61 @@ def _combine(*pairs: tuple[Poly, FlatVector]) -> FlatVector:
             for (tup, key), coeff in vec.items():
                 entry = (tup, key + shift)
                 out[entry] = get(entry, 0) + coeff * factor
-    return {entry: value for entry, value in out.items() if value}
+    return _nonzero(out)
 
 
-def _first_failure(ctx: TensorContext, residual) -> tuple[int, ...] | None:
-    """The first basis tuple, in ``ctx.basis()`` order, on which a relation fails.
+def _first_failure(
+    ctx: TensorContext, entries, first: tuple[int, ...] | None
+) -> tuple[int, ...] | None:
+    """The earliest, in ``ctx.basis()`` order, of ``first`` and the columns
+    that a relation's residual ``entries`` name.
 
-    ``residual(v)`` is the flat difference of the relation's two sides on
-    v = sum_j c^j e_j, the tagged generating vector of one weight space's
-    columns (:meth:`TensorContext.tagged_spaces`).  No operator touches the
-    tag, so by linearity the tag-j part of the residual is the difference on
-    column j, and column j fails when that part is nonzero; each entry reads
-    its column from its tag, ``homes[(key + bias) >> shift]``, as in
-    :func:`tensorrep._diagonal`.
+    The residual is taken on v = sum_j c^j e_j, the tagged generating vector
+    of one weight space's columns (:meth:`TensorContext.tagged_spaces`).  No
+    operator touches the tag, so by linearity the tag-j part of the residual
+    is the difference on column j, and column j fails when that part is
+    nonzero; each entry reads its column from its tag,
+    ``homes[(key + bias) >> shift]``, as in :func:`tensorrep._diagonal`.
+    ``ctx.basis()`` runs through the tuples in lexicographic order, so the
+    earlier of two tuples is the smaller.
     """
     shift, bias = ctx.registry.tag_codec()
-    homes, spaces = ctx.tagged_spaces()
-    failing = {
-        homes[(key + bias) >> shift]
-        for _, generating in spaces
-        for _, key in residual(generating)
-    }
-    if not failing:
-        return None
-    return next(tup for tup in ctx.basis() if tup in failing)
+    homes = ctx.tagged_spaces()[0]
+    for _, key in entries:
+        tup = homes[(key + bias) >> shift]
+        if first is None or tup < first:
+            first = tup
+    return first
+
+
+def _image(ctx: TensorContext, memo: dict, word: OperatorWord) -> FlatVector:
+    """The image of one weight space's generating vector ``memo[()]`` under a
+    word: its leftmost atom applied, through ``apply_word``, to the image of
+    the rest, so each sub-word's image is computed once and kept in ``memo``."""
+    image = memo.get(word)
+    if image is None:
+        image = memo[word] = apply_word(ctx, word[:1], _image(ctx, memo, word[1:]))
+    return image
 
 
 def suite_relations(config: SuiteConfig) -> list[CheckResult]:
     """Every relation is checked on each basis vector, through the tagged
-    generating vector of its weight space (one word application per weight
-    space and side), on flat vectors from end to end.
+    generating vector of its weight space, on flat vectors from end to end.
 
-    Each check lists its relations as (failure template, residual) pairs,
-    the residual the flat difference of the two sides; the first failing
-    relation names its first failing basis tuple in the template, and a
-    check with no failure reports its pass detail.
+    The weight spaces are walked once.  Each space keeps the images of its
+    generating vector by sub-word (:func:`_image`) until the next space, so
+    T_a v, T_1 v, D v and shared suffixes such as T_1 T_2 v are computed once
+    per space and read by every relation of every check; no two spaces' images
+    are held at once.
+
+    Each check lists its relations as (failure template, sides) pairs.  The
+    sides of a relation read the space's images and return its two flat
+    sides, which are compared as dicts; only on a mismatch is their flat
+    difference formed, to find the failing columns.  The first failing
+    relation names its first failing basis tuple in the template, and a check
+    with no failure reports its pass detail.  A check's seconds are the time
+    it spent on each space, so an image counts in the first check that reads
+    it.
     """
     ctx = TensorContext(BlockVariables(config.profile), config.n)
     n = config.n
@@ -133,26 +161,24 @@ def suite_relations(config: SuiteConfig) -> list[CheckResult]:
     D = ("D",)
 
     def agree(label, word_a, word_b):
-        def residual(v):
-            lhs, rhs = apply_word(ctx, word_a, v), apply_word(ctx, word_b, v)
-            return _combine((one, lhs), (minus_one, rhs))
-
-        return label + "mismatch on basis vector {}", residual
+        return label + "mismatch on basis vector {}", lambda image: (image(word_a), image(word_b))
 
     def quadratic(a):
-        def residual(v):
-            Tv = apply_word(ctx, (T[a],), v)
-            return _combine(
-                (one, apply_word(ctx, (T[a],), Tv)), (-ctx.q_minus_q_inv, Tv), (minus_one, v)
+        def sides(image):
+            return image((T[a], T[a])), _combine(
+                (ctx.q_minus_q_inv, image((T[a],))), (one, image(()))
             )
 
-        return f"T_{a}^2 != (q-q^-1)T_{a} + 1 on {{}}", residual
+        return f"T_{a}^2 != (q-q^-1)T_{a} + 1 on {{}}", sides
 
-    def cyclotomic(acc):
-        # one factor (T_1 - Q_i) at a time
-        for i in range(1, config.m + 1):
-            acc = _combine((one, apply_word(ctx, (T[1],), acc)), (-ctx.Q[i], acc))
-        return acc
+    def cyclotomic(image):
+        # prod (T_1 - Q_i) v = 0 as T_1 w = Q_m w, w the product of the other
+        # factors on v, taken one at a time; the first reads the shared T_1 v
+        w, T1_w = image(()), image((T[1],))
+        for i in range(1, config.m):
+            w = _combine((one, T1_w), (-ctx.Q[i], w))
+            T1_w = apply_word(ctx, (T[1],), w)
+        return T1_w, _combine((ctx.Q[config.m], w))
 
     checks = {
         "quadratic": ([quadratic(a) for a in range(2, n + 1)], f"T_a quadratic for a=2..{n}"),
@@ -187,14 +213,32 @@ def suite_relations(config: SuiteConfig) -> list[CheckResult]:
         ),
     }
 
-    def check(relations, passed):
-        for template, residual in relations:
-            tup = _first_failure(ctx, residual)
-            if tup is not None:
-                return False, template.format(tup)
-        return True, passed
+    clock = time.perf_counter
+    seconds = dict.fromkeys(checks, 0.0)
+    # per check, per relation: its first failing basis tuple so far
+    failures = {name: [None] * len(relations) for name, (relations, _) in checks.items()}
+    for _, generating in ctx.tagged_spaces()[1]:
+        image = partial(_image, ctx, {(): generating})
+        for name, (relations, _) in checks.items():
+            start = clock()
+            first = failures[name]
+            for r, (_, sides) in enumerate(relations):
+                lhs, rhs = sides(image)
+                if lhs != rhs:
+                    residual = _combine((one, lhs), (minus_one, rhs))
+                    first[r] = _first_failure(ctx, residual, first[r])
+            seconds[name] += clock() - start
 
-    return [_timed(name, partial(check, *entry)) for name, entry in checks.items()]
+    results = []
+    for name, (relations, passed) in checks.items():
+        details = [
+            template.format(tup)
+            for (template, _), tup in zip(relations, failures[name])
+            if tup is not None
+        ]
+        detail = details[0] if details else passed
+        results.append(CheckResult(name, not details, detail, seconds[name]))
+    return results
 
 
 # -- frobenius -----------------------------------------------------------------

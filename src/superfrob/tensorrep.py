@@ -18,7 +18,10 @@ column's own, so :func:`trace_D_word` scales each column's diagonal entry by
 Q_{color(home[position])}^power as it reads it.  What is left of the word
 is its T-part, and the context keeps each T-part's diagonal, so words that
 share one run its action once (:meth:`TensorContext.traced_diagonal`).
-``apply_word`` never prunes or folds.
+``apply_word`` never prunes or folds; it runs each atom's kernel, checked and
+built once per context (:meth:`TensorContext.kernel`).  The rows of T_1 are
+built per weight space, from one tagged generating vector of the space's
+distinct orderings (:meth:`TensorContext.T1_row`).
 
 Every operator acts on the flat form of a vector: a sparse integer (or, on
 the classical path, cyclotomic) combination of basis pairs (index tuple,
@@ -80,6 +83,8 @@ class TensorContext:
         # the D kernel's table: each tuple's eigenvalue terms, read without a sort
         self._d_terms: dict[tuple[int, ...], EncodedTerms] = {}
         self._T1_rows: dict[tuple[int, ...], tuple] = {}
+        # per atom, its checked flat kernel as apply_word runs it
+        self._kernels: dict[OperatorAtom, Kernel] = {}
         self._weight_spaces: tuple | None = None
         self._tagged_spaces: tuple | None = None
         # per tag, the colors of its home column's indices, built with the homes
@@ -135,17 +140,43 @@ class TensorContext:
 
     def T1_row(self, tup: tuple[int, ...]) -> tuple:
         """The flat image of the basis pair (tup, 1) under T_1 = T_2^-1 ... T_n^-1
-        S_n ... S_2 Omega_1, computed by those kernels on first use and then read
-        from a table."""
+        S_n ... S_2 Omega_1, then read from a table.
+
+        On a miss the rows of tup's whole weight space are built at once:
+        those kernels run on the space's generating vector sum_j c^j e_j over
+        its distinct orderings, c^j a tag digit that no kernel shift reaches
+        (:meth:`VariableRegistry.tag_codec`), so by linearity the tag-j part
+        of the image is column j's row.
+        """
         row = self._T1_rows.get(tup)
         if row is None:
-            image = _Omega_kernel(self, 1, 1, {(tup, 0): 1})
+            shift, bias = self.registry.tag_codec()
+            columns = tuple(_arrangements(sorted(tup)))
+            tags = [j << shift for j in range(len(columns))]
+            image = {(column, tag): 1 for column, tag in zip(columns, tags)}
+            image = _Omega_kernel(self, 1, 1, image)
             for a in range(2, self.n + 1):
                 image = _S_kernel(self, a, image)
             for a in range(self.n, 1, -1):
                 image = _T_inv_kernel(self, a, image)
-            row = self._T1_rows[tup] = tuple(image.items())
+            rows: list[list] = [[] for _ in columns]
+            for (image_tup, tagged), coeff in image.items():
+                j = (tagged + bias) >> shift
+                rows[j].append(((image_tup, tagged - tags[j]), coeff))
+            for column, entries in zip(columns, rows):
+                self._T1_rows[column] = tuple(entries)
+            row = self._T1_rows[tup]
         return row
+
+    def kernel(self, atom: OperatorAtom) -> Kernel:
+        """The flat kernel of one atom, checked by :func:`_moves` and built on
+        first use, then read from a table."""
+        atom = tuple(atom)
+        kernel = self._kernels.get(atom)
+        if kernel is None:
+            _moves(self, atom)
+            kernel = self._kernels[atom] = _kernel(self, atom)
+        return kernel
 
     def basis(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(range(1, self.size + 1), repeat=self.n)
@@ -190,9 +221,27 @@ class TensorContext:
         diagonal = self._diagonals.get(t_part)
         if diagonal is None:
             diagonal = self._diagonals[t_part] = _diagonal(
-                self, _word_kernel(self, t_part, traced=True)
+                self, _word_kernel(self, t_part)
             )
         return diagonal
+
+
+def _arrangements(weight: list[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a sorted list, in lexicographic order (next
+    permutation: raise the last ascent, then sort the tail)."""
+    items = list(weight)
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = reversed(items[i + 1 :])
 
 
 def _accumulate(acc: dict, key, value):
@@ -208,7 +257,13 @@ def _accumulate(acc: dict, key, value):
 # -- kernels: one per operator, on the flat form -----------------------------------
 #
 # Each kernel reads its per-call constants once, before the entry loop, and
-# accumulates in place; a sum that cancels is dropped once, on return.
+# accumulates in place; a sum that cancels is dropped once, on return
+# (:func:`_nonzero`).
+
+
+def _nonzero(out: FlatVector) -> FlatVector:
+    """out without the entries whose sums cancelled, rebuilt only when one did."""
+    return out if all(out.values()) else {entry: value for entry, value in out.items() if value}
 
 
 def _phi_s_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
@@ -276,7 +331,7 @@ def _T_kernel(
             for shift, scalar in mixed:
                 entry = (tup, key + shift)
                 out[entry] = get(entry, 0) + coeff * scalar
-    return {entry: value for entry, value in out.items() if value}
+    return _nonzero(out)
 
 
 def _S_kernel(
@@ -307,7 +362,7 @@ def _T_inv_kernel(ctx: TensorContext, a: int, vec: FlatVector) -> FlatVector:
             for shift, scalar in mixed:
                 entry = (tup, key + shift)
                 out[entry] = get(entry, 0) - coeff * scalar
-    return {entry: value for entry, value in out.items() if value}
+    return _nonzero(out)
 
 
 def _Omega_kernel(ctx: TensorContext, j: int, power: int, vec: FlatVector) -> FlatVector:
@@ -337,7 +392,7 @@ def _T1_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
         for (image, shift), scalar in row:
             entry = (image, key + shift)
             out[entry] = get(entry, 0) + coeff * scalar
-    return {entry: value for entry, value in out.items() if value}
+    return _nonzero(out)
 
 
 def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
@@ -352,7 +407,7 @@ def _D_kernel(ctx: TensorContext, vec: FlatVector) -> FlatVector:
         for shift, scalar in terms:
             entry = (tup, key + shift)
             out[entry] = get(entry, 0) + coeff * scalar
-    return {entry: value for entry, value in out.items() if value}
+    return _nonzero(out)
 
 
 _GENERATORS = {
@@ -410,19 +465,17 @@ def _kernel(ctx: TensorContext, atom: OperatorAtom, later: set[int] | None = Non
     return partial(_D_kernel, ctx)
 
 
-def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool = False) -> Kernel:
-    """The word's action right-to-left (the rightmost atom acts first).
-
-    ``traced`` builds the action a trace runs on tagged generating vectors:
-    each T and S step prunes at the positions that no atom acting after it
-    moves (:func:`_moves`).
+def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom]) -> Kernel:
+    """The action a trace runs on tagged generating vectors, right-to-left (the
+    rightmost atom acts first): each T and S step prunes at the positions that
+    no atom acting after it moves (:func:`_moves`).
     """
     steps = []
     # the atoms left of an atom act after it
     later: set[int] = set()
     for atom in word:
         moved = _moves(ctx, atom)
-        steps.append(_kernel(ctx, atom, later if traced else None))
+        steps.append(_kernel(ctx, atom, later))
         later.update(moved)
     steps.reverse()
 
@@ -438,8 +491,15 @@ def _word_kernel(ctx: TensorContext, word: Sequence[OperatorAtom], traced: bool 
 
 def apply_word(ctx: TensorContext, word: Sequence[OperatorAtom], vec: FlatVector) -> FlatVector:
     """Apply a word of atoms to a flat vector, right-to-left (the rightmost atom
-    acts first); one atom is a one-atom word, e.g. (("T", 2),)."""
-    return _word_kernel(ctx, word)(vec)
+    acts first); one atom is a one-atom word, e.g. (("T", 2),).  Every atom is
+    checked before any acts, and each runs its context's kept kernel
+    (:meth:`TensorContext.kernel`)."""
+    steps = [ctx.kernel(atom) for atom in word]
+    for step in reversed(steps):
+        if not vec:
+            break
+        vec = step(vec)
+    return vec
 
 
 def standard_word(bmu: Multipartition, n: int) -> OperatorWord:
@@ -477,7 +537,7 @@ def _diagonal(ctx: TensorContext, action: Kernel) -> Diagonal:
     untagged, weighted by their tuple's D eigenvalue (read once per weight
     space: it depends only on the weight) and summed per color pattern.
 
-    The T-operator action prunes on the way (``_word_kernel(traced=True)``):
+    The T-operator action prunes on the way (:func:`_word_kernel`):
     a T or S step drops an output entry whose tuple differs from its home at
     a position that no later atom moves.  This is exact because every kernel
     maps a tuple only to itself or to its swap at the positions its atom

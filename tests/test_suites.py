@@ -1,5 +1,8 @@
 """The verification suites pass on small configurations."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 import superfrob.suites
@@ -70,6 +73,39 @@ def test_frobenius_suite_computes_each_trace_once(monkeypatch):
     )
     results = suite_frobenius(config)
     assert [r.passed for r in results] == [False, False]
+
+
+def test_relations_walk_each_weight_space_once_sharing_its_images(monkeypatch):
+    config = SuiteConfig(m=2, n=4, bk=(1, 1), bl=(1, 0))
+    true_apply = superfrob.suites.apply_word
+    calls = []
+
+    def recorded(ctx, word, vec):
+        calls.append((ctx, word, vec))
+        return true_apply(ctx, word, vec)
+
+    monkeypatch.setattr(superfrob.suites, "apply_word", recorded)
+    results = suite_relations(config)
+    assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
+    ctx = calls[0][0]
+    generating = {weight: vec for weight, vec in ctx.tagged_spaces()[1]}
+    walk, one_atom = [], Counter()
+    for _, word, vec in calls:
+        # every input lies in one weight space: the images held at once are one
+        # space's (the cyclotomic product vanishes early on a one-color space)
+        weights = {tuple(sorted(tup)) for tup, _ in vec}
+        assert len(weights) <= 1, word
+        if not weights:
+            continue
+        (weight,) = weights
+        walk.append(weight)
+        if vec == generating[weight]:
+            one_atom[weight, word] += 1
+    # the spaces are walked once each, and each one-atom image of a space's
+    # generating vector is computed once there
+    assert len([weight for weight, _ in itertools.groupby(walk)]) == len(generating)
+    atoms = [("T1",), ("D",)] + [("T", a) for a in range(2, config.n + 1)]
+    assert one_atom == Counter({(weight, (atom,)): 1 for weight in generating for atom in atoms})
 
 
 # -- relation failures name the first failing basis tuple -------------------------
@@ -156,6 +192,10 @@ def _per_basis_failures(config):
         (("T", 2), {"quadratic", "braid", "commutation", "type-b-braid"}),
         (("T1",), {"type-b-braid", "cyclotomic"}),
         (("D",), {"d-commutation"}),
+        # a corrupted image that several relations share: T_3 v is read by both
+        # braid relations, T_4 v by one of them and by the commutation pair
+        (("T", 3), {"quadratic", "braid"}),
+        (("T", 4), {"quadratic", "braid", "commutation"}),
     ],
 )
 def test_relation_failures_name_the_first_failing_basis_tuple(monkeypatch, atom, affected):

@@ -138,6 +138,28 @@ def test_T1_n1_equals_Omega1():
         assert vec_equal(apply_word(ctx, (("T1",),), v), apply_word(ctx, (("omega", 1, 1),), v))
 
 
+@pytest.mark.parametrize("bk,bl,n", [((1, 1), (1, 0), 3), ((1, 0, 1), (0, 1, 0), 2)])
+def test_T1_rows_built_per_weight_space_equal_the_one_tuple_chain(bk, bl, n):
+    def one_tuple_chain(ctx, tup):
+        # Omega_1, then S_2 .. S_n, then T_n^-1 .. T_2^-1 on the one basis pair
+        image = tensorrep._Omega_kernel(ctx, 1, 1, {(tup, 0): 1})
+        for a in range(2, ctx.n + 1):
+            image = tensorrep._S_kernel(ctx, a, image)
+        for a in range(ctx.n, 1, -1):
+            image = tensorrep._T_inv_kernel(ctx, a, image)
+        return image
+
+    ctx = make_ctx(bk, bl, n)
+    for tup in ctx.basis():
+        assert dict(ctx.T1_row(tup)) == one_tuple_chain(ctx, tup), tup
+    # a miss on a fresh context builds the rows of that tuple's weight space only
+    for tup in ctx.basis():
+        fresh = make_ctx(bk, bl, n)
+        fresh.T1_row(tup)
+        space = {other for other in ctx.basis() if sorted(other) == sorted(tup)}
+        assert set(fresh._T1_rows) == space, tup
+
+
 def test_cyclotomic_relation_annihilates():
     # (T_1 - Q_1)(T_1 - Q_2) = 0 on every basis vector, m = 2, n = 2
     ctx = make_ctx((1, 1), (1, 1), 2)
