@@ -329,14 +329,24 @@ def _specializer(m: int):
 
     Relies on the solve-block layout q, Q_1..Q_m first: each coefficient lands
     in the slot (sum_i i * e_{Q_i}) mod m of the power of zeta it multiplies.
+    Each key's slot is decoded once and kept in a dict per registry, looked
+    up once per entry; a key with an exponent past Q_m is never kept, so it
+    is refused in every entry that holds it.
     """
+    slot_memos: dict = {}
 
     def specialize(entry: Poly) -> CyclotomicNumber:
+        registry = entry.registry
+        slot_of = slot_memos.setdefault(registry, {})
         slots = [0] * m
-        for exps, coeff in entry.decoded_terms().items():
-            if any(exps[m + 1 :]):
-                raise DomainError(f"character entry {entry!r} is not in q and Q only")
-            slots[sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m] += coeff
+        for key, coeff in entry.terms.items():
+            slot = slot_of.get(key)
+            if slot is None:
+                exps = registry.decode(key)
+                if any(exps[m + 1 :]):
+                    raise DomainError(f"character entry {entry!r} is not in q and Q only")
+                slot = slot_of[key] = sum(i * e for i, e in enumerate(exps[1 : m + 1], 1)) % m
+            slots[slot] += coeff
         return CyclotomicNumber._raw(m, _cyclo_reduce(m, slots))
 
     return specialize

@@ -8,9 +8,10 @@ exponent-vector layout is fixed by a :class:`VariableRegistry`, and each
 monomial is stored as the int key of its exponent vector under the
 registry's linear codec (one 64-bit digit per variable, so a product of
 monomials is one int addition).  Exponent tuples are formed only at the
-boundary: by :meth:`Poly.decoded_terms`, which the term order of
-:meth:`Poly.sorted_terms` and printing, ``substitute`` and ``transport``
-read.  Negative exponents are permitted only at registry positions flagged
+boundary: by :meth:`Poly.decoded_terms`, which ``substitute`` and
+``transport`` read, and by :meth:`VariableRegistry.decode`, which the
+specialization and the printers call once per distinct key of a table.
+Negative exponents are permitted only at registry positions flagged
 invertible (in practice: the Hecke parameter q).
 
 The domain limits on exponents: a stored exponent must lie in the signed
@@ -25,7 +26,7 @@ coefficient vectors; beside it, one product-sum kernel gives the reduced
 sum_k u_k * w_k for the character audits.  :func:`solve_linear_exact` solves
 square rational systems only: it clears each row of its denominators and
 runs a fraction-free elimination over Z in which every division is checked
-exact.
+exact, apart from a division by 1, which is skipped.
 
 All values are immutable after construction and all operations are pure
 functions, so concurrent use needs no coordination.
@@ -497,12 +498,6 @@ class Poly:
         decode = self.registry.decode
         return {decode(key): coeff for key, coeff in self.terms.items()}
 
-    def sorted_terms(self):
-        """Terms in descending graded-lexicographic order over the registry layout."""
-        return sorted(
-            self.decoded_terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
-        )
-
     def __repr__(self) -> str:
         from superfrob.serialize import poly_to_string  # serialize imports this module
 
@@ -848,8 +843,11 @@ def _coefficient_vector(value, m: int) -> tuple:
     return (_rational(value),) + (0,) * (euler_phi(m) - 1)
 
 
-def _cleared(values) -> list[int]:
+def _cleared(values: list) -> list[int]:
     """A row of rationals times the lcm of its denominators: a row of ints."""
+    if {int}.issuperset(map(type, values)):
+        # the tables' rows: denominator 1, nothing to clear
+        return values
     den = 1
     for value in values:
         if type(value) is not int:
@@ -859,8 +857,6 @@ def _cleared(values) -> list[int]:
 
 
 def _exact_quotient(value: int, divisor: int) -> int:
-    if divisor == 1:
-        return value
     quotient, remainder = divmod(value, divisor)
     if remainder:
         raise DomainError("inexact elimination step: nonzero remainder")
@@ -883,8 +879,11 @@ def solve_linear_exact(
     the step that last changed the row.  Each such division is checked
     exact: a nonzero remainder raises :class:`DomainError`.  Only the last
     step, which divides each solution row by its pivot, makes fractions;
-    integral values come back as ``int``.  A non-square ``A`` is a
-    :class:`StructuralError`, a singular one a :class:`SingularMatrixError`.
+    integral values come back as ``int``.  A division by 1 is skipped, in
+    the elimination and in that last step, since it cannot leave a
+    remainder; on the unitriangular Kostka systems of the character tables
+    every divisor is 1.  A non-square ``A`` is a :class:`StructuralError`,
+    a singular one a :class:`SingularMatrixError`.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -910,11 +909,14 @@ def solve_linear_exact(
         free.remove(pivot)
         pivot_rows.append(pivot)
         k = len(pivots)
-        j = stage[pivot]
-        if j != k - 1:
+        scale, previous = pivots[k - 1], pivots[stage[pivot]]
+        if scale != previous:
             # the pivot row's entries at step k - 1
-            scale, previous = pivots[k - 1], pivots[j]
-            mat[pivot][col:] = [_exact_quotient(scale * x, previous) for x in mat[pivot][col:]]
+            row = mat[pivot]
+            if previous == 1:
+                row[col:] = [scale * x for x in row[col:]]
+            else:
+                row[col:] = [_exact_quotient(scale * x, previous) for x in row[col:]]
         p = mat[pivot][col]
         tail = mat[pivot][col + 1 :]
         for r in range(size):
@@ -922,15 +924,20 @@ def solve_linear_exact(
             if r == pivot or not f:
                 continue
             previous = pivots[stage[r]]
-            mat[r][col + 1 :] = [
-                _exact_quotient(p * x - f * y, previous) for x, y in zip(mat[r][col + 1 :], tail)
-            ]
+            if previous == 1:
+                mat[r][col + 1 :] = [p * x - f * y for x, y in zip(mat[r][col + 1 :], tail)]
+            else:
+                mat[r][col + 1 :] = [
+                    _exact_quotient(p * x - f * y, previous)
+                    for x, y in zip(mat[r][col + 1 :], tail)
+                ]
             stage[r] = k
         stage[pivot] = k
         pivots.append(p)
 
     # the pivot row of each column, last changed at step j, reads p_j * e_col | p_j * x
+    solved = [(mat[r], pivots[stage[r]]) for r in pivot_rows]
     return [
-        [_quotient(mat[r][size + c], pivots[stage[r]]) for r in pivot_rows]
+        [row[size + c] if p == 1 else _quotient(row[size + c], p) for row, p in solved]
         for c in range(len(rhs_columns))
     ]

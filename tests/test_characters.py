@@ -600,6 +600,27 @@ def test_specialization_rejects_block_variables():
         specialize_table(stray)
 
 
+def test_specialization_rejects_a_stray_term_after_clean_entries_with_its_keys():
+    # the specialiser keeps each key's zeta slot; the entry with x terms comes
+    # last, after the clean entries whose (q, Q) monomials its x terms carry
+    table = hecke_character_table(2, 2)
+    reg = table.entries[0][0].registry
+    entries = [list(row) for row in table.entries]
+    entries[-1][-1] = entries[-1][0] + entries[0][0] * Poly.var(reg, "x1_1")
+    stray = table._replace(entries=entries)
+    with pytest.raises(DomainError, match="not in q and Q only"):
+        specialize_table(stray)
+    # a refused key is never kept: one specialiser refuses it every time
+    from superfrob import characters
+
+    specialize = characters._specializer(2)
+    specialize(entries[0][0])
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not in q and Q only"):
+            specialize(entries[-1][-1])
+    assert specialize_table(table).entries[0][0] == specialize(entries[0][0])
+
+
 def test_entry_integrality():
     for m, n in [(1, 3), (2, 2), (3, 1)]:
         table = hecke_character_table(m, n)

@@ -2,10 +2,12 @@
 
 import cmath
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from superfrob import exact
 from superfrob.exact import (
     CyclotomicNumber,
     DomainError,
@@ -412,6 +414,75 @@ def test_joint_solve_matches_columnwise(rows, solutions, perturb):
         if perturb is None:
             for values, x in zip(solutions, joint):
                 assert x == [Fraction(v, c + 1) for c, v in enumerate(values)]
+
+
+
+def _counting_quotients():
+    """Patch the solve's checked division to record each divisor it is given."""
+    divisors = []
+    checked = exact._exact_quotient
+
+    def record(value, divisor):
+        divisors.append(divisor)
+        return checked(value, divisor)
+
+    return mock.patch.object(exact, "_exact_quotient", record), divisors
+
+
+@st.composite
+def unitriangular_systems(draw):
+    """A unit upper-triangular integer matrix under a row permutation, with 10+ right sides."""
+    size = draw(st.integers(1, 8))
+    upper = [
+        [int(i == j) if j <= i else draw(st.integers(-5, 5)) for j in range(size)]
+        for i in range(size)
+    ]
+    order = draw(st.permutations(range(size)))
+    # integer right sides, as the tables' monomial coordinates are
+    values = st.integers(-(2**70), 2**70)
+    column = st.lists(values, min_size=size, max_size=size)
+    columns = draw(st.lists(column, min_size=10, max_size=14))
+    return upper, order, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitriangular_systems())
+def test_unitriangular_solve_matches_back_substitution(system):
+    # the Kostka shape of every table solve: each divisor is 1, so no checked
+    # division runs, and the values are those of back-substitution over Q
+    upper, order, columns = system
+    A = [upper[i] for i in order]
+    patch, divisors = _counting_quotients()
+    with patch:
+        solved = solve_linear_exact(A, columns)
+    assert divisors == []
+    for column, x in zip(columns, solved):
+        # row r of A is row order[r] of the triangle
+        b = [0] * len(A)
+        for r, i in enumerate(order):
+            b[i] = Fraction(column[r])
+        expected = [Fraction(0)] * len(A)
+        for i in reversed(range(len(A))):
+            expected[i] = b[i] - sum(upper[i][j] * expected[j] for j in range(i + 1, len(A)))
+        assert x == expected
+        assert all(type(v) is int for v in x)
+
+
+def test_a_solve_mixing_unit_and_non_unit_pivots_checks_only_the_non_unit_divisions():
+    # pivots 1, -4, then rows changed at the -4 step are divided by it exactly
+    A = [[1, 2, 0], [3, 2, 1], [0, 1, 1]]
+    x = [Fraction(1, 3), -2, 5]
+    b = [sum(a * v for a, v in zip(row, x)) for row in A]
+    patch, divisors = _counting_quotients()
+    with patch:
+        assert solve_linear_exact(A, [b, [1, 0, 0]])[0] == x
+    assert divisors and 1 not in divisors
+
+
+def test_an_inexact_division_is_refused():
+    assert exact._exact_quotient(-12, 4) == -3
+    with pytest.raises(DomainError, match="nonzero remainder"):
+        exact._exact_quotient(7, 2)
 
 
 # -- the registry codec and the general product ------------------------------
