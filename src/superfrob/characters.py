@@ -9,9 +9,9 @@ the solve keeps one row per multipartition (its dominant monomial); the matrix
 is then square, a product of Kostka matrices.  Both sides are products of
 leaves, each written from a closed form whose coefficients depend only on
 the per-color sorted exponents, so symmetric within each color by
-construction, and only on the monomials that can still reach a dominant
-monomial; the products keep only those
-(:func:`superfrob.symfunc.pruned_product`).  The identity audits rebuild
+construction; each leaf and each partial product is kept at one dominant
+monomial per orbit, and the products are multiplied there
+(:func:`superfrob.symfunc._orbit_product`).  The identity audits rebuild
 both sides on full blocks by the series and strip paths, which checks the
 closed forms.
 Specializing q -> 1, Q_i -> zeta^i turns the result into the character table
@@ -154,9 +154,10 @@ def solve_block(m: int, n: int) -> BlockVariables:
 def _table_block(m: int, n: int) -> BlockVariables:
     """The block the tables build on: the solve profile, with dominant degree n.
 
-    Its products keep only the monomials that can still reach a dominant
-    monomial of x-degree n, from leaves written once each from their closed
-    forms (:func:`superfrob.symfunc.pruned_product`).
+    Its products of labels of size n are multiplied on orbit
+    representatives, from leaves written once each from their closed forms
+    (:func:`superfrob.symfunc._orbit_product`), and hold the dominant
+    monomials of x-degree n alone.
     """
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")

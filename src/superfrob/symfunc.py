@@ -24,11 +24,13 @@ The products ``q_bmu``, ``super_schur`` and ``colored_power_sum_product``
 multiply leaves that are each symmetric within each color: q_d^(i), the
 one-color super Schur factors and P_a^(i).  On any block but one with a
 dominant degree the leaves are built by the paths above and the product is
-the full one.  On a block with a dominant degree (the block the character
+the full one.  On a block with dominant degree n (the block the character
 tables build on, all-even) each leaf is written once from its closed form,
-whose coefficients depend only on the per-color sorted exponents, on the
-monomials that can still reach a dominant monomial of that degree, and the
-product keeps only those (:func:`pruned_product`).  The closed forms are
+whose coefficients depend only on the per-color sorted exponents, at one
+representative per orbit: the multipartition nu of its dominant monomial.
+The products are multiplied on those representatives, counting the splits
+of each nu (:func:`_orbit_product`), and a label of size n gives exactly
+the dominant monomials of degree n.  The closed forms are
 q^(d-1) Q_L^i (1 - q^-2)^(N-1) for q_d^(i) (:func:`_q_leaf`), Kostka numbers
 counted strip by strip for the Schur factors (:func:`_kostka`) and the
 roots of P_a^(i) (:func:`_power_leaf`); the full-block paths stay as their
@@ -37,6 +39,7 @@ independent cross-checks.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from functools import lru_cache, partial
@@ -48,6 +51,7 @@ from superfrob.combinat import (
     compositions,
     contains,
     multipartitions,
+    partitions,
     super_tableaux,
 )
 from superfrob.exact import (
@@ -82,10 +86,10 @@ class BlockVariables:
     (see :func:`_q_n_pieces`); and each ``q_n^(i)``.
 
     With ``dominant_degree`` n (all-even profiles only), the block's products
-    keep only the monomials that can still reach a dominant monomial of
-    x-degree n (:func:`pruned_product`); the block then also keeps each leaf,
-    written from its closed form on those monomials (:func:`_leaf_product`),
-    and its x-part map (:func:`_x_part`).
+    take labels of size n only and are multiplied on orbit representatives
+    (:func:`_orbit_product`), each returned on the dominant monomials of
+    x-degree n; the block then also keeps each leaf, written from its closed
+    form at one multipartition per orbit (:func:`_leaf_product`).
     """
 
     def __init__(
@@ -113,8 +117,7 @@ class BlockVariables:
         self._hl_by_color: dict[int, tuple[list[Poly], list[Poly] | None]] = {}
         self._q_n_by_degree: dict[int, dict[int, Poly]] = {}
         self._q_n_i: dict[tuple[int, int], Poly] = {}
-        self._leaves: dict[tuple, dict[int, dict[int, object]]] = {}
-        self._x_parts: dict[int, tuple] = {}
+        self._leaves: dict[tuple, dict[Multipartition, dict[int, object]]] = {}
 
     @property
     def m(self) -> int:
@@ -441,6 +444,7 @@ def super_schur(
         [
             (
                 ("s", shape, color),
+                sum(shape),
                 partial(super_schur_component, shape, block, color, algorithm),
                 partial(_schur_leaf, shape, color, block),
             )
@@ -479,6 +483,7 @@ def colored_power_sum_product(bmu: Multipartition, block: BlockVariables) -> Pol
         [
             (
                 ("p", part, i),
+                part,
                 partial(colored_power_sum, part, i, block),
                 partial(_power_leaf, part, i, block),
             )
@@ -588,7 +593,12 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
         raise ShapeError("component count does not match the block profile")
     return _leaf_product(
         [
-            (("q", part, i), partial(q_n_i, part, i, block), partial(_q_leaf, part, i, block))
+            (
+                ("q", part, i),
+                part,
+                partial(q_n_i, part, i, block),
+                partial(_q_leaf, part, i, block),
+            )
             for i, component in enumerate(bmu, start=1)
             for part in component
         ],
@@ -596,83 +606,25 @@ def q_bmu(bmu: Multipartition, block: BlockVariables) -> Poly:
     )
 
 
-# -- the x-part map of a table block ---------------------------------------------
+# -- products on orbit representatives of a table block ---------------------------
 
 
 @lru_cache(maxsize=None)
-def _dominant_keys(profile: HookProfile, degree: int) -> list[int]:
-    """The x-part keys of the x-monomials of ``degree`` decreasing within each color.
+def _dominant_keys(profile: HookProfile, degree: int) -> dict[Multipartition, int]:
+    """The key of each dominant x-monomial of ``degree``, by its multipartition.
 
-    One per multipartition of ``degree`` whose color-i partition has at most
-    k_i parts, each color's partition padded to k_i, in ``multipartitions``
+    A dominant monomial's exponents decrease within each color: one per
+    multipartition of ``degree`` whose color-i partition has at most k_i
+    parts, each color's partition padded to k_i, in ``multipartitions``
     order.  The profile must be all-even.
     """
-    registry = BlockVariables(profile).registry
+    encode = BlockVariables(profile).registry.encode
     front = (0,) * (1 + profile.m)  # block layout: q, Q_1..Q_m, then the x variables
-    return [
-        registry.encode(front + sum((p + (0,) * (k - len(p)) for p, k in zip(bl, profile.bk)), ()))
+    return {
+        bl: encode(front + sum((p + (0,) * (k - len(p)) for p, k in zip(bl, profile.bk)), ()))
         for bl in multipartitions(profile.m, degree)
         if all(len(p) <= k for p, k in zip(bl, profile.bk))
-    ]
-
-
-@lru_cache(maxsize=None)
-def _color_part(exps: tuple[int, ...]) -> tuple[int, int, int]:
-    """``(degree, delta, hull)`` of one color's exponent block, all exponents >= 0.
-
-    delta is the key difference, on the block's own digits (digit j worth
-    2^(64 j)), from the block to its decreasing sort; the hull is
-    sum_i max_{j >= i} a_j.
-    """
-    hull = top = 0
-    for a in reversed(exps):
-        if a > top:
-            top = a
-        hull += top
-    delta = sum(
-        (r - a) << (64 * j) for j, (r, a) in enumerate(zip(sorted(exps, reverse=True), exps))
-    )
-    return sum(exps), delta, hull
-
-
-def _x_part(x: int, block: BlockVariables) -> tuple:
-    """The entry of x-part key ``x`` in the block's x-part map, computed and kept on a miss.
-
-    The x part of a term is its key with every digit but the x variables' 0.
-    Its entry is ``(degree, delta, fits)``: its x-degree (None when an
-    exponent is negative, so that it has no degree); the key difference that
-    takes it to its per-color-sorted representative (each color's exponent
-    block sorted decreasingly; 0 for a representative, and adding it changes
-    no other digit); and whether it fits, its per-color hulls
-    h_i = max_{j >= i} a_j summing to at most the block's dominant degree.
-    Each is a sum over the colors of :func:`_color_part`.
-    """
-    exps = block.registry.decode(x)
-    if min(exps) < 0:  # only the x digits of an x part can be nonzero
-        entry = (None, 0, False)
-    else:
-        lo = 1 + block.m  # block layout: q, Q_1..Q_m, then the x variables color-major
-        degree = delta = hull = 0
-        for k in block.profile.bk:
-            d, local, h = _color_part(exps[lo : lo + k])
-            degree += d
-            delta += local << (64 * lo)
-            hull += h
-            lo += k
-        entry = (degree, delta, hull <= block.dominant_degree)
-    block._x_parts[x] = entry
-    return entry
-
-
-def _x_digits(block: BlockVariables) -> tuple[int, int, int, int]:
-    """:meth:`VariableRegistry.range_digits` of the x variables of a block with a dominant degree.
-
-    ``x = ((((key + bias) >> shift) & mask) << shift) - restore`` is a key's
-    x part, and ``key - x`` the rest, the key with its x digits 0.
-    """
-    if block.dominant_degree is None:
-        raise StructuralError("the x-part map needs a block with a dominant degree")
-    return block.registry.range_digits(block.x_names())
+    }
 
 
 def _refused(x: int, degree: int, block: BlockVariables) -> ConsistencyError:
@@ -684,64 +636,121 @@ def _refused(x: int, degree: int, block: BlockVariables) -> ConsistencyError:
 def coordinates_on_degree(f: Poly, degree: int, block: BlockVariables) -> list[Poly]:
     """f's coordinate at each dominant x-monomial of ``degree``, refusing any other term.
 
-    The final read of a :func:`pruned_product` on a block with a dominant
-    degree.  Entries are polynomials in the variables other than x, one per
-    dominant monomial (decreasing within each color), in ``multipartitions``
-    order.  One pass over ``f.terms`` with the block's x-part map
-    (:func:`_x_part`) reads them: a term of another x-degree is refused as
-    non-homogeneous (the solver operates on homogeneous expansions only),
-    and one of that degree off the dominant monomials as off-table, both
-    with ConsistencyError.
+    The final read of a product on a block with a dominant degree.  Entries
+    are polynomials in the variables other than x, one per dominant monomial
+    (decreasing within each color), in ``multipartitions`` order.  One pass
+    over ``f.terms`` groups them by x part (the key with every digit but the
+    x variables' 0); each dominant key then takes its row by one dict
+    lookup.  A row left over is refused with ConsistencyError: as
+    non-homogeneous if its x-degree is another (the solver operates on
+    homogeneous expansions only), as off-table if it is of that degree but
+    not dominant.
     """
-    bias, shift, mask, restore = _x_digits(block)
-    entry_of = block._x_parts.get
+    if block.dominant_degree is None:
+        raise StructuralError("coordinates_on_degree needs a block with a dominant degree")
+    bias, shift, mask, restore = block.registry.range_digits(block.x_names())
     rows: dict[int, dict] = {}
     for key, coeff in f.terms.items():
         x = ((((key + bias) >> shift) & mask) << shift) - restore
-        entry = entry_of(x) or _x_part(x, block)
-        if entry[0] != degree or entry[1]:
-            raise _refused(x, degree, block)
         rows.setdefault(x, {})[key - x] = coeff
-    return [
-        Poly._raw(block.registry, rows.get(x, {}), f._in_int32)
-        for x in _dominant_keys(block.profile, degree)
+    coordinates = [
+        Poly._raw(block.registry, rows.pop(x, {}), f._in_int32)
+        for x in _dominant_keys(block.profile, degree).values()
     ]
-
-
-
-
-# -- closed-form leaves of a table block ------------------------------------------
+    for x in rows:
+        raise _refused(x, degree, block)
+    return coordinates
 
 
 @lru_cache(maxsize=None)
-def _fitting_blocks(k: int, degree: int, budget: int) -> tuple[tuple[tuple, int, int], ...]:
-    """``(exponents, key, hull)`` of each block of k exponents >= 0 of ``degree``, hull <= budget.
+def _color_splits(partition: Partition) -> dict[tuple[Partition, Partition], int]:
+    """How many vectors 0 <= beta <= ``partition`` give each pair (b, r).
 
-    The hull is sum_i max_{j >= i} a_j, and the key sum_j a_j 2^(64 j), on
-    the block's own digits.  The block is filled from its last position.
-    With suffix maximum s so far, each of the p positions left adds at least
-    max(s, its own exponent) to the hull, so at least max(p s, degree left)
-    in all: a branch stops as soon as the hull so far plus that passes the
-    budget.  From the suffix maximum on, a larger exponent only raises that
-    bound, so the loop over the exponent ends there.
+    b = sort(beta) and r = sort(partition - beta), each decreasing with its
+    zeros dropped.  Over the k equal parts a of the partition, beta takes
+    each multiset of k values in 0..a as many times as its multinomial
+    coefficient.
     """
-    blocks = []
+    splits = {((), ()): 1}
+    for a, k in collections.Counter(partition).items():
+        grown: dict[tuple[Partition, Partition], int] = {}
+        for values in itertools.combinations_with_replacement(range(a + 1), k):
+            ways = math.factorial(k)
+            for repeats in collections.Counter(values).values():
+                ways //= math.factorial(repeats)
+            taken = tuple(v for v in values if v)
+            left = tuple(a - v for v in values if v < a)
+            for (b, r), count in splits.items():
+                pair = (
+                    tuple(sorted(b + taken, reverse=True)),
+                    tuple(sorted(r + left, reverse=True)),
+                )
+                grown[pair] = grown.get(pair, 0) + count * ways
+        splits = grown
+    return splits
 
-    def fill(p: int, left: int, top: int, hull: int, tail: tuple[int, ...]):
-        if p == 0:
-            if not left:
-                blocks.append((tail, sum(a << (64 * j) for j, a in enumerate(tail)), hull))
-            return
-        for a in range(left + 1) if p > 1 else (left,):
-            s = max(top, a)
-            if hull + s + max((p - 1) * s, left - a) > budget:
-                if a >= top:
-                    break
-                continue
-            fill(p - 1, left - a, s, hull + s, (a,) + tail)
 
-    fill(k, degree, 0, 0, ())
-    return tuple(blocks)
+@lru_cache(maxsize=None)
+def _mult(nu: Multipartition, d: int) -> dict[tuple[Multipartition, Multipartition], int]:
+    """mult(nu; b, r) of :func:`_orbit_product`, for each pair (b, r) it leaves nonzero.
+
+    The number of vectors beta <= nu (nu's exponents, zero past its parts)
+    with |beta| = d, sort(beta) = b and sort(nu - beta) = r, sorting within
+    each color: the per-color counts of :func:`_color_splits`, multiplied.
+    """
+    splits = {((), (), 0): 1}  # (b, r) of the colors so far, with |b|
+    for partition in nu:
+        splits = {
+            (b + (cb,), r + (cr,), size + sum(cb)): count * ways
+            for (b, r, size), count in splits.items()
+            for (cb, cr), ways in _color_splits(partition).items()
+            if size + sum(cb) <= d
+        }
+    return {(b, r): count for (b, r, size), count in splits.items() if size == d}
+
+
+def _orbit_product(leaves: list[tuple[int, dict]], block: BlockVariables) -> dict:
+    """The product of ``leaves``, each ``(degree, leaf)``, on orbit representatives.
+
+    A leaf or product of x-degree d is ``{nu: {rest: coefficient}}`` over
+    the multipartitions nu of d, its coefficient at the dominant monomial
+    x^nu, the rest a key with its x digits 0.  As it is symmetric within
+    each color, that fixes its coefficient at every monomial of nu's orbit
+    (the monomials whose exponents sort to nu within each color).  Multiplying a product P by a
+    leaf L of degree d gives, at each nu of the new degree,
+
+        (P L)[nu] = sum over (b, r) of mult(nu; b, r) L[b] P[r],
+
+    summing L[beta] P[nu - beta] over the beta <= nu of |beta| = d by
+    orbits (:func:`_mult`); the product is symmetric within each color
+    again.  A multiplicity of 1 is not multiplied in.
+    """
+    (degree, product), *rest = leaves
+    for d, leaf in rest:
+        degree += d
+        out: dict[Multipartition, dict[int, object]] = {}
+        for nu in _dominant_keys(block.profile, degree):
+            acc: dict[int, object] = {}
+            get = acc.get
+            for (b, r), count in _mult(nu, d).items():
+                left, right = leaf.get(b), product.get(r)
+                if left is None or right is None:
+                    continue
+                for r1, c1 in left.items():
+                    if count != 1:
+                        c1 = count * c1
+                    for r2, c2 in right.items():
+                        key = r1 + r2
+                        value = get(key)
+                        acc[key] = c1 * c2 if value is None else value + c1 * c2
+            acc = {key: c for key, c in acc.items() if c}
+            if acc:
+                out[nu] = acc
+        product = out
+    return product
+
+
+# -- closed-form leaves of a table block ------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -767,174 +776,98 @@ def _kostka(shape: Partition, content: Partition) -> int:
     )
 
 
-def _x_offsets(block: BlockVariables) -> list[int]:
-    """The registry index of each color's first x variable."""
-    # block layout: q, Q_1..Q_m, then the x variables color-major
-    return list(itertools.accumulate(block.profile.bk[:-1], initial=1 + block.m))
+def _one_color(partition: Partition, color: int, m: int) -> Multipartition:
+    """The multipartition with ``partition`` at ``color`` and every other color empty."""
+    return ((),) * (color - 1) + (partition,) + ((),) * (m - color)
 
 
-def _q_leaf(d: int, i: int, block: BlockVariables) -> dict[int, dict[int, int]]:
-    """q_d^(i) on the monomials that fit, in the form :func:`pruned_product` reads.
+def _q_leaf(d: int, i: int, block: BlockVariables) -> dict[Multipartition, dict[int, int]]:
+    """q_d^(i) on orbit representatives, in the form :func:`_orbit_product` reads.
 
     On an all-even profile each color's q_a(x; t) = H_a is
     sum_{lam |- a} (1 - t)^l(lam) m_lam, and q - q^-1 = q (1 - t) at
-    t = q^-2, so by the formula of :func:`q_n_i` the coefficient of x^alpha
-    is q^(d-1) Q_L^i (1 - q^-2)^(N-1): N counts the nonzero exponents of
-    alpha, and L is the largest color they touch.  For each split of d over
-    the colors the monomials are built color by color, each color's blocks
-    fitting in what the colors before it left of the hull budget.
+    t = q^-2, so by the formula of :func:`q_n_i` the coefficient of x^nu
+    is q^(d-1) Q_L^i (1 - q^-2)^(N-1): N counts the parts of nu, and L is
+    the largest color that has parts.
     """
-    n, colors = block.dominant_degree, list(zip(block.profile.bk, _x_offsets(block)))
     rests: dict[tuple[int, int], dict[int, int]] = {}
     leaf = {}
-    for degrees in compositions(d, block.m):
-        largest = max(c for c, a in enumerate(degrees, start=1) if a)
-        parts = [(0, 0, 0)]  # (x part, hull, nonzero exponents) of the colors so far
-        for a, (k, lo) in zip(degrees, colors):
-            parts = [
-                (x + (key << (64 * lo)), hull + h, count + k - exps.count(0))
-                for x, hull, count in parts
-                for exps, key, h in _fitting_blocks(k, a, n - hull)
-            ]
-        for x, _, count in parts:
-            rest = rests.get((count, largest))
-            if rest is None:
-                # (1 - q^-2)^(N-1) = sum_j binom(N-1, j) (-1)^j q^(-2j)
-                rest = rests[count, largest] = {
-                    d - 1 - 2 * j + (i << (64 * largest)): (-1) ** j * math.comb(count - 1, j)
-                    for j in range(count)
-                }
-            leaf[x] = rest
+    for nu in multipartitions(block.m, d):
+        count = sum(map(len, nu))
+        largest = max(c for c, p in enumerate(nu, start=1) if p)
+        rest = rests.get((count, largest))
+        if rest is None:
+            # (1 - q^-2)^(N-1) = sum_j binom(N-1, j) (-1)^j q^(-2j)
+            rest = rests[count, largest] = {
+                d - 1 - 2 * j + (i << (64 * largest)): (-1) ** j * math.comb(count - 1, j)
+                for j in range(count)
+            }
+        leaf[nu] = rest
     return leaf
 
 
-def _schur_leaf(shape: Partition, color: int, block: BlockVariables) -> dict[int, dict[int, int]]:
-    """S_shape(x^(color)) on the monomials that fit, in the form :func:`pruned_product` reads.
+def _schur_leaf(shape: Partition, color: int, block: BlockVariables) -> dict[Multipartition, dict]:
+    """S_shape(x^(color)) on orbit representatives, in the form :func:`_orbit_product` reads.
 
-    The coefficient of x^alpha is the Kostka number K_{shape, sort(alpha)}
-    (:func:`_kostka`, alpha sorted decreasingly without its zeros).
+    The coefficient of x^nu is the Kostka number K_{shape, nu^(color)}
+    (:func:`_kostka`) when every other color of nu is empty.
     """
-    lo = _x_offsets(block)[color - 1]
     leaf = {}
-    for exps, key, _ in _fitting_blocks(
-        block.profile.bk[color - 1], sum(shape), block.dominant_degree
-    ):
-        count = _kostka(shape, tuple(sorted(filter(None, exps), reverse=True)))
+    for content in partitions(sum(shape)):
+        count = _kostka(shape, content)
         if count:
-            leaf[key << (64 * lo)] = {0: count}
+            leaf[_one_color(content, color, block.m)] = {0: count}
     return leaf
 
 
-def _power_leaf(a: int, i: int, block: BlockVariables) -> dict[int, dict[int, object]]:
-    """P_a^(i) on the monomials that fit, in the form :func:`pruned_product` reads.
+def _power_leaf(a: int, i: int, block: BlockVariables) -> dict[Multipartition, dict]:
+    """P_a^(i) on orbit representatives, in the form :func:`_orbit_product` reads.
 
     The convention is P_a^(i) = sum_j zeta^(-ij) p_a(x^(j)), as in
-    :func:`colored_power_sum`: its terms are the x_v^a, each with
-    coefficient zeta^(-i color(v)), +-1 at m <= 2.  That is the conjugate of
-    what q_a^(i) becomes at q = 1 and Q_j = zeta^j, sum_j zeta^(ij) p_a(x^(j)).
-    At position p of its color x_v^a has hull a p, so it fits iff a p <= n.
+    :func:`colored_power_sum`: its terms are the x_v^a, and those of color j
+    form one orbit, the single part a in color j, with coefficient
+    zeta^(-ij), +-1 at m <= 2.  That is
+    the conjugate of what q_a^(i) becomes at q = 1 and Q_j = zeta^j,
+    sum_j zeta^(ij) p_a(x^(j)).
     """
-    n, m = block.dominant_degree, block.m
+    m = block.m
     leaf = {}
-    for j, (k, lo) in enumerate(zip(block.profile.bk, _x_offsets(block)), start=1):
+    for j in range(1, m + 1):
         power = (-i * j) % m
-        rest = {0: (-1) ** power if m <= 2 else CyclotomicNumber.zeta(m, power)}
-        for p in range(min(k, n // a)):
-            leaf[a << (64 * (lo + p))] = rest
+        root = (-1) ** power if m <= 2 else CyclotomicNumber.zeta(m, power)
+        leaf[_one_color((a,), j, m)] = {0: root}
     return leaf
-
-
-# -- pruned products of closed-form leaves --------------------------------------
 
 
 def _leaf_product(factors: list, block: BlockVariables) -> Poly:
-    """The product of ``factors``, each ``(key, build, write)``.
+    """The product of ``factors``, each ``(key, degree, build, write)``.
 
     On a full block each leaf is built by ``build()`` and the product is
-    formed in full.  On a block with a dominant degree each leaf is written
-    once from its closed form by ``write()``, on the monomials that fit, and
-    kept on the block under ``key``; the product is :func:`pruned_product`.
+    formed in full.  On a block with dominant degree n each leaf is written
+    once from its closed form by ``write()`` and kept on the block under
+    ``key``; the degrees must add up to n, and the product is
+    :func:`_orbit_product`, returned on the dominant monomials of degree n.
+    Those are all of its terms that a table reads: a product of x-degree n
+    symmetric within each color is fixed by them.
     """
     if block.dominant_degree is None:
         total = Poly.one(block.registry)
-        for _, build, _ in factors:
+        for _, _, build, _ in factors:
             total = total * build()
             if total.is_zero():
                 break
         return total
+    n = block.dominant_degree
+    if sum(degree for _, degree, _, _ in factors) != n:
+        raise StructuralError(f"a block with dominant degree {n} takes labels of size {n} only")
     leaves = []
-    for key, _, write in factors:
+    for key, degree, _, write in factors:
         leaf = block._leaves.get(key)
         if leaf is None:
             leaf = block._leaves[key] = write()
-        leaves.append(leaf)
-    return pruned_product(leaves, block)
-
-
-def pruned_product(leaves: list[dict], block: BlockVariables) -> Poly:
-    """The product of closed-form leaves, keeping only the monomials that fit.
-
-    Each leaf is ``{x part: {rest: coefficient}}`` over its terms that fit:
-    the x part is the key with every other digit 0, the rest the key with
-    the x digits 0, both int keys under the registry's linear codec, and
-    each term's key is their sum (:func:`_q_leaf`, :func:`_schur_leaf`,
-    :func:`_power_leaf`).  With n the block's dominant degree, a monomial
-    fits when its per-color hulls h_i = max_{j >= i} a_j (a the color's
-    exponent block) sum over the colors to at most n (the verdict of the
-    block's x-part map, :func:`_x_part`).  The leaves are multiplied one at
-    a time, x part by x part, and a pair whose x parts add up to one that
-    does not fit is skipped before its rests are multiplied.  Why the result
-    is exact and its dominant terms fix the full product:
-
-    - Adding nonnegative exponents only grows each hull, so every factor
-      monomial of a monomial that fits fits too.  Dropping what does not
-      fit, in each leaf and after each step, thus drops no pair that could
-      still form a monomial that fits: the result is the full product of the
-      full leaves, restricted to the monomials that fit.
-    - At x-degree n, a monomial fits exactly when it is dominant (decreasing
-      within each color): each hull bounds its block entrywise, so the
-      hulls sum to at least n, with equality only when every block is its
-      own hull.
-    - Every leaf is homogeneous and symmetric within each color by
-      construction: each closed-form coefficient depends only on the
-      per-color sorted exponents.  Sums and products of polynomials
-      symmetric within each color are so too.  So the full product is, its
-      x-degree is the sum of the leaves' degrees, and at x-degree n its
-      coordinates at the dominant monomials, which are exactly the terms of
-      the result, fix every monomial coordinate.
-
-    Reading the result with :func:`coordinates_on_degree`, which refuses any
-    term that is not a dominant monomial of that degree, is therefore as
-    strong as checking the full product's symmetry and reading it.
-    """
-    if not leaves:
-        return Poly.one(block.registry)
-    entry_of = block._x_parts.get
-    product = leaves[0]
-    for leaf in leaves[1:]:
-        out: dict[int, dict[int, object]] = {}
-        for x1, rest1 in product.items():
-            for x2, rest2 in leaf.items():
-                x = x1 + x2
-                if not (entry_of(x) or _x_part(x, block))[2]:
-                    continue
-                acc = out.get(x)
-                if acc is None:
-                    acc = out[x] = {}
-                get = acc.get
-                for r1, c1 in rest1.items():
-                    for r2, c2 in rest2.items():
-                        r = r1 + r2
-                        value = get(r)
-                        if value is None:
-                            acc[r] = c1 * c2
-                        else:
-                            value += c1 * c2
-                            if value:
-                                acc[r] = value
-                            else:
-                                del acc[r]
-        product = {x: acc for x, acc in out.items() if acc}
+        leaves.append((degree, leaf))
+    keys = _dominant_keys(block.profile, n)
+    product = _orbit_product(leaves, block)
     return Poly._raw(
-        block.registry, {x + r: c for x, rest in product.items() for r, c in rest.items()}
+        block.registry, {keys[nu] + r: c for nu, rest in product.items() for r, c in rest.items()}
     )

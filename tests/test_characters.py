@@ -275,8 +275,8 @@ def test_a_wrong_kostka_count_fails_audits_and_orthogonality(
 def test_a_wrong_q_coefficient_fails_the_hecke_audit_at_its_column(
     monkeypatch, uncached_tables, m, n
 ):
-    # one more q^(n-1) Q_1 at x1_1^(n-1) x1_2 in q_n^(1), a leaf that only
-    # the column ((n,), (), ...) multiplies
+    # one more q^(n-1) Q_1 at the representative ((n-1, 1), (), ...) of
+    # q_n^(1), a leaf that only the column ((n,), (), ...) multiplies
     from superfrob import symfunc
 
     original = symfunc._q_leaf
@@ -284,9 +284,9 @@ def test_a_wrong_q_coefficient_fails_the_hecke_audit_at_its_column(
     def corrupted(d, i, block):
         leaf = original(d, i, block)
         if (d, i) == (n, 1):
-            (x,) = Poly.monomial(block.registry, {"x1_1": n - 1, "x1_2": 1}).terms
+            nu = ((n - 1, 1),) + ((),) * (m - 1)
             (rest,) = (block.q ** (n - 1) * block.Q(1)).terms
-            leaf = {**leaf, x: {**leaf[x], rest: leaf[x][rest] + 1}}
+            leaf = {**leaf, nu: {**leaf[nu], rest: leaf[nu][rest] + 1}}
         return leaf
 
     monkeypatch.setattr(symfunc, "_q_leaf", corrupted)
@@ -308,11 +308,7 @@ def test_a_wrong_root_fails_the_wreath_audit(monkeypatch, uncached_tables, m, n)
     def corrupted(a, i, block):
         leaf = original(a, i, block)
         if i == 1:
-            color_one = {
-                key for p in range(1, n + 1) for key in Poly.var(block.registry, f"x1_{p}", a).terms
-            }
-            root = {0: CyclotomicNumber.zeta(m, 1)}
-            leaf = {x: root if x in color_one else rest for x, rest in leaf.items()}
+            leaf = {**leaf, ((a,),) + ((),) * (m - 1): {0: CyclotomicNumber.zeta(m, 1)}}
         return leaf
 
     monkeypatch.setattr(symfunc, "_power_leaf", corrupted)

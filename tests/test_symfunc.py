@@ -27,7 +27,6 @@ from superfrob.symfunc import (
     complete_homogeneous,
     coordinates_on_degree,
     power_sum,
-    pruned_product,
     q_bmu,
     q_n_i,
     q_tilde,
@@ -530,23 +529,57 @@ def test_q_bmu_builds_one_series_per_color(monkeypatch):
         assert h_builds == [n] * (m - 1), (m, n)
 
 
-# -- pruned products of certified leaves ----------------------------------------
-
-PRUNED_BLOCKS = [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+# -- products on orbit representatives -------------------------------------------
 
 
-def pruned_block(m, n):
+def table_block(m, n):
     return BlockVariables(HookProfile((n,) * m, (0,) * m), dominant_degree=n)
 
 
-def hull_fits(exps, m, n):
-    """Whether the per-color hulls h_j = max_{j' >= j} a_j' of an exponent vector sum to <= n."""
-    x = exps[1 + m :]  # block layout: q, Q_1..Q_m, then n x variables per color
-    return sum(max(x[c * n + j : (c + 1) * n]) for c in range(m) for j in range(n)) <= n
+def at_representatives(f, degree, block):
+    """f at the x-monomials of ``degree`` decreasing within each color, as ``{nu: {rest: c}}``.
+
+    The rest is the key with its x digits 0; f must be homogeneous of that
+    x-degree.
+    """
+    m, n = block.m, block.dominant_degree
+    encode = block.registry.encode
+    read = {}
+    for exps, coeff in f.decoded_terms().items():
+        front, x = exps[: 1 + m], exps[1 + m :]  # block layout: q, Q_1..Q_m, then the x's
+        assert sum(x) == degree, exps
+        colors = [x[c * n : (c + 1) * n] for c in range(m)]
+        if all(list(a) == sorted(a, reverse=True) for a in colors):
+            nu = tuple(tuple(filter(None, a)) for a in colors)
+            read.setdefault(nu, {})[encode(front + (0,) * len(x))] = coeff
+    return read
+
+
+def full_leaf(factor, block):
+    """The leaf ``(kind, degree, color, shape)`` built by its series, strip or power-sum path."""
+    kind, degree, color, shape = factor
+    if kind == "q":
+        return q_n_i(degree, color, block)
+    if kind == "schur":
+        return super_schur_component(shape, block, color)
+    return colored_power_sum(degree, color, block)
+
+
+def representative_and_full(m, n, factors):
+    """The representative product of the full leaves, and the full product read likewise."""
+    block, full = table_block(m, n), make_block((n,) * m, (0,) * m)
+    leaves = [(factor[1], full_leaf(factor, full)) for factor in factors]
+    product = Poly.one(full.registry)
+    for _, leaf in leaves:
+        product = product * leaf
+    representative = symfunc._orbit_product(
+        [(d, at_representatives(leaf, d, block)) for d, leaf in leaves], block
+    )
+    return representative, at_representatives(product, sum(d for d, _ in leaves), block)
 
 
 def test_coordinates_on_degree():
-    block = pruned_block(1, 2)
+    block = table_block(1, 2)
     x1, x2 = block.x_polys(1)
     # the dominant monomials of degree 2 in multipartitions order: x1^2, then x1 x2
     f = block.q * x1**2 + 3 * x1 * x2
@@ -564,73 +597,53 @@ def test_coordinates_on_degree():
         coordinates_on_degree(f, 2, make_block((2,), (0,)))
 
 
-@pytest.mark.parametrize(
-    "m,n,degrees",
-    [(2, 4, range(5)), (3, 3, range(5)), (1, 6, [6])],
-    ids=["2-4", "3-3", "1-6"],
-)
-def test_x_part_map_sorts_within_colors_and_fits_by_hulls(m, n, degrees):
-    block = pruned_block(m, n)
-    front = (0,) * (1 + m)  # block layout: q, Q_1..Q_m, then n x variables per color
-    for degree in degrees:
-        for mono in compositions(degree, m * n):
-            x = block.registry.encode(front + mono)
-            x_degree, delta, fits = symfunc._x_part(x, block)
-            sorted_mono = sum(
-                (tuple(sorted(mono[c * n : (c + 1) * n], reverse=True)) for c in range(m)), ()
-            )
-            assert x_degree == degree
-            assert block.registry.decode(x + delta) == front + sorted_mono, mono
-            assert fits == hull_fits(front + mono, m, n), mono
-
-
-def fitting_leaf(f, block):
-    """f cut to the monomials that fit, as ``{x part: {rest: coefficient}}``."""
-    m, n = block.m, block.dominant_degree
-    encode = block.registry.encode
-    leaf = {}
-    for exps, coeff in f.decoded_terms().items():
-        if hull_fits(exps, m, n):
-            x, rest = exps[1 + m :], exps[: 1 + m]  # block layout: q, Q_1..Q_m, then the x's
-            leaf.setdefault(encode((0,) * (1 + m) + x), {})[encode(rest + (0,) * len(x))] = coeff
-    return leaf
-
-
 @st.composite
-def pruned_factors(draw):
-    """A pruning block and one to three leaves of total x-degree at most n + 1."""
-    m, n = draw(st.sampled_from(PRUNED_BLOCKS))
-    block = pruned_block(m, n)
-    factors, budget = [], n + 1
-    while budget and len(factors) < 3:
-        degree = draw(st.integers(min_value=1, max_value=min(n, budget)))
+def representative_factors(draw):
+    """m <= 3, n <= 5 and one to four leaves (kind, degree, color, shape) of total degree <= n."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    factors, budget = [], n
+    while budget and len(factors) < 4:
+        degree = draw(st.integers(min_value=1, max_value=budget))
         color = draw(st.integers(min_value=1, max_value=m))
         kind = draw(st.sampled_from(["q", "schur", "power"]))
-        if kind == "q":
-            leaf = q_n_i(degree, color, block)
-        elif kind == "schur":
-            shape = draw(st.sampled_from(partitions(degree)))
-            leaf = super_schur_component(shape, block, color)
-        else:
-            leaf = colored_power_sum(degree, color, block)
-        factors.append(leaf)
+        shape = draw(st.sampled_from(partitions(degree))) if kind == "schur" else None
+        factors.append((kind, degree, color, shape))
         budget -= degree
         if not draw(st.booleans()):
             break
-    return block, factors
+    return m, n, factors
 
 
 @settings(max_examples=60, deadline=None)
-@given(pruned_factors())
-def test_pruned_product_is_the_full_product_on_the_monomials_that_fit(case):
-    block, factors = case
-    m, n = block.m, block.dominant_degree
-    full = Poly.one(block.registry)
-    for leaf in factors:
-        full = full * leaf
-    pruned = pruned_product([fitting_leaf(leaf, block) for leaf in factors], block)
-    expected = {e: c for e, c in full.decoded_terms().items() if hull_fits(e, m, n)}
-    assert pruned.decoded_terms() == expected
+@given(representative_factors())
+def test_representative_product_is_the_full_product_at_every_representative(case):
+    representative, full = representative_and_full(*case)
+    assert representative == full
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_a_mult_counting_each_unordered_split_once_fails_the_comparison(monkeypatch, m, n):
+    # the q leaves of every label bmu of P_{m,n}, the factors of q_bmu
+    labels = [
+        [("q", part, i, None) for i, component in enumerate(bmu, start=1) for part in component]
+        for bmu in multipartitions(m, n)
+    ]
+    assert all(a == b for a, b in (representative_and_full(m, n, f) for f in labels))
+    original = symfunc._mult
+    monkeypatch.setattr(symfunc, "_mult", lambda nu, d: dict.fromkeys(original(nu, d), 1))
+    assert not all(a == b for a, b in (representative_and_full(m, n, f) for f in labels))
+
+
+def test_a_table_block_multiplies_labels_of_its_size_only():
+    block = table_block(2, 3)
+    for bmu in [((2,), ()), ((2,), (1, 1))]:
+        with pytest.raises(StructuralError):
+            q_bmu(bmu, block)
+        with pytest.raises(StructuralError):
+            super_schur(bmu, block)
+        with pytest.raises(StructuralError):
+            colored_power_sum_product(bmu, block)
 
 
 @st.composite
@@ -651,13 +664,12 @@ def closed_form_leaves(draw):
 @example(("power", 3, 2, 1, 1, None))
 def test_each_closed_form_leaf_is_its_series_or_strip_leaf_on_the_monomials_that_fit(case):
     kind, m, n, d, color, shape = case
-    block = pruned_block(m, n)
+    block = table_block(m, n)
     full = make_block((n,) * m, (0,) * m)
     if kind == "q":
-        written, built = symfunc._q_leaf(d, color, block), q_n_i(d, color, full)
+        written = symfunc._q_leaf(d, color, block)
     elif kind == "schur":
         written = symfunc._schur_leaf(shape, color, block)
-        built = super_schur_component(shape, full, color, "branching")
         # the Kostka count equals the number of semistandard fillings of each content
         fillings = collections.Counter(
             tuple(sum(row.count(v) for row in tableau) for v in range(1, n + 1))
@@ -667,8 +679,9 @@ def test_each_closed_form_leaf_is_its_series_or_strip_leaf_on_the_monomials_that
             partition = tuple(sorted(filter(None, content), reverse=True))
             assert symfunc._kostka(shape, partition) == count, (shape, content)
     else:
-        written, built = symfunc._power_leaf(d, color, block), colored_power_sum(d, color, full)
-    assert pruned_product([written], block) == pruned_product([fitting_leaf(built, block)], block)
+        written = symfunc._power_leaf(d, color, block)
+    built = full_leaf((kind, d, color, shape), full)
+    assert written == at_representatives(built, d, block)
 
 
 def test_pruning_blocks_need_an_all_even_profile():
