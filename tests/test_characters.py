@@ -545,11 +545,11 @@ def _all_row_coordinates(f, block, n):
 
 @pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2), (2, 2)])
 def test_table_block_reads_the_certified_coordinates_of_the_full_block(m, n):
-    # the pruned products hold exactly the certified dominant coordinates of the full ones
-    pruned, full = _table_block(m, n), solve_block(m, n)
+    # the table block's products hold exactly the certified dominant coordinates of the full ones
+    table, full = _table_block(m, n), solve_block(m, n)
     for label in multipartitions(m, n):
         for product in (q_bmu, super_schur, colored_power_sum_product):
-            assert coordinates_on_degree(product(label, pruned), n, pruned) == (
+            assert coordinates_on_degree(product(label, table), n, table) == (
                 _all_row_coordinates(product(label, full), full, n)
             ), (product.__name__, label)
 

@@ -57,10 +57,7 @@ print(time.process_time() - start)
 
 
 def _env(tree: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SUPERFROB_THREADS")}
-    env["PYTHONPATH"] = str(tree / "src")
-    env["PYTHONHASHSEED"] = "0"
-    return env
+    return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
 
 
 def time_table(tree: Path, table: str, m: int, n: int, cap: float) -> float | None:
@@ -160,7 +157,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=_tree, action="append", help="LABEL=PATH of a checkout")
     parser.add_argument("--cell", type=_cell, action="append", help="M,N (default: the grid)")
-    parser.add_argument("--repeats", type=int, default=5)
+    # at the 30-50 ms cells one slow spell moves a median of 5 by more than
+    # the difference between two trees
+    parser.add_argument("--repeats", type=int, default=11)
     parser.add_argument("--cap", type=float, default=60.0, help="wall seconds per table run")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_frontier.json")
     args = parser.parse_args(argv)
