@@ -85,11 +85,13 @@ class BlockVariables:
     read off it; per degree n the sums ``R_{n,L}`` that ``q_n_i`` combines
     (see :func:`_q_n_pieces`); and each ``q_n^(i)``.
 
-    With ``dominant_degree`` n (all-even profiles only), the block's products
-    take labels of size n only and are multiplied on orbit representatives
-    (:func:`_orbit_product`), each returned on the dominant monomials of
-    x-degree n; the block then also keeps each leaf, written from its closed
-    form at one multipartition per orbit (:func:`_leaf_product`).
+    With ``dominant_degree`` n (all-even profiles with every k_i >= n only,
+    so that each multipartition of n is a dominant monomial), the block's
+    products take labels of size n only and are multiplied on orbit
+    representatives (:func:`_orbit_product`), each returned on the dominant
+    monomials of x-degree n; the block then also keeps each leaf, written
+    from its closed form at one multipartition per orbit
+    (:func:`_leaf_product`).
     """
 
     def __init__(
@@ -100,6 +102,10 @@ class BlockVariables:
     ):
         if dominant_degree is not None and profile.l:
             raise StructuralError("a block with a dominant degree needs an all-even profile")
+        if dominant_degree is not None and min(profile.bk) < dominant_degree:
+            raise StructuralError(
+                f"a block with dominant degree {dominant_degree} needs each k_i at least that"
+            )
         self.profile = profile
         self.dominant_degree = dominant_degree
         m = profile.m
@@ -716,8 +722,9 @@ def _orbit_product(leaves: list[tuple[int, dict]], block: BlockVariables) -> dic
     the multipartitions nu of d, its coefficient at the dominant monomial
     x^nu, the rest a key with its x digits 0.  As it is symmetric within
     each color, that fixes its coefficient at every monomial of nu's orbit
-    (the monomials whose exponents sort to nu within each color).  Multiplying a product P by a
-    leaf L of degree d gives, at each nu of the new degree,
+    (the monomials whose exponents sort to nu within each color).
+    Multiplying a product P by a leaf L of degree d gives, at each nu of the
+    new degree,
 
         (P L)[nu] = sum over (b, r) of mult(nu; b, r) L[b] P[r],
 

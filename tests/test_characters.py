@@ -788,7 +788,7 @@ WREATH_PAYLOAD_SHA256 = {
     (5, 2): "5aadf38020e58cd331d771aa272adaae07cdd31178c3546707302182145fe9de",
     # taken with the all-row symmetry certificate that preceded the one-pass one
     (2, 5): "ee8b4c6d9bfd9a43f61bcde4c0ee1e421b267e682bc51314ef24b7f3a58b8840",
-    # taken with the full products that preceded the pruned ones
+    # taken with the full products that preceded the table-block ones
     (3, 4): "6a3fee9bce16184f2ad6d23a80c70815d3eaab3f181cc10fa61c63a5554bf7a6",
     (4, 3): "323c1691f78278629ce363307c681353197a070cc899706785bb3a2ef47d7f98",
 }
@@ -810,7 +810,7 @@ HECKE_PAYLOAD_SHA256 = {
     (4, 2): "a17c8ac72dc55a61307736d2181ed56b57b74fe914433869417a27f65180a6ea",
     # taken with the all-row symmetry certificate that preceded the one-pass one
     (1, 7): "e9a570a9967dd2c58acf9a6d7e4d69bccc7e69e04a481fa1ff0d7e4b05d52915",
-    # taken with the full products that preceded the pruned ones
+    # taken with the full products that preceded the table-block ones
     (2, 5): "7c74888bafc8e557ec5c2777deead231708f1648d09771a06ffba94e9da4ad61",
     (3, 4): "8358194391c7492f417eaa0900a42d5e047f3b1b80413b8c4498ade5a3dfec52",
     (4, 3): "4c2dba24ade8b07d66d6ad5d82617ffba1bb991b303d7a9f65a13602fa14b749",

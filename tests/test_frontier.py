@@ -1,6 +1,7 @@
 """The frontier harness runs end to end at one tiny cell."""
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,7 @@ def test_frontier_harness_writes_one_cell(tmp_path):
         [
             sys.executable,
             str(ROOT / "tools" / "frontier.py"),
-            *("--tree", f"current={ROOT}", "--cell", "1,3", "--repeats", "1"),
-            *("--cap", "60", "--out", str(out)),
+            *("--tree", f"current={ROOT}", "--cell", "1,3", "--out", str(out)),
         ],
         check=True,
         timeout=120,
@@ -29,5 +29,5 @@ def test_frontier_harness_writes_one_cell(tmp_path):
     assert (cell["m"], cell["n"], cell["classes"], cell["cap_s"]) == (1, 3, 3, 60)
     for table in ("hecke", "wreath"):
         timing = cell[table]["current"]
-        assert timing["samples"] == [timing["cpu_s"]]
-        assert timing["cpu_s"] >= 0
+        assert len(timing["samples"]) == result["repeats"]
+        assert timing["cpu_s"] == statistics.median(timing["samples"]) >= 0

@@ -687,3 +687,13 @@ def test_each_closed_form_leaf_is_its_series_or_strip_leaf_on_the_monomials_that
 def test_pruning_blocks_need_an_all_even_profile():
     with pytest.raises(StructuralError):
         BlockVariables(HookProfile((2,), (1,)), dominant_degree=3)
+
+
+def test_table_blocks_need_every_k_i_at_least_their_degree():
+    # with k_1 = 2 the multipartition ((1, 1, 1),) of 3 has no dominant monomial
+    with pytest.raises(StructuralError):
+        BlockVariables(HookProfile((2,), (0,)), dominant_degree=3)
+    with pytest.raises(StructuralError):
+        BlockVariables(HookProfile((3, 2), (0, 0)), dominant_degree=3)
+    block = BlockVariables(HookProfile((3, 4), (0, 0)), dominant_degree=3)
+    assert block.dominant_degree == 3

@@ -1,8 +1,7 @@
 """Time both character tables at frontier sizes and write BENCH_frontier.json.
 
 Usage:
-    python3 tools/frontier.py [--tree LABEL=PATH ...] [--cell M,N ...]
-                              [--repeats R] [--cap SECONDS] [--out PATH]
+    python3 tools/frontier.py [--tree LABEL=PATH ...] [--cell M,N ...] [--out PATH]
 
 Each ``--tree`` is a checkout of this repository (its ``src`` goes on
 PYTHONPATH); the default is this checkout, labelled ``current``.  Give two,
@@ -12,10 +11,10 @@ tree in turn, so the trees share the host's slow and fast spells.
 
 Each table runs in a fresh interpreter (``PYTHONHASHSEED=0``), which prints
 the CPU time (``time.process_time``) of the table alone, after its imports.
-A run that has not finished after ``--cap`` seconds of wall time is stopped
+A run that has not finished after ``CAP_S`` seconds of wall time is stopped
 and its cell recorded as ``null``, with the cap.  Each value is the median
-over the repeats, with the samples kept beside it; a cell is ``null`` if any
-of its repeats reached the cap.
+over ``REPEATS`` repeats, with the samples kept beside it; a cell is ``null``
+if any of its repeats reached the cap.
 
 The file also records each cell's class count ``|P_{m,n}|``, the Python
 version, each tree's commit (and whether its working tree had uncommitted
@@ -43,6 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference.py"
 CELLS = ((1, 8), (2, 6), (3, 4), (4, 3), (1, 10), (2, 7), (3, 5), (4, 4))
 TABLES = {"hecke": "hecke_character_table", "wreath": "wreath_character_table"}
+CAP_S = 60.0  # wall seconds per table run
+# at the 30-50 ms cells one slow spell moves a median of 5 by more than the
+# difference between two trees
+REPEATS = 11
 
 # the child: import first, then time the table alone
 TIMED_TABLE = """
@@ -60,7 +63,7 @@ def _env(tree: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONHASHSEED": "0"}
 
 
-def time_table(tree: Path, table: str, m: int, n: int, cap: float) -> float | None:
+def time_table(tree: Path, table: str, m: int, n: int) -> float | None:
     """CPU seconds of one table in a fresh interpreter, or None at the cap."""
     try:
         done = subprocess.run(
@@ -68,7 +71,7 @@ def time_table(tree: Path, table: str, m: int, n: int, cap: float) -> float | No
             env=_env(tree),
             capture_output=True,
             text=True,
-            timeout=cap,
+            timeout=CAP_S,
         )
     except subprocess.TimeoutExpired:
         return None
@@ -100,17 +103,17 @@ def describe_tree(tree: Path) -> dict:
     }
 
 
-def run(trees: dict[str, Path], cells, repeats: int, cap: float) -> dict:
+def run(trees: dict[str, Path], cells) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     from superfrob.combinat import multipartitions
 
     samples = {(cell, table, label): [] for cell in cells for table in TABLES for label in trees}
     references = [time_reference()]
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for cell in cells:
             for table in TABLES:
                 for label, tree in trees.items():
-                    samples[cell, table, label].append(time_table(tree, table, *cell, cap))
+                    samples[cell, table, label].append(time_table(tree, table, *cell))
     references.append(time_reference())
 
     def summary(values: list) -> dict:
@@ -121,13 +124,13 @@ def run(trees: dict[str, Path], cells, repeats: int, cap: float) -> dict:
         "python": platform.python_version(),
         "reference": {"script": "perfbench/reference.py", "runs": references},
         "trees": {label: describe_tree(tree) for label, tree in trees.items()},
-        "repeats": repeats,
+        "repeats": REPEATS,
         "cells": [
             {
                 "m": m,
                 "n": n,
                 "classes": len(multipartitions(m, n)),
-                "cap_s": cap,
+                "cap_s": CAP_S,
                 **{
                     table: {label: summary(samples[(m, n), table, label]) for label in trees}
                     for table in TABLES
@@ -157,14 +160,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=_tree, action="append", help="LABEL=PATH of a checkout")
     parser.add_argument("--cell", type=_cell, action="append", help="M,N (default: the grid)")
-    # at the 30-50 ms cells one slow spell moves a median of 5 by more than
-    # the difference between two trees
-    parser.add_argument("--repeats", type=int, default=11)
-    parser.add_argument("--cap", type=float, default=60.0, help="wall seconds per table run")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_frontier.json")
     args = parser.parse_args(argv)
     trees = dict(args.tree or [("current", ROOT)])
-    result = run(trees, args.cell or CELLS, args.repeats, args.cap)
+    result = run(trees, args.cell or CELLS)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
